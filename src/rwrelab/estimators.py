@@ -326,20 +326,28 @@ def tau1_tail(gamma: float, n: int) -> float:
     return float(_hurwitz_zeta(gamma, n + 1) / _hurwitz_zeta(gamma, 1.0))
 
 
+def _gap_columns(gamma: float, n_max: int) -> int:
+    """Gaps drawn per replica at once: the mean renewal count up to n_max
+    plus ten standard deviations and 64, so that a row ends short of n_max
+    only with astronomically small probability."""
+    mu = float(_hurwitz_zeta(gamma, 1.0))
+    sig2 = 2.0 * float(_hurwitz_zeta(gamma - 1.0, 1.0)) - mu - mu * mu
+    return int(n_max / mu + 10.0 * math.sqrt(max(n_max, 1) * max(sig2, 0.1) / mu**3) + 64)
+
+
 def _renewal_counts(gamma: float, seed: int, replicas: int, grid: np.ndarray,
                     chunk: int = 2048):
     """Counts of renewal points in [0, n] per replica, for each grid n.
 
-    Yields (counts_chunk,) arrays of shape (m, len(grid)).  Environments are
-    fresh per replica; the stationary anchor (straddling gap, first point)
-    uses the exact heavy-tailed marginals.
+    Yields int64 arrays of shape (m, len(grid)), one per chunk of m
+    replicas.  Environments are fresh per replica; the stationary anchor
+    (straddling gap, first point) uses the exact heavy-tailed marginals.
     """
     n_max = int(grid.max())
     table = _tau1_cdf_table(gamma)
     rng = generator(seed, "renewal-ensemble")
-    mu = float(_hurwitz_zeta(gamma, 1.0))
-    sig2 = 2.0 * float(_hurwitz_zeta(gamma - 1.0, 1.0)) - mu - mu * mu
-    cols = int(n_max / mu + 10.0 * math.sqrt(max(n_max, 1) * max(sig2, 0.1) / mu**3) + 64)
+    cols = _gap_columns(gamma, n_max)
+    width = n_max + 2          # one bin per site 0..n_max, one for beyond
     done = 0
     while done < replicas:
         m = min(chunk, replicas - done)
@@ -349,22 +357,34 @@ def _renewal_counts(gamma: float, seed: int, replicas: int, grid: np.ndarray,
             tau1 = np.minimum(tau1, len(table))
         straddle = np.floor(tau1 * (1.0 - rng.random(m)) ** (-1.0 / gamma))
         at_zero = (straddle == tau1)
-        gaps = np.floor((1.0 - rng.random((m, cols))) ** (-1.0 / gamma))
-        pts = tau1[:, None] + np.concatenate(
-            [np.zeros((m, 1)), np.cumsum(gaps, axis=1)], axis=1)
-        counts = np.empty((m, grid.size), dtype=np.int64)
-        for r in range(m):
-            row = pts[r]
-            base = np.searchsorted(row, grid + 0.5)
-            if row[-1] <= n_max:  # astronomically rare: extend this row
-                extra = row[-1]
-                more = []
-                while extra <= n_max:
-                    g = float(np.floor((1.0 - rng.random()) ** (-1.0 / gamma)))
-                    extra += g
-                    more.append(extra)
-                base += np.searchsorted(np.asarray(more), grid + 0.5)
-            counts[r] = base + int(at_zero[r])
+        # points after the first, tau1 + g_1 + ... + g_k, built in place
+        pts = rng.random((m, cols))
+        np.subtract(1.0, pts, out=pts)
+        np.power(pts, -1.0 / gamma, out=pts)
+        np.floor(pts, out=pts)
+        np.cumsum(pts, axis=1, out=pts)
+        pts += tau1[:, None]
+        last = pts[:, -1].copy()
+        # per-row histograms of the points, flattened with row offsets;
+        # their running sums count the points <= each site
+        np.minimum(pts, n_max + 1, out=pts)
+        pts += (width * np.arange(m))[:, None]
+        hist = np.bincount(pts.astype(np.int64).ravel(), minlength=m * width)
+        del pts  # a suspended generator keeps its locals alive
+        hist = hist.reshape(m, width)
+        hist[np.arange(m), np.minimum(tau1, n_max + 1)] += 1
+        np.cumsum(hist, axis=1, out=hist)
+        counts = hist.take(grid, axis=1)
+        del hist
+        for r in np.flatnonzero(last <= n_max):  # astronomically rare: extend
+            extra = last[r]
+            more = []
+            while extra <= n_max:
+                g = float(np.floor((1.0 - rng.random()) ** (-1.0 / gamma)))
+                extra += g
+                more.append(extra)
+            counts[r] += np.searchsorted(np.asarray(more), grid + 0.5)
+        counts += at_zero[:, None]
         done += m
         yield counts
 

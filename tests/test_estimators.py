@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      renewal_product_moment, sigma2_of_model, tau1_tail,
                      velocity_jump_probe, velocity_of_model,
                      velocity_rcm_discrete)
-from rwrelab.estimators import Estimate, ScalingFit
+from rwrelab import estimators
+from rwrelab.estimators import (Estimate, ScalingFit, _renewal_counts,
+                                _tau1_cdf_table)
+from rwrelab.rng import generator
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
@@ -279,3 +283,86 @@ def test_renewal_walks_agree_with_series_probe():
                              seed=42)
     joint_se = math.hypot(walk.std_error, probe.v_estimate.std_error)
     assert abs(walk.mean - probe.v_estimate.mean) < 4 * joint_se
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of the renewal counting path (BLAKE2b digests recorded from
+# the per-replica searchsorted loop)
+# ---------------------------------------------------------------------------
+
+GOLDEN_COUNTS_FULL = "ece33d8f0c0b7c9d52fc2cffdbcc6f0e"
+GOLDEN_COUNTS_SPARSE = "8aaa103604ddec70cde30262069a16c3"
+# covers a fitted threshold slope, a v estimate and both exact classifications
+GOLDEN_PROBE = "123e9ca9b06932163215a74ecb3fe130"
+
+
+def _counts_digest(grid):
+    h = hashlib.blake2b(digest_size=16)
+    for counts in _renewal_counts(3.0, 11, 5000, np.asarray(grid, dtype=np.int64)):
+        h.update(repr((counts.shape, counts.dtype.str)).encode())
+        h.update(counts.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("error")
+def test_renewal_counts_golden():
+    assert _counts_digest(np.arange(0, 129)) == GOLDEN_COUNTS_FULL
+    assert _counts_digest([0, 3, 40, 200, 517]) == GOLDEN_COUNTS_SPARSE
+
+
+@pytest.mark.filterwarnings("error")
+def test_velocity_jump_probe_golden():
+    lam_plus = 0.5 * math.log(2.0)
+    rows = velocity_jump_probe(2.0, 3.0, [lam_plus - 0.1, lam_plus, lam_plus + 0.1],
+                               replicas=20_000, seed=5, i_max=128)
+    digest = hashlib.blake2b(repr(rows).encode(), digest_size=16).hexdigest()
+    assert digest == GOLDEN_PROBE
+
+
+def _reference_renewal_counts(gamma, seed, replicas, grid, chunk=2048):
+    """Per-replica searchsorted over the concatenated points (reference)."""
+    n_max = int(grid.max())
+    table = _tau1_cdf_table(gamma)
+    rng = generator(seed, "renewal-ensemble")
+    cols = estimators._gap_columns(gamma, n_max)
+    done = 0
+    while done < replicas:
+        m = min(chunk, replicas - done)
+        tau1 = np.minimum(np.searchsorted(table, rng.random(m), side="left") + 1,
+                          len(table))
+        straddle = np.floor(tau1 * (1.0 - rng.random(m)) ** (-1.0 / gamma))
+        at_zero = (straddle == tau1)
+        gaps = np.floor((1.0 - rng.random((m, cols))) ** (-1.0 / gamma))
+        pts = tau1[:, None] + np.concatenate(
+            [np.zeros((m, 1)), np.cumsum(gaps, axis=1)], axis=1)
+        counts = np.empty((m, grid.size), dtype=np.int64)
+        for r in range(m):
+            row = pts[r]
+            base = np.searchsorted(row, grid + 0.5)
+            if row[-1] <= n_max:
+                extra = row[-1]
+                more = []
+                while extra <= n_max:
+                    g = float(np.floor((1.0 - rng.random()) ** (-1.0 / gamma)))
+                    extra += g
+                    more.append(extra)
+                base += np.searchsorted(np.asarray(more), grid + 0.5)
+            counts[r] = base + int(at_zero[r])
+        done += m
+        yield counts
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("short_rows", [False, True])
+def test_renewal_counts_match_per_replica_loop(monkeypatch, short_rows):
+    if short_rows:  # three gaps per row: nearly every row is extended
+        monkeypatch.setattr(estimators, "_gap_columns", lambda gamma, n_max: 3)
+    for gamma, seed, grid in ((3.0, 2, np.arange(0, 150)),
+                              (2.5, 9, np.array([90, 0, 1, 7, 64])),
+                              (4.0, 4, np.array([0]))):
+        want = list(_reference_renewal_counts(gamma, seed, 700, grid, chunk=256))
+        got = list(_renewal_counts(gamma, seed, 700, grid, chunk=256))
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, b)
