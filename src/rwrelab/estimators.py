@@ -567,8 +567,10 @@ def velocity_jump_probe(a: float, gamma: float, lam_grid, replicas: int,
     t_sum = np.zeros(wmat.shape[0])
     t_sq = np.zeros(wmat.shape[0])
     total = 0
+    # counts never exceed i_max + 1; 0.5**k is exact, so a lookup is too
+    halves = 0.5 ** np.arange(i_max + 3)
     for counts in _renewal_counts(gamma, seed, replicas, full):
-        z = 0.5 ** counts
+        z = halves.take(counts)
         sums += z.sum(axis=0)
         sq += (z * z).sum(axis=0)
         t = z @ wmat.T

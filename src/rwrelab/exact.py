@@ -115,17 +115,36 @@ def exact_fbar_periodic(env: PeriodicEnv, lam: float) -> SeriesValue:
 
 
 def velocity_periodic(env: PeriodicEnv, lam: float) -> VelocityResult:
-    """Velocity on a periodic environment from the exact crossing series;
-    the zero-speed window degenerates to the single point mean(log rho)/2."""
-    s = exact_sbar_periodic(env, lam)
-    f = exact_fbar_periodic(env, lam)
-    thr = 0.5 * sum(math.log(env.rho_at(x)) for x in range(env.period)) / env.period
-    if s.converged:
-        v = 1.0 / s.value
-    elif f.converged:
-        v = -1.0 / f.value
+    """Velocity on a periodic environment from the invariant law pi of the
+    position mod L (an L x L solve): v = pi . (omega+(lam) - omega-(lam)) in
+    discrete time, v = pi . (r+(lam) - r-(lam)) in continuous time (rate
+    environments).  The zero-speed window degenerates to the single point
+    thr = mean(log rho)/2, where v is 0."""
+    ll = env.period
+    thr = 0.5 * sum(math.log(env.rho_at(x)) for x in range(ll)) / ll
+    # the one-period ratio product is exp(2 L (thr - lam)): this is the
+    # 1e-12 * L band around 1 that _critical treats as critical
+    if abs(lam - thr) <= 5e-13:
+        return VelocityResult(0.0, _regime(0.0), thr, thr)
+    if env.time_flavor == "continuous":
+        rates = np.array([env.rates_at(x) for x in range(ll)])
+        left, right = rates[:, 0] * math.exp(-lam), rates[:, 1] * math.exp(lam)
     else:
-        v = 0.0
+        left, right = bias_omega(np.array(env.omega), lam)
+    # generator of the position mod L (a transition matrix minus I in
+    # discrete time); pi solves pi Q = 0 with its last equation replaced
+    # by sum(pi) = 1
+    q = np.zeros((ll, ll))
+    for k in range(ll):
+        q[k, (k + 1) % ll] += right[k]
+        q[k, (k - 1) % ll] += left[k]
+        q[k, k] -= right[k] + left[k]
+    a = q.T.copy()
+    a[-1] = 1.0
+    b = np.zeros(ll)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    v = float(np.dot(pi, right - left))
     return VelocityResult(v, _regime(v), thr, thr)
 
 

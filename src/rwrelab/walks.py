@@ -284,15 +284,14 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
                             steps_per_refill=max(1, min(1024, n)))
         # walker state lives as flat table indices; position = gidx-offset+lo
         gidx = offsets - lo
-        pbuf = np.empty(m)
         bbuf = np.empty(m, dtype=bool)
         sbuf = np.empty(m, dtype=np.int64)
         frozen = np.zeros(m, dtype=bool)
         any_frozen = False
         for t in range(n):
             u = uni.step(t)
-            np.take(flat, gidx, out=pbuf)
-            np.less_equal(u, pbuf, out=bbuf)
+            # take() without out=: with out= and mode="raise" NumPy buffers
+            np.less_equal(u, flat.take(gidx), out=bbuf)
             if any_frozen:
                 np.subtract(bbuf.astype(np.int64) * 2, 1, out=sbuf)
                 sbuf[frozen] = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwrelab import (IIDConductance, PeriodicEnv, ScalarDist,
-                     exact_fbar_periodic, exact_sbar_periodic,
+                     annealed_velocity, exact_fbar_periodic, exact_sbar_periodic,
                      exact_tau1_periodic_continuous, exact_walk_distribution,
                      materialize, sbar_quenched, shat_quenched,
                      velocity_periodic)
@@ -91,6 +91,67 @@ def test_velocity_periodic_regimes():
     assert velocity_periodic(env, 0.0).v == 0.0
     res = velocity_periodic(env, 0.4)
     assert res.lambda_minus == res.lambda_plus == 0.0
+
+
+def _shifts(values):
+    return [values[s:] + values[:s] for s in range(len(values))]
+
+
+def _random_periodic(rng, ll, rates):
+    if rates:
+        return PeriodicEnv(rates=tuple((0.5 + 1.5 * rng.random(), 0.5 + 1.5 * rng.random())
+                                       for _ in range(ll)))
+    return PeriodicEnv(omega=tuple(0.25 + 0.5 * rng.random(ll)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_velocity_periodic_invariant_law():
+    # the stationary law of the position mod 3 gives 0.4607 (Monte Carlo
+    # 0.4607 +/- 0.0004); the series from origin 0 alone gave 0.327
+    env = PeriodicEnv(omega=(0.3, 0.7, 0.45))
+    assert velocity_periodic(env, 0.6).v == pytest.approx(0.4607206, abs=1e-7)
+    # continuous time at unit rates: r+(lam) - r-(lam), not the jump chain's tanh
+    renv = PeriodicEnv(rates=((1.0, 1.0),))
+    assert velocity_periodic(renv, 1.0).v == pytest.approx(2 * math.sinh(1.0), rel=1e-14)
+    assert velocity_periodic(renv, -1.0).v == pytest.approx(-2 * math.sinh(1.0), rel=1e-14)
+    # saturated fields give the ballistic limit without overflow or warnings
+    assert velocity_periodic(env, 400.0).v == 1.0
+    assert velocity_periodic(env, -400.0).v == -1.0
+
+
+@pytest.mark.parametrize("ll", [2, 3, 5])
+def test_velocity_periodic_matches_shift_averaged_crossing_means(ll):
+    # 1/v is the crossing time of one site averaged over the L starting
+    # sites: exact_sbar_periodic (or exact_fbar_periodic for v < 0) in
+    # discrete time, exact_tau1_periodic_continuous in continuous time
+    rng = generator(ll, "velocity-periodic-test")
+    for _ in range(10):
+        env = _random_periodic(rng, ll, rates=False)
+        thr = velocity_periodic(env, 0.0).lambda_plus
+        for lam in (thr - 0.7, thr - 0.2, thr + 0.2, thr + 0.7):
+            v = velocity_periodic(env, lam).v
+            series = exact_sbar_periodic if v > 0 else exact_fbar_periodic
+            mean = np.mean([series(PeriodicEnv(omega=w), lam).value
+                            for w in _shifts(env.omega)])
+            assert abs(v) == pytest.approx(1.0 / mean, rel=1e-12)
+        renv = _random_periodic(rng, ll, rates=True)
+        thr = velocity_periodic(renv, 0.0).lambda_plus
+        for lam in (thr + 0.2, thr + 0.7):
+            v = velocity_periodic(renv, lam).v
+            mean = np.mean([exact_tau1_periodic_continuous(PeriodicEnv(rates=r), lam)
+                            for r in _shifts(renv.rates)])
+            assert v == pytest.approx(1.0 / mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("ll", [2, 3, 5])
+@pytest.mark.parametrize("rates", [False, True])
+def test_velocity_periodic_vs_monte_carlo(ll, rates):
+    env = _random_periodic(generator(ll, "velocity-periodic-mc"), ll, rates)
+    lam = velocity_periodic(env, 0.0).lambda_plus + 0.4
+    v = velocity_periodic(env, lam).v
+    run = {"horizon": 4000.0} if rates else {"n": 20_000}
+    est = annealed_velocity(env, lam, replicas=200, seed=40 + ll, **run)
+    assert abs(est.mean - v) < 3 * est.std_error
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -220,3 +221,61 @@ def test_reflection_equivariance_in_distribution():
     a = ensemble_discrete(model, 0.5, 400, 1500, 101).final_positions
     b = -ensemble_discrete(model, -0.5, 400, 1500, 202).final_positions
     assert ks_2samp(a, b).pvalue > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# golden ensemble outputs (BLAKE2b digests recorded from the engines with
+# fixed 1024-step uniform refills and tuple-seeded streams)
+# ---------------------------------------------------------------------------
+
+def _ensemble_digest(res):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(res.final_positions.tobytes())
+    h.update(res.aborted.tobytes())
+    if res.values is not None:
+        h.update(res.values.tobytes())
+    return h.hexdigest()
+
+
+C_TWO_POINT = IIDConductance(TWO_POINT, time_flavor="continuous")
+
+GOLDEN_ENSEMBLES = {
+    "discrete-annealed": (
+        lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.6, 1500, 300, 71),
+        "868af03dbbbae602dae3e48c20708fec"),
+    "discrete-shared-env": (
+        lambda: ensemble_discrete(
+            IIDConductance(TWO_POINT), 0.4, 30, 3000, 72,
+            shared_env=materialize(IIDConductance(TWO_POINT), 5, (-40, 40))),
+        "1522a63922f5d5dbc9c1cbf475530f29"),
+    "continuous-horizon": (
+        lambda: ensemble_continuous(CoinFlip(TWO_POINT, TWO_POINT), 0.8, 400.0,
+                                    300, 73),
+        "539f573103fb2b9844cb77721c84bae7"),
+    "continuous-target-level": (
+        lambda: ensemble_continuous(C_TWO_POINT, 1.0, math.inf, 2000, 74,
+                                    target_level=1),
+        "0cb61f885927eeab2796ce94c4699ee9"),
+    "discrete-offset-range": (
+        lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.5, 200, 2500, 75,
+                                  replica_offset=700),
+        "d97e33baf3f7db570cff8ffc6fe6a379"),
+    "continuous-offset-range": (
+        lambda: ensemble_continuous(C_TWO_POINT, 0.5, 20.0, 2500, 75,
+                                    replica_offset=700),
+        "1d7d36bd241eb429a6309a8f9e66614b"),
+    "discrete-mirrored": (
+        lambda: ensemble_discrete(IIDConductance(TWO_POINT), -0.7, 1100, 200, 76,
+                                  mirrored=True),
+        "1e3f8fc320461b4416b5620bb8d63c25"),
+    "continuous-mirrored": (
+        lambda: ensemble_continuous(CoinFlip(TWO_POINT, TWO_POINT), -0.7, 60.0,
+                                    200, 76, mirrored=True),
+        "002646b452c34c7402338ccc56f1421b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
+def test_ensemble_golden(case):
+    run, digest = GOLDEN_ENSEMBLES[case]
+    assert _ensemble_digest(run()) == digest
