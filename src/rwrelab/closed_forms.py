@@ -56,7 +56,7 @@ def velocity_iid_omega(lam: float, e_rho: float, e_rho_inv: float) -> VelocityRe
     """Three-branch velocity for i.i.d. jump probabilities.
 
     v = (1 - E[rho] e^{-2 lam})/(1 + E[rho] e^{-2 lam}) above
-    lam_plus = log(E[rho])/2, the mirrored branch below
+    lam_plus = log(E[rho])/2, the reflected branch below
     lam_minus = -log(E[1/rho])/2, and 0 on the closed window between them.
     """
     if not (e_rho > 0 and e_rho_inv > 0):

@@ -26,7 +26,8 @@ from .environments import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
                            Renewal, _gap_from_uniform, _tau1_cdf_table)
 from .exact import velocity_periodic
 from .rng import derive_seed, generator
-from .walks import EnsembleResult, ensemble_continuous, ensemble_discrete
+from .walks import (DEFAULT_RANGE_CAP, EnsembleResult, ensemble_continuous,
+                    ensemble_discrete)
 
 
 @dataclass(frozen=True)
@@ -135,41 +136,24 @@ def _window_hint(model, lam: float, drift_time: float,
 
 
 def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
-                  mirrored=False, workers=1, target_level=None,
-                  jump_budget=10**8, range_cap=None) -> EnsembleResult:
+                  workers=1, target_level=None, jump_budget=10**8,
+                  range_cap=None) -> EnsembleResult:
     if (n is None) == (horizon is None):
         raise ValueError("give exactly one of n (discrete) or horizon (continuous)")
-    base_lam = -lam if mirrored else lam
     if target_level is not None:
         hint = (-256, target_level + 256)
     elif n is not None:
-        hint = _window_hint(model, base_lam, n, n)
+        hint = _window_hint(model, lam, n, n)
     else:
-        hint = _window_hint(model, base_lam, horizon,
-                            horizon * _rate_scale(model, lam))
-
-    cap = {} if range_cap is None else {"range_cap": range_cap}
-
-    def run(offset, count):
-        if n is not None:
-            return ensemble_discrete(model, lam, n, count, seed,
-                                     mirrored=mirrored, window_hint=hint,
-                                     replica_offset=offset, **cap)
-        return ensemble_continuous(model, lam, horizon, count, seed,
-                                   mirrored=mirrored, window_hint=hint,
-                                   target_level=target_level,
-                                   jump_budget=jump_budget,
-                                   replica_offset=offset, **cap)
-
+        hint = _window_hint(model, lam, horizon, horizon * _rate_scale(model, lam))
+    cap = DEFAULT_RANGE_CAP if range_cap is None else range_cap
+    job = (model, lam, seed, n, horizon, target_level, jump_budget, hint, cap)
     if workers <= 1:
-        return run(0, replicas)
+        return _ensemble_part(job + (0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
     ranges = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_ensemble_worker,
-                              [(model, lam, replicas, seed, n, horizon, mirrored,
-                                target_level, jump_budget, hint, cap, off, cnt)
-                               for off, cnt in ranges]))
+        parts = list(pool.map(_ensemble_part, [job + r for r in ranges]))
     finals = np.concatenate([p.final_positions for p in parts])
     aborted = np.concatenate([p.aborted for p in parts])
     values = (np.concatenate([p.values for p in parts])
@@ -177,17 +161,18 @@ def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
     return EnsembleResult(finals, aborted, replicas, parts[0].elapsed, values)
 
 
-def _ensemble_worker(args):
-    (model, lam, replicas, seed, n, horizon, mirrored, target_level,
-     jump_budget, hint, cap, offset, count) = args
+def _ensemble_part(args) -> EnsembleResult:
+    """One replica range of an ensemble, run inline or in a pool worker."""
+    (model, lam, seed, n, horizon, target_level, jump_budget, hint, cap,
+     offset, count) = args
     if n is not None:
-        return ensemble_discrete(model, lam, n, count, seed, mirrored=mirrored,
-                                 window_hint=hint, replica_offset=offset, **cap)
+        return ensemble_discrete(model, lam, n, count, seed, window_hint=hint,
+                                 range_cap=cap, replica_offset=offset)
     return ensemble_continuous(model, lam, horizon, count, seed,
-                               mirrored=mirrored, window_hint=hint,
+                               window_hint=hint, range_cap=cap,
+                               jump_budget=jump_budget,
                                target_level=target_level,
-                               jump_budget=jump_budget, replica_offset=offset,
-                               **cap)
+                               replica_offset=offset)
 
 
 def _rate_scale(model, lam: float) -> float:
@@ -211,13 +196,13 @@ def _rate_scale(model, lam: float) -> float:
 
 def annealed_velocity(model, lam: float, *, n: int | None = None,
                       horizon: float | None = None, replicas: int, seed: int,
-                      mirrored: bool = False, workers: int = 1,
+                      workers: int = 1,
                       range_cap: int | None = None) -> Estimate:
     """Mean of X_n/n (or Y_t/t) over fresh environments, with standard error."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     res = _run_ensemble(model, lam, replicas, seed, n=n, horizon=horizon,
-                        mirrored=mirrored, workers=workers, range_cap=range_cap)
+                        workers=workers, range_cap=range_cap)
     ok = ~res.aborted
     if ok.sum() < 2:
         raise ValueError(f"{int(res.aborted.sum())} of {replicas} replicas hit "

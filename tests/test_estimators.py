@@ -13,7 +13,7 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      velocity_rcm_discrete)
 from rwrelab import estimators
 from rwrelab.estimators import (Estimate, ScalingFit, _renewal_counts,
-                                _tau1_cdf_table)
+                                _run_ensemble, _tau1_cdf_table)
 from rwrelab.rng import generator
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
@@ -86,13 +86,20 @@ def test_workers_do_not_change_results():
     assert e1 == e2
 
 
-def test_mirrored_antisymmetry_exact():
-    model = IIDConductance(TWO_POINT)
-    plus = annealed_velocity(model, 0.8, n=1000, replicas=300, seed=17)
-    minus = annealed_velocity(model, -0.8, n=1000, replicas=300, seed=17,
-                              mirrored=True)
-    assert plus.mean == -minus.mean
-    assert plus.std_error == minus.std_error
+def test_workers_do_not_change_continuous_results():
+    # both step rules through the pool: horizon runs and target_level=1 runs
+    model = IIDConductance(TWO_POINT, time_flavor="continuous")
+    for kw in ({"horizon": 60.0}, {"horizon": math.inf, "target_level": 1}):
+        one = _run_ensemble(model, 0.7, 250, 29, workers=1, **kw)
+        three = _run_ensemble(model, 0.7, 250, 29, workers=3, **kw)
+        assert np.array_equal(one.final_positions, three.final_positions)
+        assert np.array_equal(one.aborted, three.aborted)
+        if one.values is not None:
+            assert np.array_equal(one.values, three.values)
+    e1 = annealed_velocity(model, 0.5, horizon=60.0, replicas=250, seed=23)
+    e3 = annealed_velocity(model, 0.5, horizon=60.0, replicas=250, seed=23,
+                           workers=3)
+    assert e1 == e3
 
 
 def test_range_cap_exclusion_counted():

@@ -8,7 +8,7 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
                      RangeCapExceeded, ScalarDist, dump_trajectory,
                      ensemble_continuous, ensemble_discrete, first_passage,
                      materialize, run_continuous, run_discrete)
-from rwrelab.environments import bias_omega
+from rwrelab.environments import bias_omega, bias_rates
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
@@ -118,38 +118,86 @@ def test_first_passage_discrete_ballistic_limit():
 
 
 # ---------------------------------------------------------------------------
+# single run = replica 0 of the shared-environment ensemble
+# ---------------------------------------------------------------------------
+
+def test_run_discrete_is_replica_zero_of_the_ensemble():
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 8, (-4, 4))
+    for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42), (-1.5, 64, 43)):
+        traj = run_discrete(env, lam, n, seed)
+        res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env)
+        assert traj.final_position == res.final_positions[0]
+        assert traj.elapsed == res.elapsed
+
+
+def test_run_continuous_is_replica_zero_of_the_ensemble():
+    for model in (IIDConductance(TWO_POINT, time_flavor="continuous"),
+                  CoinFlip(TWO_POINT, TWO_POINT)):
+        env = materialize(model, 8, (-4, 4))
+        for lam, horizon, seed in ((0.8, 300.0, 41), (0.0, 150.0, 42)):
+            traj = run_continuous(env, lam, horizon, seed, record_path=True)
+            res = ensemble_continuous(model, lam, horizon, 1, seed,
+                                      shared_env=env)
+            assert traj.final_position == res.final_positions[0]
+            assert traj.elapsed == res.elapsed
+            assert traj.times[-1] <= horizon
+
+
+def test_first_passage_is_the_target_level_run():
+    env = materialize(IIDConductance(TWO_POINT, time_flavor="continuous"), 9,
+                      (-4, 4))
+    for level, seed in ((1, 51), (7, 52)):
+        rec = first_passage(env, 0.9, level, seed)
+        res = ensemble_continuous(None, 0.9, math.inf, 1, seed, shared_env=env,
+                                  target_level=level)
+        assert rec.completed
+        assert rec.passage_times[-1] == res.values[0]
+        assert res.final_positions[0] == level
+
+
+# ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
 
 def test_ensemble_matches_per_replica_environments():
-    model = IIDConductance(TWO_POINT)
-    seed = 33
     # the engine's per-replica tables must equal the library materialization
-    from rwrelab.walks import _DiscreteTables
-    tables = _DiscreteTables(model, seed, None, 0.7)
-    flat, offsets = tables.build(range(3), -10, 10)
-    for r in range(3):
-        env = materialize(model, seed, (-10, 10), replica=r)
-        _, plus = bias_omega(env.omega_plus_window(-10, 10), 0.7)
-        assert np.array_equal(flat[offsets[r]:offsets[r] + 21], plus)
+    from rwrelab.walks import _Tables
+    seed, lam, lo, hi = 33, 0.7, -10, 10
+    width = hi - lo + 1
+
+    def discrete_row(env):
+        return (bias_omega(env.omega_plus_window(lo, hi), lam)[1],)
+
+    def rate_row(env):
+        bm, bp = bias_rates(*env.rates_window(lo, hi), lam)
+        return bm + bp, bp / (bm + bp)
+
+    for model, rates, row in (
+            (IIDConductance(TWO_POINT), False, discrete_row),
+            (IIDConductance(TWO_POINT, time_flavor="continuous"), True, rate_row),
+            (CoinFlip(TWO_POINT, TWO_POINT), True, rate_row)):
+        fields, offsets = _Tables(model, seed, None, lam, rates).build(range(3), lo, hi)
+        assert len(fields) == (2 if rates else 1)
+        for r in range(3):
+            want = row(materialize(model, seed, (lo, hi), replica=r))
+            for flat, values in zip(fields, want):
+                assert np.array_equal(flat[offsets[r]:offsets[r] + width], values)
+        env = materialize(model, seed + 1, (-4, 4), replica=5)
+        fields, offsets = _Tables(None, seed, env, lam, rates).build(range(3), lo, hi)
+        assert np.array_equal(offsets, np.zeros(3))
+        for flat, values in zip(fields, row(env)):
+            assert np.array_equal(flat, values)
 
 
-def test_ensemble_chunking_invariance():
+def test_ensemble_chunking_invariance(monkeypatch):
+    import rwrelab.walks
     model = IIDConductance(TWO_POINT)
-    big = ensemble_discrete(model, 0.6, 400, 300, 77, mem_budget=1e9)
-    small = ensemble_discrete(model, 0.6, 400, 300, 77, mem_budget=2e5)
+    monkeypatch.setattr(rwrelab.walks, "_MEM_BUDGET", 1e9)
+    big = ensemble_discrete(model, 0.6, 400, 300, 77)
+    monkeypatch.setattr(rwrelab.walks, "_MEM_BUDGET", 2e5)   # 64-row chunks
+    small = ensemble_discrete(model, 0.6, 400, 300, 77)
     assert np.array_equal(big.final_positions, small.final_positions)
-
-
-def test_ensemble_mirrored_is_exact_negation():
-    model = IIDConductance(TWO_POINT)
-    fwd = ensemble_discrete(model, 0.9, 600, 200, 13)
-    mir = ensemble_discrete(model, -0.9, 600, 200, 13, mirrored=True)
-    assert np.array_equal(fwd.final_positions, -mir.final_positions)
-    cmodel = CoinFlip(TWO_POINT, TWO_POINT)
-    fwd = ensemble_continuous(cmodel, 0.9, 50.0, 100, 13)
-    mir = ensemble_continuous(cmodel, -0.9, 50.0, 100, 13, mirrored=True)
-    assert np.array_equal(fwd.final_positions, -mir.final_positions)
 
 
 def test_ensemble_range_cap_marks_aborted():
@@ -225,7 +273,8 @@ def test_reflection_equivariance_in_distribution():
 
 # ---------------------------------------------------------------------------
 # golden ensemble outputs (BLAKE2b digests recorded from the engines with
-# fixed 1024-step uniform refills and tuple-seeded streams)
+# fixed 1024-step uniform refills and tuple-seeded streams; the range-capped
+# and budget cases from the two separate ensemble loops before the merge)
 # ---------------------------------------------------------------------------
 
 def _ensemble_digest(res):
@@ -235,6 +284,11 @@ def _ensemble_digest(res):
     if res.values is not None:
         h.update(res.values.tobytes())
     return h.hexdigest()
+
+
+def _negated(res):
+    res.final_positions = -res.final_positions
+    return res
 
 
 C_TWO_POINT = IIDConductance(TWO_POINT, time_flavor="continuous")
@@ -264,13 +318,24 @@ GOLDEN_ENSEMBLES = {
         lambda: ensemble_continuous(C_TWO_POINT, 0.5, 20.0, 2500, 75,
                                     replica_offset=700),
         "1d7d36bd241eb429a6309a8f9e66614b"),
+    "discrete-range-capped": (   # 42 lanes frozen near the cap, the rest step on
+        lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.0, 3000, 300, 5,
+                                  range_cap=150),
+        "1fd7f23b1c951f0ec1985143dbb06aec"),
+    "continuous-target-budget": (   # target, range cap and jump budget all bind
+        lambda: ensemble_continuous(C_TWO_POINT, 0.2, math.inf, 300, 5,
+                                    range_cap=200, target_level=150,
+                                    jump_budget=3000),
+        "0c8a214ebca5248c3bac684d7636b860"),
+    # recorded from the mirrored=True runs at -0.7, which were the plain runs
+    # at +0.7 with the final positions negated
     "discrete-mirrored": (
-        lambda: ensemble_discrete(IIDConductance(TWO_POINT), -0.7, 1100, 200, 76,
-                                  mirrored=True),
+        lambda: _negated(ensemble_discrete(IIDConductance(TWO_POINT), 0.7, 1100,
+                                           200, 76)),
         "1e3f8fc320461b4416b5620bb8d63c25"),
     "continuous-mirrored": (
-        lambda: ensemble_continuous(CoinFlip(TWO_POINT, TWO_POINT), -0.7, 60.0,
-                                    200, 76, mirrored=True),
+        lambda: _negated(ensemble_continuous(CoinFlip(TWO_POINT, TWO_POINT), 0.7,
+                                             60.0, 200, 76)),
         "002646b452c34c7402338ccc56f1421b"),
 }
 
