@@ -297,6 +297,10 @@ def test_renewal_walks_agree_with_series_probe():
 # the per-replica searchsorted loop)
 # ---------------------------------------------------------------------------
 
+# means and s.e.s of renewal_product_moment (10,000 replicas, seed 13) on
+# the renewal-scaling grid and on [0, 1, 2, 5, 50]; two of the replicas take
+# the direct big-jump sum past the prefix table
+GOLDEN_MOMENTS = "6c005ffb08cc22b29151d4e707d11963"
 GOLDEN_COUNTS_FULL = "ece33d8f0c0b7c9d52fc2cffdbcc6f0e"
 GOLDEN_COUNTS_SPARSE = "8aaa103604ddec70cde30262069a16c3"
 # covers a fitted threshold slope, a v estimate and both exact classifications
@@ -309,6 +313,17 @@ def _counts_digest(grid):
         h.update(repr((counts.shape, counts.dtype.str)).encode())
         h.update(counts.tobytes())
     return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("error")
+def test_renewal_product_moment_golden():
+    h = hashlib.blake2b(digest_size=16)
+    for grid in ([100, 178, 316, 562, 1000, 1778, 3162, 5623, 10000],
+                 [0, 1, 2, 5, 50]):
+        rs = renewal_product_moment(3.0, grid, replicas=10_000, seed=13)
+        for e in rs.estimates:
+            h.update(np.array([e.mean, e.std_error]).tobytes())
+    assert h.hexdigest() == GOLDEN_MOMENTS
 
 
 @pytest.mark.filterwarnings("error")
