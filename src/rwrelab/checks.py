@@ -16,7 +16,7 @@ import numpy as np
 
 from .closed_forms import (a1_coefficient, a1_uniform,
                            coinflip_second_right_derivative, esbar_rcm,
-                           rcm_discrete_taylor, sigma2_rcm, sigma2_rcm_at_zero,
+                           sigma2_rcm, sigma2_rcm_at_zero,
                            sigma2_rcm_direct, velocity_coinflip,
                            velocity_iid_omega,
                            velocity_iid_omega_right_derivative,
@@ -158,8 +158,9 @@ def check_coinflip(seed, workers) -> CheckResult:
 @_timer
 def check_einstein(seed, workers) -> CheckResult:
     """Two-point {1,2}: analytic v(h)/h at h=1e-4 within 1e-3 of 1/(ab); MC
-    slope at h=0.05 (n=1e6, 5000 replicas) within 3 s.e. of 1/(ab) after
-    subtracting the known O(h) bias (ab-1)/(ab)^2 h."""
+    slope v(h)/h at h=0.05 (n=1e6, 5000 replicas) within 3 s.e. of the exact
+    velocity_rcm_discrete(h).v/h.  Its distance to 1/(ab), which includes
+    the O(h^2) term of v(h)/h, is reported as bias_term."""
     a, b = _TWO_POINT.moment(1), _TWO_POINT.moment(-1)
     limit = 1.0 / (a * b)
     h_a = 1e-4
@@ -171,16 +172,15 @@ def check_einstein(seed, workers) -> CheckResult:
     model = IIDConductance(_TWO_POINT)
     est = annealed_velocity(model, h, n=10**6, replicas=5000,
                             seed=derive_seed(seed, "c4"), workers=workers)
-    bias = rcm_discrete_taylor(a, b)[1] * h
-    corrected = est.mean / h - bias
+    target = velocity_rcm_discrete(h, a, b).v / h
     se = est.std_error / h
-    z = (corrected - limit) / se
-    rows["mc"] = {"slope": est.mean / h, "bias_term": bias,
-                  "corrected": corrected, "se": se, "target": limit,
+    z = (est.mean / h - target) / se
+    rows["mc"] = {"slope": est.mean / h, "bias_term": target - limit,
+                  "se": se, "target": target, "limit": limit,
                   "z": z, "ok": abs(z) <= 3.0, "excluded": est.excluded}
     return CheckResult("einstein", all(r["ok"] for r in rows.values()), 0.0,
-                       "analytic slope within 1e-3; bias-corrected MC slope "
-                       "within 3 s.e. of 1/(ab)", rows, est.excluded)
+                       "analytic slope within 1e-3 of 1/(ab); MC slope within "
+                       "3 s.e. of the exact v(h)/h", rows, est.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +266,17 @@ def check_renewal_scaling(seed, workers) -> CheckResult:
     estimate within 3 s.e. of the exact renewal recursion
     (exact_product_moment); the crossing-series probe classifies
     lam_plus - 0.1 as diverging and lam_plus as converging with
-    v(lam_plus) > 0 by 3 s.e.
+    v(lam_plus) > 0 by 3 s.e.; its v(lam_plus) within 3 s.e. of the exact
+    truncated series 1/(1 + 2 sum_{i<=512} E[Z_0...Z_i]), the moments from
+    exact_product_moment(3, 512).
 
     The product moment is dominated by the event {tau_1 > n} of probability
     ~0.42 n^-2; expected_hits records how many of the replicas would see it
     at each n, i.e. what direct Monte Carlo could resolve at this budget.
     renewal_product_moment integrates that event out exactly, so every grid
     point is resolved; the oracle clause records each point's z and the
-    estimator's truncation bound.
+    estimator's truncation bound.  The probe runs on the same conditional
+    estimator.
     """
     gamma, replicas = 3.0, 10**5
     grid = [100, 178, 316, 562, 1000, 1778, 3162, 5623, 10000]
@@ -306,21 +309,26 @@ def check_renewal_scaling(seed, workers) -> CheckResult:
                                 replicas=2 * 10**5,
                                 seed=derive_seed(seed, "c7", "probe"))
     below, at = probe
+    v_at = at.v_estimate
+    v_exact = 1.0 / (1.0 + 2.0 * float(exact_product_moment(gamma, 512).sum()))
+    probe_z = None if v_at is None else (v_at.mean - v_exact) / v_at.std_error
     probe_ok = bool(below.classification == "diverging"
                     and at.classification == "converging"
-                    and at.v_estimate is not None
-                    and at.v_estimate.mean > 3.0 * at.v_estimate.std_error)
+                    and v_at is not None
+                    and v_at.mean > 3.0 * v_at.std_error
+                    and abs(probe_z) <= 3.0)
     rows["jump-probe"] = {
         "below": below.classification, "at": at.classification,
         "slope_at": at.term_slope, "slope_se": at.term_slope_se,
-        "v": None if at.v_estimate is None else at.v_estimate.mean,
-        "v_se": None if at.v_estimate is None else at.v_estimate.std_error,
-        "ok": probe_ok}
+        "v": None if v_at is None else v_at.mean,
+        "v_se": None if v_at is None else v_at.std_error,
+        "v_exact": v_exact, "z": probe_z, "ok": probe_ok}
     return CheckResult("renewal-scaling",
                        slope_ok and lb_ok and oracle_ok and probe_ok, 0.0,
                        "slope -2 +/- 0.3 over [1e2,1e4] at 1e5 envs; lower "
                        "bound respected; within 3 s.e. of the exact "
-                       "recursion; jump probe classifies the threshold",
+                       "recursion; jump probe classifies the threshold, its "
+                       "v(lambda+) within 3 s.e. of the exact truncated series",
                        rows)
 
 

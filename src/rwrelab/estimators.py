@@ -23,7 +23,7 @@ from .closed_forms import (VelocityResult, sigma2_iid_omega, sigma2_rcm,
                            velocity_iid_omega, velocity_rcm_continuous,
                            velocity_rcm_discrete)
 from .environments import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
-                           Renewal, _gap_from_uniform, _tau1_cdf_table)
+                           Renewal, _gap_from_uniform)
 from .exact import velocity_periodic
 from .rng import derive_seed, generator
 from .walks import (DEFAULT_RANGE_CAP, EnsembleResult, ensemble_continuous,
@@ -272,11 +272,12 @@ def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
                    workers: int = 1) -> EinsteinTable:
     """One-sided difference quotients v(h)/h against their limit sigma2(0).
 
-    Discrete flavor: limit 1/(E[c] E[1/c]) with known O(h) bias
-    (ab-1)/(ab)^2 h from the velocity expansion, reported and subtracted in
-    mc_corrected.  Continuous flavor: limit 2/E[1/c], bias term 0 (the
-    quotient is even in h, error O(h^2)).  Rows with replicas too small for
-    the signal are flagged noise_dominated.
+    Limits: 1/(E[c] E[1/c]) in discrete time, 2/E[1/c] in continuous time.
+    bias_term is the exact v(h)/h - limit from the closed-form velocity
+    ((ab-1)/(ab)^2 h + O(h^2) in discrete time, O(h^2) in continuous time,
+    where the quotient is even in h); mc_corrected subtracts it, so it
+    estimates the limit without bias.  Rows with replicas too small for the
+    signal are flagged noise_dominated.
     """
     if not isinstance(model, IIDConductance):
         raise ValueError("the Einstein check is for conductance models")
@@ -286,7 +287,7 @@ def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
     rows = []
     for i, h in enumerate(h_grid):
         vres = velocity_of_model(model, h)
-        bias = (a * b - 1.0) / (a * b) ** 2 * h if discrete else 0.0
+        bias = vres.v / h - limit
         mc_slope = mc_se = corrected = None
         noisy = False
         if mc:
@@ -309,69 +310,6 @@ def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
 def tau1_tail(gamma: float, n: int) -> float:
     """Exact P(tau_1 > n) = zeta(gamma, n+1)/zeta(gamma)."""
     return float(_hurwitz_zeta(gamma, n + 1) / _hurwitz_zeta(gamma, 1.0))
-
-
-def _gap_columns(gamma: float, n_max: int) -> int:
-    """Gaps drawn per replica at once: the mean renewal count up to n_max
-    plus ten standard deviations and 64, so that a row ends short of n_max
-    only with astronomically small probability."""
-    mu = float(_hurwitz_zeta(gamma, 1.0))
-    sig2 = 2.0 * float(_hurwitz_zeta(gamma - 1.0, 1.0)) - mu - mu * mu
-    return int(n_max / mu + 10.0 * math.sqrt(max(n_max, 1) * max(sig2, 0.1) / mu**3) + 64)
-
-
-def _renewal_counts(gamma: float, seed: int, replicas: int, grid: np.ndarray,
-                    chunk: int = 2048):
-    """Counts of renewal points in [0, n] per replica, for each grid n.
-
-    Yields int64 arrays of shape (m, len(grid)), one per chunk of m
-    replicas.  Environments are fresh per replica; the stationary anchor
-    (straddling gap, first point) uses the exact heavy-tailed marginals.
-    """
-    n_max = int(grid.max())
-    table = _tau1_cdf_table(gamma)
-    rng = generator(seed, "renewal-ensemble")
-    cols = _gap_columns(gamma, n_max)
-    width = n_max + 2          # one bin per site 0..n_max, one for beyond
-    done = 0
-    while done < replicas:
-        m = min(chunk, replicas - done)
-        u1 = rng.random(m)
-        tau1 = np.searchsorted(table, u1, side="left") + 1
-        if (tau1 > len(table)).any():  # beyond-table mass is ~1e-13; clamp
-            tau1 = np.minimum(tau1, len(table))
-        straddle = np.floor(tau1 * (1.0 - rng.random(m)) ** (-1.0 / gamma))
-        at_zero = (straddle == tau1)
-        # points after the first, tau1 + g_1 + ... + g_k, built in place
-        pts = rng.random((m, cols))
-        np.subtract(1.0, pts, out=pts)
-        np.power(pts, -1.0 / gamma, out=pts)
-        np.floor(pts, out=pts)
-        np.cumsum(pts, axis=1, out=pts)
-        pts += tau1[:, None]
-        last = pts[:, -1].copy()
-        # per-row histograms of the points, flattened with row offsets;
-        # their running sums count the points <= each site
-        np.minimum(pts, n_max + 1, out=pts)
-        pts += (width * np.arange(m))[:, None]
-        hist = np.bincount(pts.astype(np.int64).ravel(), minlength=m * width)
-        del pts  # a suspended generator keeps its locals alive
-        hist = hist.reshape(m, width)
-        hist[np.arange(m), np.minimum(tau1, n_max + 1)] += 1
-        np.cumsum(hist, axis=1, out=hist)
-        counts = hist.take(grid, axis=1)
-        del hist
-        for r in np.flatnonzero(last <= n_max):  # astronomically rare: extend
-            extra = last[r]
-            more = []
-            while extra <= n_max:
-                g = float(np.floor((1.0 - rng.random()) ** (-1.0 / gamma)))
-                extra += g
-                more.append(extra)
-            counts[r] += np.searchsorted(np.asarray(more), grid + 0.5)
-        counts += at_zero[:, None]
-        done += m
-        yield counts
 
 
 @dataclass(frozen=True)
@@ -415,6 +353,13 @@ def _moment_tables(gamma: float, n_max: int):
     w = np.zeros(n_max + 1)
     w[1:] = (ge[1:] - 0.5 * p[1:]) / float(_hurwitz_zeta(gamma, 1.0))
     c = np.convolve(w, (y + 1.0) ** (-gamma))[:n_max + 1]
+    return (p, c) + _kernel_tables(p, c)
+
+
+def _kernel_tables(p, c):
+    """D = p*C and the prefix Q[M] = sum_{g<=M} p(g) C(. - g) of a kernel C
+    that vanishes at 0, so that sum_{g>M} p(g) C(y-g) = D(y) - Q[M, y]."""
+    n_max = c.size - 1
     d = np.convolve(p, c)[:n_max + 1]
     q = np.zeros((_PREFIX_MAX + 1, n_max + 1))
     top = min(_PREFIX_MAX, n_max)     # gaps beyond n_max add nothing
@@ -422,27 +367,49 @@ def _moment_tables(gamma: float, n_max: int):
         q[g] = q[g - 1]
         q[g, g:] += p[g] * c[:n_max + 1 - g]
     q[top + 1:] = q[top]
-    return p, c, d, q
+    return d, q
 
 
-def _big_jump_terms(gaps: np.ndarray, grid: np.ndarray, p, c, d, q) -> np.ndarray:
-    """Per grid n and replica, sum_{k>=2} 2^-k Z_k with
-    Z_k = j [sum_{g>M} p(g) C(y-g) + p(M) C(y-M)/(t+1)], j = k-1,
-    y = n - S', where S', M and t are the sum, the maximum and the number of
-    ties with the maximum of the replica's first j-1 gaps (one row of gaps
-    per replica)."""
+def _exact_part(gamma: float, grid: np.ndarray, c) -> np.ndarray:
+    """A(n) + C(n)/2 of renewal_product_moment: the terms no sample enters."""
+    return (_hurwitz_zeta(gamma, grid + 1.0) - 0.5 * (grid + 1.0) ** (-gamma)) \
+        / float(_hurwitz_zeta(gamma, 1.0)) + 0.5 * c[grid]
+
+
+def _gap_blocks(gamma: float, replicas: int, seed: int):
+    """The renewal sampler: blocks of up to _MOMENT_CHUNK replicas, each a
+    row of _MOMENT_TERMS - 2 i.i.d. gaps."""
+    rng = generator(seed, "renewal-moment")
+    for done in range(0, replicas, _MOMENT_CHUNK):
+        m = min(_MOMENT_CHUNK, replicas - done)
+        yield _gap_from_uniform(rng.random((m, _MOMENT_TERMS - 2)), gamma)
+
+
+def _running_gaps(gaps: np.ndarray):
+    """Yields (j, S', M, t) for j = 1.._MOMENT_TERMS-1: the sum, the maximum
+    and the number of ties with the maximum of each row's first j-1 gaps.
+    S' is updated in place, so use each state before asking for the next."""
     m = gaps.shape[0]
-    n_max = c.size - 1
     s = np.zeros(m, dtype=np.int64)
     big = np.zeros(m, dtype=np.int64)
     ties = np.zeros(m, dtype=np.int64)
-    out = np.zeros((m, grid.size))
     for j in range(1, _MOMENT_TERMS):
         if j > 1:
             g = gaps[:, j - 2]
             ties = np.where(g > big, 1, ties + (g == big))
             big = np.maximum(big, g)
             s += g
+        yield j, s, big, ties
+
+
+def _big_jump_terms(gaps: np.ndarray, grid: np.ndarray, p, c, d, q) -> np.ndarray:
+    """Per grid n and replica, sum_{k>=2} 2^-k Z_k with
+    Z_k = j [sum_{g>M} p(g) C(y-g) + p(M) C(y-M)/(t+1)], j = k-1,
+    y = n - S', where S', M and t come from _running_gaps (one row of gaps
+    per replica) and d, q from _kernel_tables(p, c)."""
+    n_max = c.size - 1
+    out = np.zeros((gaps.shape[0], grid.size))
+    for j, s, big, ties in _running_gaps(gaps):
         y = grid[None, :] - s[:, None]
         yc = np.maximum(y, 0)
         above = d[yc] - q[np.minimum(big, _PREFIX_MAX)[:, None], yc]
@@ -454,6 +421,37 @@ def _big_jump_terms(gaps: np.ndarray, grid: np.ndarray, p, c, d, q) -> np.ndarra
             * c[np.maximum(y - big[:, None], 0)]
         out += (j * 0.5 ** (j + 1)) * (above + tie)
     return np.ascontiguousarray(out.T)
+
+
+def _big_jump_sums(gaps: np.ndarray, p, c) -> np.ndarray:
+    """Replica sums of _big_jump_terms at every n = 0..n_max, n_max =
+    c.size - 1, from weighted histograms instead of per-replica lookups.
+
+    Summed over replicas, the terms sum_{g>M} p(g) C(n-S'-g) are
+    sum_x C(n-x) F(x) with F(x) = sum_g p(g) H(g-1, x-g), H(M, s) the weight
+    of the running states with maximum <= M and sum s; a state whose
+    maximum passes _PREFIX_MAX adds its part of F directly.  The tie terms
+    are a histogram of S'+M.  Sums past n_max reach no n."""
+    n_max = c.size - 1
+    width = n_max + 2
+    f = np.zeros(width)
+    h = np.zeros((_PREFIX_MAX + 1) * width)
+    for j, s, big, ties in _running_gaps(gaps):
+        coef = j * 0.5 ** (j + 1)
+        rare = big > _PREFIX_MAX
+        h += coef * np.bincount(np.minimum(big, _PREFIX_MAX) * width
+                                + np.minimum(s, n_max + 1), ~rare, minlength=h.size)
+        f += coef * np.bincount(np.minimum(s + big, n_max + 1),
+                                p[np.minimum(big, n_max)] / (ties + 1), minlength=width)
+        for r in np.flatnonzero(rare & (s + big < n_max)):
+            f[s[r] + big[r] + 1:n_max + 1] += coef * p[big[r] + 1:n_max + 1 - s[r]]
+    h = h.reshape(_PREFIX_MAX + 1, width)[:, :n_max + 1].cumsum(axis=0)
+    f = f[:n_max + 1]
+    top = min(_PREFIX_MAX, n_max)
+    for g in range(1, top + 1):
+        f[g:] += p[g] * h[g - 1, :n_max + 1 - g]
+    f += np.convolve(np.where(np.arange(n_max + 1) > top, p, 0.0), h[-1])[:n_max + 1]
+    return np.convolve(f, c)[:n_max + 1]
 
 
 def renewal_product_moment(gamma: float, n_grid, replicas: int,
@@ -485,14 +483,9 @@ def renewal_product_moment(gamma: float, n_grid, replicas: int,
         raise ValueError("gamma must exceed 2")
     grid = np.asarray(sorted(int(v) for v in n_grid), dtype=np.int64)
     p, c, d, q = _moment_tables(gamma, int(grid.max()))
-    exact_part = (_hurwitz_zeta(gamma, grid + 1.0) - 0.5 * (grid + 1.0) ** (-gamma)) \
-        / float(_hurwitz_zeta(gamma, 1.0)) + 0.5 * c[grid]
-    rng = generator(seed, "renewal-moment")
-    parts = []
-    for done in range(0, replicas, _MOMENT_CHUNK):
-        m = min(_MOMENT_CHUNK, replicas - done)
-        gaps = _gap_from_uniform(rng.random((m, _MOMENT_TERMS - 2)), gamma)
-        parts.append(_big_jump_terms(gaps, grid, p, c, d, q))
+    exact_part = _exact_part(gamma, grid, c)
+    parts = [_big_jump_terms(gaps, grid, p, c, d, q)
+             for gaps in _gap_blocks(gamma, replicas, seed)]
     # one contiguous row per n, so the means are pairwise sums
     sampled = np.concatenate(parts, axis=1)
     means = exact_part + sampled.mean(axis=1)
@@ -527,52 +520,51 @@ def velocity_jump_probe(a: float, gamma: float, lam_grid, replicas: int,
     """Classify E[crossing series](lam) near the jump threshold
     lam_plus = log(a)/2 and estimate v where it converges.
 
-    Away from the threshold the geometric factor a e^{-2 lam} settles the
+    Away from the threshold the geometric factor w = a e^{-2 lam} settles the
     classification exactly (the exact lower bound P(tau_1 > i)/2 forces
     divergence for factors > 1; products are <= 1 so factors < 1 give
-    summability).  At the threshold the Monte Carlo power-law slope of
-    E[Z_0...Z_i] decides, fit over the term range the replica budget actually
-    resolves (accumulated weight >= 20): slope < -1 within 3 fit standard
-    errors converges, > -1 diverges, anything else is reported inconclusive.
-    Truncating the series at i_max biases the v estimate up by at most
-    O(1/i_max); callers probing near the threshold should keep replicas high
-    enough that the fit range spans at least a decade.
+    summability).  At the threshold the power-law slope of E[Z_0...Z_i],
+    fit over i in unique(geomspace(16, i_max, 24)), decides: slope < -1
+    within 3 fit standard errors converges, > -1 diverges, anything else is
+    reported inconclusive.  Where the series converges,
+    v = 1/(1 + 2 sum_{i<=i_max} w^{i+1} E[Z_0...Z_i]); truncating it at
+    i_max biases v up by at most O(1/i_max).
+
+    The moments come from renewal_product_moment's conditional estimator
+    and sampler (the same gaps at the same seed), so every one is positive.
+    Since sum_i w^{i+1} C(i - x) = K_w(i_max - x) with K_w the convolution
+    of C with the reversed weights, a replica's weighted sum of sampled
+    terms is its sampled term at n = i_max with K_w in place of C: two
+    table lookups per term.  The moment means of the fit are replica sums
+    taken from histograms of the same running gap states (_big_jump_sums).
     """
     if not (a > 0 and gamma > 2):
         raise ValueError("need a > 0 and gamma > 2")
     lam_grid = [float(v) for v in lam_grid]
-    full = np.arange(0, i_max + 1, dtype=np.int64)
     factors = np.array([a * math.exp(-2.0 * lam) for lam in lam_grid])
-    summable = factors <= 1.0
-    # per-replica weighted partial sums, so the v error bars carry the full
-    # cross-term correlation of the shared product estimates
-    wmat = factors[summable, None] ** (full[None, :] + 1.0)
-    sums = np.zeros(full.size)
-    sq = np.zeros(full.size)
-    t_sum = np.zeros(wmat.shape[0])
-    t_sq = np.zeros(wmat.shape[0])
-    total = 0
-    # counts never exceed i_max + 1; 0.5**k is exact, so a lookup is too
-    halves = 0.5 ** np.arange(i_max + 3)
-    for counts in _renewal_counts(gamma, seed, replicas, full):
-        z = halves.take(counts)
-        sums += z.sum(axis=0)
-        sq += (z * z).sum(axis=0)
-        t = z @ wmat.T
-        t_sum += t.sum(axis=0)
-        t_sq += (t * t).sum(axis=0)
-        total += counts.shape[0]
-    means = sums / total
-    resolved = np.flatnonzero(sums >= 20.0)
-    hi_fit = int(resolved.max()) if resolved.size else 0
-    igrid = np.unique(np.geomspace(16, max(hi_fit, 17), 24).astype(np.int64))
-    igrid = igrid[igrid <= hi_fit]
+    full = np.arange(i_max + 1)
+    p, c, _, _ = _moment_tables(gamma, i_max)
+    exact = _exact_part(gamma, full, c)
+    kernels = []
+    for g in factors[factors <= 1.0]:
+        weights = g ** (full + 1.0)
+        kern = np.convolve(c, weights[::-1])[:i_max + 1]
+        kernels.append((float(np.dot(weights, exact)), kern) + _kernel_tables(p, kern))
+    sums = np.zeros(i_max + 1)
+    sampled = [[] for _ in kernels]
+    for gaps in _gap_blocks(gamma, replicas, seed):
+        sums += _big_jump_sums(gaps, p, c)
+        for (t_exact, kern, d, q), part in zip(kernels, sampled):
+            part.append(t_exact + _big_jump_terms(gaps, full[-1:], p, kern, d, q)[0])
+    means = exact + sums / replicas
+    igrid = np.unique(np.geomspace(16, max(i_max, 16), 24).astype(np.int64))
+    igrid = igrid[igrid <= i_max]
     rows: list[ProbeRow] = []
     k = 0
     for lam, g in zip(lam_grid, factors):
         slope = slope_se = None
         if abs(g - 1.0) <= 1e-12:
-            if igrid.size >= 3 and means[igrid].min() > 0:
+            if igrid.size >= 3:
                 fit = ScalingFit.from_points(igrid, means[igrid])
                 slope, slope_se = fit.slope, fit.slope_std_error
             if slope is not None and slope + 3.0 * slope_se < -1.0:
@@ -587,15 +579,13 @@ def velocity_jump_probe(a: float, gamma: float, lam_grid, replicas: int,
             cls = "converging"
         v_est = None
         if g <= 1.0:
-            partial = t_sum[k] / total
-            partial_se = math.sqrt(max(t_sq[k] / total - partial**2, 0.0)
-                                   / (total - 1))
+            t = Estimate.from_samples(np.concatenate(sampled[k]))
             k += 1
             if cls == "converging":
-                denom = 1.0 + 2.0 * float(partial)
+                denom = 1.0 + 2.0 * t.mean
                 v = 1.0 / denom
-                se_v = 2.0 * float(partial_se) / (denom * denom)
-                v_est = Estimate(v, se_v, total,
+                se_v = 2.0 * t.std_error / (denom * denom)
+                v_est = Estimate(v, se_v, replicas,
                                  (v - 1.96 * se_v, v + 1.96 * se_v))
         rows.append(ProbeRow(float(lam), float(g), cls, v_est, slope, slope_se))
     return rows

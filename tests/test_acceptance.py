@@ -65,7 +65,8 @@ def test_07_renewal_scaling_and_jump_probe():
     # environments cannot resolve beyond n ~ 200 (the check records the
     # expected hit counts).  The estimator integrates it out exactly, so
     # the slope, lower-bound and exact-recursion clauses hold on the whole
-    # grid at this budget, next to the threshold probe clause.
+    # grid at this budget.  The threshold probe runs on the same estimator;
+    # its v(lambda+) is z-tested against the exact truncated series.
     res = _run("renewal-scaling")
     assert res.passed, res.measured
 

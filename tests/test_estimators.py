@@ -9,12 +9,10 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      ScalarDist, annealed_diffusion, annealed_tau1,
                      annealed_velocity, einstein_slope, exact_product_moment,
                      renewal_product_moment, sigma2_of_model, tau1_tail,
-                     velocity_jump_probe, velocity_of_model,
-                     velocity_rcm_discrete)
+                     rcm_discrete_taylor, velocity_jump_probe,
+                     velocity_of_model, velocity_rcm_discrete)
 from rwrelab import estimators
-from rwrelab.estimators import (Estimate, ScalingFit, _renewal_counts,
-                                _run_ensemble, _tau1_cdf_table)
-from rwrelab.rng import generator
+from rwrelab.estimators import Estimate, ScalingFit, _run_ensemble
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
@@ -139,17 +137,21 @@ def test_einstein_analytic_rows_converge_to_limit():
     table = einstein_slope(model, [0.2, 0.1, 0.01, 0.001], n=0, replicas=0,
                            seed=1, mc=False)
     assert table.limit == pytest.approx(1 / 1.125)
-    errs = [abs(r.analytic_slope - r.bias_term - table.limit)
-            for r in table.rows]
+    a1 = rcm_discrete_taylor(1.5, 0.75)[1]
+    errs = [abs(r.analytic_slope - a1 * r.h - table.limit) for r in table.rows]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-5
+    for r in table.rows:
+        assert r.bias_term == r.analytic_slope - table.limit
 
 
 def test_einstein_continuous_flavor():
     model = IIDConductance(TWO_POINT, time_flavor="continuous")
     table = einstein_slope(model, [0.05], n=0, replicas=0, seed=1, mc=False)
     assert table.limit == pytest.approx(2 / 0.75)
-    assert table.rows[0].bias_term == 0.0
+    # the exact v(h)/h - limit = (2/E[1/c]) (sinh(h)/h - 1) = O(h^2)
+    assert table.rows[0].bias_term == pytest.approx(
+        2 / 0.75 * (math.sinh(0.05) / 0.05 - 1), rel=1e-9)
     assert table.rows[0].analytic_slope == pytest.approx(table.limit, rel=1e-3)
 
 
@@ -271,6 +273,23 @@ def test_velocity_jump_probe_classifications():
     assert above.v_estimate.mean > at.v_estimate.mean
 
 
+def test_velocity_jump_probe_vs_exact_truncated_series():
+    # v = 1/(1 + 2 sum_{i<=512} w^(i+1) E[Z_0...Z_i]) at lam_plus (w = 1) and
+    # above it, at 2e4 replicas: within 4 s.e. of the exact recursion, with
+    # an s.e. below 1e-3 of v
+    lam_plus = 0.5 * math.log(2.0)
+    rows = velocity_jump_probe(2.0, 3.0, [lam_plus, lam_plus + 0.1],
+                               replicas=20_000, seed=12, i_max=512)
+    exact = exact_product_moment(3.0, 512)
+    for row in rows:
+        assert row.classification == "converging"
+        w = row.growth_factor ** (np.arange(513) + 1.0)
+        v_ref = 1.0 / (1.0 + 2.0 * float(np.dot(w, exact)))
+        v = row.v_estimate
+        assert abs(v.mean - v_ref) < 4 * v.std_error
+        assert v.std_error < 1e-3 * v.mean
+
+
 def test_probe_rejects_bad_parameters():
     with pytest.raises(ValueError):
         velocity_jump_probe(-1.0, 3.0, [0.1], replicas=10, seed=1)
@@ -293,26 +312,15 @@ def test_renewal_walks_agree_with_series_probe():
 
 
 # ---------------------------------------------------------------------------
-# golden outputs of the renewal counting path (BLAKE2b digests recorded from
-# the per-replica searchsorted loop)
+# golden outputs of the renewal estimators (BLAKE2b digests)
 # ---------------------------------------------------------------------------
 
 # means and s.e.s of renewal_product_moment (10,000 replicas, seed 13) on
 # the renewal-scaling grid and on [0, 1, 2, 5, 50]; two of the replicas take
 # the direct big-jump sum past the prefix table
 GOLDEN_MOMENTS = "6c005ffb08cc22b29151d4e707d11963"
-GOLDEN_COUNTS_FULL = "ece33d8f0c0b7c9d52fc2cffdbcc6f0e"
-GOLDEN_COUNTS_SPARSE = "8aaa103604ddec70cde30262069a16c3"
 # covers a fitted threshold slope, a v estimate and both exact classifications
-GOLDEN_PROBE = "123e9ca9b06932163215a74ecb3fe130"
-
-
-def _counts_digest(grid):
-    h = hashlib.blake2b(digest_size=16)
-    for counts in _renewal_counts(3.0, 11, 5000, np.asarray(grid, dtype=np.int64)):
-        h.update(repr((counts.shape, counts.dtype.str)).encode())
-        h.update(counts.tobytes())
-    return h.hexdigest()
+GOLDEN_PROBE = "349856f953f7b854765bff8dccd3595a"
 
 
 @pytest.mark.filterwarnings("error")
@@ -327,12 +335,6 @@ def test_renewal_product_moment_golden():
 
 
 @pytest.mark.filterwarnings("error")
-def test_renewal_counts_golden():
-    assert _counts_digest(np.arange(0, 129)) == GOLDEN_COUNTS_FULL
-    assert _counts_digest([0, 3, 40, 200, 517]) == GOLDEN_COUNTS_SPARSE
-
-
-@pytest.mark.filterwarnings("error")
 def test_velocity_jump_probe_golden():
     lam_plus = 0.5 * math.log(2.0)
     rows = velocity_jump_probe(2.0, 3.0, [lam_plus - 0.1, lam_plus, lam_plus + 0.1],
@@ -341,50 +343,18 @@ def test_velocity_jump_probe_golden():
     assert digest == GOLDEN_PROBE
 
 
-def _reference_renewal_counts(gamma, seed, replicas, grid, chunk=2048):
-    """Per-replica searchsorted over the concatenated points (reference)."""
-    n_max = int(grid.max())
-    table = _tau1_cdf_table(gamma)
-    rng = generator(seed, "renewal-ensemble")
-    cols = estimators._gap_columns(gamma, n_max)
-    done = 0
-    while done < replicas:
-        m = min(chunk, replicas - done)
-        tau1 = np.minimum(np.searchsorted(table, rng.random(m), side="left") + 1,
-                          len(table))
-        straddle = np.floor(tau1 * (1.0 - rng.random(m)) ** (-1.0 / gamma))
-        at_zero = (straddle == tau1)
-        gaps = np.floor((1.0 - rng.random((m, cols))) ** (-1.0 / gamma))
-        pts = tau1[:, None] + np.concatenate(
-            [np.zeros((m, 1)), np.cumsum(gaps, axis=1)], axis=1)
-        counts = np.empty((m, grid.size), dtype=np.int64)
-        for r in range(m):
-            row = pts[r]
-            base = np.searchsorted(row, grid + 0.5)
-            if row[-1] <= n_max:
-                extra = row[-1]
-                more = []
-                while extra <= n_max:
-                    g = float(np.floor((1.0 - rng.random()) ** (-1.0 / gamma)))
-                    extra += g
-                    more.append(extra)
-                base += np.searchsorted(np.asarray(more), grid + 0.5)
-            counts[r] = base + int(at_zero[r])
-        done += m
-        yield counts
-
-
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("short_rows", [False, True])
-def test_renewal_counts_match_per_replica_loop(monkeypatch, short_rows):
-    if short_rows:  # three gaps per row: nearly every row is extended
-        monkeypatch.setattr(estimators, "_gap_columns", lambda gamma, n_max: 3)
-    for gamma, seed, grid in ((3.0, 2, np.arange(0, 150)),
-                              (2.5, 9, np.array([90, 0, 1, 7, 64])),
-                              (4.0, 4, np.array([0]))):
-        want = list(_reference_renewal_counts(gamma, seed, 700, grid, chunk=256))
-        got = list(_renewal_counts(gamma, seed, 700, grid, chunk=256))
-        assert len(got) == len(want) == 3
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.flags.c_contiguous
-            assert np.array_equal(a, b)
+@pytest.mark.parametrize("n_max", [40, 300])
+def test_big_jump_sums_match_per_replica_terms(n_max):
+    # the probe's histogram route to the moment means against the
+    # per-replica terms of renewal_product_moment, on gap rows whose running
+    # maximum passes the prefix table, ties at it, and passes n_max
+    p, c, d, q = estimators._moment_tables(3.0, n_max)
+    gaps = estimators._gap_from_uniform(
+        np.random.default_rng(1).random((1000, estimators._MOMENT_TERMS - 2)), 3.0)
+    gaps[5, 3] = 100
+    gaps[7, 0] = 400
+    gaps[9, [2, 4, 8]] = 70
+    want = estimators._big_jump_terms(gaps, np.arange(n_max + 1), p, c, d, q)
+    got = estimators._big_jump_sums(gaps, p, c)
+    np.testing.assert_allclose(got, want.sum(axis=1), rtol=1e-13, atol=0.0)
