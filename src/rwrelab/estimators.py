@@ -276,7 +276,7 @@ def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
     bias_term is the exact v(h)/h - limit from the closed-form velocity
     ((ab-1)/(ab)^2 h + O(h^2) in discrete time, O(h^2) in continuous time,
     where the quotient is even in h); mc_corrected subtracts it, so it
-    estimates the limit without bias.  Rows with replicas too small for the
+    estimates the limit itself.  Rows with replicas too small for the
     signal are flagged noise_dominated.
     """
     if not isinstance(model, IIDConductance):
