@@ -337,6 +337,26 @@ GOLDEN_ENSEMBLES = {
         lambda: _negated(ensemble_continuous(CoinFlip(TWO_POINT, TWO_POINT), 0.7,
                                              60.0, 200, 76)),
         "002646b452c34c7402338ccc56f1421b"),
+    # recorded from per-replica environment builds
+    "discrete-iid-omega": (   # a three-atom law: the searchsorted map
+        lambda: ensemble_discrete(
+            IIDOmega(ScalarDist.empirical([0.5, 1.0, 2.0], [0.3, 0.4, 0.3])),
+            0.3, 800, 300, 81),
+        "01376d8f3409787de375b4ca089f83d0"),
+    "continuous-constant-target-level": (   # the tau_1 shape on a constant law
+        lambda: ensemble_continuous(IIDConductance(CONST, time_flavor="continuous"),
+                                    1.0, math.inf, 2000, 82, target_level=1),
+        "85fb07e0c81edc380a39b00922fe56b0"),
+    "continuous-wide-seed-offset": (   # replica entropy grows to two words mid-chunk
+        lambda: ensemble_continuous(
+            IIDConductance(ScalarDist.uniform(1.0, 10.0), time_flavor="continuous"),
+            0.5, 50.0, 16, 2**64 + 83, replica_offset=2**32 - 8),
+        "32d24de539dc66f53a00054031b48a12"),
+    "continuous-coinflip-mixed": (   # 96 heads rows of 200; a+ and a- differ
+        lambda: ensemble_continuous(
+            CoinFlip(ScalarDist.two_point(1.0, 3.0, 0.4), ScalarDist.uniform(0.5, 1.5)),
+            0.5, 100.0, 200, 84),
+        "418e537b34aea3bcd07cca4b5f44f03b"),
 }
 
 
