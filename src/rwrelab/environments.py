@@ -17,6 +17,12 @@ Renewal         leftward rate a everywhere, rightward rate 2 on the sites k
 CoinFlip        paired rates built from two i.i.d. sequences and one fair
                 coin choosing the pairing offset
 PeriodicEnv     explicit per-site values repeated with period L
+
+The three i.i.d. models also build the environments of a range of replicas
+together (``omega_plus_blocks`` / ``rate_blocks``), for the ensemble
+engine: every stream of every replica is seeded at once (``RowStreams``),
+and the law's map and the site transform run on blocks of rows with the
+code that serves one replica.  A law with one atom draws no uniforms.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .distributions import ScalarDist
-from .rng import CounterStream
+from .rng import CounterStream, RowStreams
 
 __all__ = [
     "IIDOmega", "IIDConductance", "Renewal", "CoinFlip", "PeriodicEnv",
@@ -183,6 +189,69 @@ def sample_stationary_renewal(gamma: float, seed: int, window: tuple[int, int],
 # environment models
 # ---------------------------------------------------------------------------
 
+class _ReplicaDraws:
+    """The environment streams of one replica, each seeded on its own."""
+
+    def __init__(self, seed: int, tag: str, replica: int):
+        self.seed, self.tags = seed, ("env", tag, replica)
+
+    def first(self, field: str) -> np.ndarray:
+        """The first uniform of the field's stream, shape (1,)."""
+        return CounterStream(self.seed, *self.tags, field).uniforms(0, 1)
+
+    def sites(self, dist: ScalarDist, field: str, lo: int, hi: int) -> np.ndarray:
+        """dist's samples at sites [lo, hi] from the field's stream; a
+        one-atom law ignores its uniforms, so none are drawn."""
+        if len(dist.atoms) == 1:
+            return np.full(hi - lo + 1, dist.atoms[0])
+        u = CounterStream(self.seed, *self.tags, field).site_uniforms(lo, hi)
+        return dist.from_uniforms(u)
+
+
+class _RowDraws:
+    """The same streams for a range of replicas, seeded together
+    (``RowStreams``) and drawn for one block of rows at a time: the
+    ``block`` slice of rows, as rows x sites arrays."""
+
+    def __init__(self, seed: int, tag: str, rows: range):
+        self.seed, self.head, self.rows = seed, ("env", tag), rows
+        self.block = slice(0, len(rows))
+        self._streams: dict[str, RowStreams] = {}
+
+    def _stream(self, field: str) -> RowStreams:
+        if field not in self._streams:
+            self._streams[field] = RowStreams(self.seed, self.head, self.rows, (field,))
+        return self._streams[field]
+
+    def first(self, field: str) -> np.ndarray:
+        u = np.empty((self.block.stop - self.block.start, 1))
+        self._stream(field).uniforms(0, u, first=self.block.start)
+        return u
+
+    def sites(self, dist: ScalarDist, field: str, lo: int, hi: int) -> np.ndarray:
+        shape = (self.block.stop - self.block.start, hi - lo + 1)
+        if len(dist.atoms) == 1:
+            return np.full(shape, dist.atoms[0])
+        u = np.empty(shape)
+        self._stream(field).site_uniforms(lo, u, first=self.block.start)
+        return dist.from_uniforms(u)
+
+
+# Sites per block of rows in a batched build: enough to amortize NumPy's
+# per-call cost, few enough that a block's temporaries stay in cache.
+_BLOCK_SITES = 1 << 15
+
+
+def _site_blocks(sites_of, seed: int, tag: str, rows: range, lo: int, hi: int):
+    """(row slice, sites_of(draws, lo, hi)) for consecutive blocks of rows,
+    with every stream of every row seeded once for the whole range."""
+    draws = _RowDraws(seed, tag, rows)
+    step = max(1, _BLOCK_SITES // (hi - lo + 1))
+    for k in range(0, len(rows), step):
+        draws.block = slice(k, min(k + step, len(rows)))
+        yield draws.block, sites_of(draws, lo, hi)
+
+
 @dataclass(frozen=True)
 class IIDOmega:
     """i.i.d. jump-probability environment given through the law of rho_0."""
@@ -191,9 +260,15 @@ class IIDOmega:
     tag: str = "iid-omega"
     time_flavor: str = "discrete"
 
+    def _omega_plus(self, draws, lo: int, hi: int) -> np.ndarray:
+        return 1.0 / (1.0 + draws.sites(self.rho, "rho", lo, hi))
+
     def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        u = CounterStream(seed, "env", self.tag, replica, "rho").site_uniforms(lo, hi)
-        return 1.0 / (1.0 + self.rho.from_uniforms(u))
+        return self._omega_plus(_ReplicaDraws(seed, self.tag, replica), lo, hi)
+
+    def omega_plus_blocks(self, seed: int, rows: range, lo: int, hi: int):
+        """(row slice, omega+ rows) blocks covering the replicas in rows."""
+        return _site_blocks(self._omega_plus, seed, self.tag, rows, lo, hi)
 
     def params(self) -> dict:
         return {"rho": self.rho.spec_string()}
@@ -211,17 +286,28 @@ class IIDConductance:
         if self.time_flavor not in ("discrete", "continuous"):
             raise ValueError("time_flavor must be 'discrete' or 'continuous'")
 
-    def _conductances(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        u = CounterStream(seed, "env", self.tag, replica, "c").site_uniforms(lo, hi)
-        return self.c.from_uniforms(u)
+    def _omega_plus(self, draws, lo: int, hi: int) -> np.ndarray:
+        c = draws.sites(self.c, "c", lo - 1, hi)
+        return c[..., 1:] / (c[..., :-1] + c[..., 1:])
+
+    def _rates(self, draws, lo: int, hi: int):
+        c = draws.sites(self.c, "c", lo - 1, hi)
+        return c[..., :-1], c[..., 1:]  # r-_x = c_{x-1}, r+_x = c_x
 
     def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        c = self._conductances(seed, replica, lo - 1, hi)
-        return c[1:] / (c[:-1] + c[1:])
+        return self._omega_plus(_ReplicaDraws(seed, self.tag, replica), lo, hi)
 
     def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        c = self._conductances(seed, replica, lo - 1, hi)
-        return c[:-1].copy(), c[1:].copy()  # r-_x = c_{x-1}, r+_x = c_x
+        rm, rp = self._rates(_ReplicaDraws(seed, self.tag, replica), lo, hi)
+        return rm.copy(), rp.copy()
+
+    def omega_plus_blocks(self, seed: int, rows: range, lo: int, hi: int):
+        """(row slice, omega+ rows) blocks covering the replicas in rows."""
+        return _site_blocks(self._omega_plus, seed, self.tag, rows, lo, hi)
+
+    def rate_blocks(self, seed: int, rows: range, lo: int, hi: int):
+        """(row slice, (r- rows, r+ rows)) blocks covering the replicas in rows."""
+        return _site_blocks(self._rates, seed, self.tag, rows, lo, hi)
 
     def params(self) -> dict:
         return {"c": self.c.spec_string(), "time_flavor": self.time_flavor}
@@ -275,24 +361,29 @@ class CoinFlip:
     time_flavor: str = "continuous"
     tag: str = "coinflip"
 
+    def _rates(self, draws, lo: int, hi: int):
+        heads = draws.first("coin") < 0.5
+        # pair m is sites (2m+1, 2m+2) under heads and (2m, 2m+1) under tails;
+        # its left member has (r-, r+) = (a-_m, a+_m), its right one the swap.
+        # So r+ runs a+_m, a-_m, a+_m+1, ... from site 2 mlo + 1 (heads) or
+        # 2 mlo (tails), and r- runs a-_m, a+_m, ... from the same site.
+        mlo, mhi = (lo - 1) // 2, hi // 2
+        ap = draws.sites(self.a_plus, "a+", mlo, mhi)
+        am = draws.sites(self.a_minus, "a-", mlo, mhi)
+        width, at = hi - lo + 1, lo - 2 * mlo  # site lo's place in a tails run
+
+        def interleaved(first, second):
+            run = np.stack((first, second), axis=-1).reshape(*first.shape[:-1], -1)
+            return np.where(heads, run[..., at - 1:at - 1 + width], run[..., at:at + width])
+
+        return interleaved(am, ap), interleaved(ap, am)
+
     def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        heads = CounterStream(seed, "env", self.tag, replica, "coin").uniforms(0, 1)[0] < 0.5
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        # pair index m for each site and whether the site is the left member
-        if heads:
-            m = (sites - 1) // 2          # odd sites are left members
-            left_member = (sites % 2) != 0
-        else:
-            m = sites // 2                # even sites are left members
-            left_member = (sites % 2) == 0
-        mlo, mhi = int(m.min()), int(m.max())
-        up = CounterStream(seed, "env", self.tag, replica, "a+").site_uniforms(mlo, mhi)
-        um = CounterStream(seed, "env", self.tag, replica, "a-").site_uniforms(mlo, mhi)
-        ap = self.a_plus.from_uniforms(up)[m - mlo]
-        am = self.a_minus.from_uniforms(um)[m - mlo]
-        r_plus = np.where(left_member, ap, am)
-        r_minus = np.where(left_member, am, ap)
-        return r_minus, r_plus
+        return self._rates(_ReplicaDraws(seed, self.tag, replica), lo, hi)
+
+    def rate_blocks(self, seed: int, rows: range, lo: int, hi: int):
+        """(row slice, (r- rows, r+ rows)) blocks covering the replicas in rows."""
+        return _site_blocks(self._rates, seed, self.tag, rows, lo, hi)
 
     def params(self) -> dict:
         return {"a_plus": self.a_plus.spec_string(),

@@ -12,6 +12,10 @@ one-lane runs over a shared environment, i.e. replica 0 of that ensemble.
 Every uniform is counter-addressed by (root seed, stream, replica block,
 step), so results are independent of memory chunking and worker count.
 
+A table build takes blocks of rows from models that build many replicas
+together (the i.i.d. models), and one replica's environment at a time from
+the others.
+
 Environment windows grow on demand.  A walker that comes within
 ``_CHECK_EVERY`` sites of the range cap is aborted with a distinct signal,
 never silently truncated.
@@ -117,8 +121,22 @@ class _Tables:
     def _biased(self, sites) -> tuple:
         if self.rates:
             bm, bp = bias_rates(*sites, self.lam)
-            return bm + bp, bp / (bm + bp)
+            total = bm + bp
+            return total, bp / total
         return bias_omega(sites, self.lam)[1:]
+
+    def _site_rows(self, rows: range, lo: int, hi: int):
+        """(row index or slice, site values) pairs covering every row: blocks
+        of rows from models that build them together, else one replica's
+        environment at a time."""
+        if self.rates:
+            blocks, sites_of = getattr(self.model, "rate_blocks", None), self.model.rate_sites
+        else:
+            blocks = getattr(self.model, "omega_plus_blocks", None)
+            sites_of = self.model.omega_plus_sites
+        if blocks is not None:
+            return blocks(self.seed, rows, lo, hi)
+        return ((k, sites_of(self.seed, r, lo, hi)) for k, r in enumerate(rows))
 
     def build(self, rows: range, lo: int, hi: int):
         """The fields as flat arrays, and the offset of each row in them."""
@@ -129,12 +147,11 @@ class _Tables:
             return ([f.ravel() for f in self._biased(sites)],
                     np.zeros(len(rows), dtype=np.int64))
         width = hi - lo + 1
-        sites_of = self.model.rate_sites if self.rates else self.model.omega_plus_sites
         # one array per field: a single (fields, rows, width) block raised
         # the continuous benchmark's peak RSS by about 20% (allocator reuse)
         table = [np.empty((len(rows), width)) for _ in range(self.fields)]
-        for k, r in enumerate(rows):
-            for f, values in zip(table, self._biased(sites_of(self.seed, r, lo, hi))):
+        for k, sites in self._site_rows(rows, lo, hi):
+            for f, values in zip(table, self._biased(sites)):
                 f[k] = values
         return ([f.ravel() for f in table],
                 np.arange(len(rows), dtype=np.int64) * width)

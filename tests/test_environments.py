@@ -77,6 +77,41 @@ def test_different_seeds_differ():
                               b.omega_plus_window(-50, 50))
 
 
+def test_one_atom_laws_draw_nothing(monkeypatch):
+    # a constant law ignores its uniforms, so neither a single replica nor a
+    # batch of rows may open its stream; the other fields still draw
+    import rwrelab.environments as E
+    constant_fields = {"c", "rho", "a+"}
+
+    class Refusing(E.CounterStream):
+        def __init__(self, seed, *tags):
+            assert tags[-1] not in constant_fields, f"drew stream {tags[-1]!r}"
+            super().__init__(seed, *tags)
+
+    class RefusingRows(E.RowStreams):
+        def __init__(self, seed, head, rows, tail):
+            assert tail[-1] not in constant_fields, f"drew stream {tail[-1]!r}"
+            super().__init__(seed, head, rows, tail)
+
+    monkeypatch.setattr(E, "CounterStream", Refusing)
+    monkeypatch.setattr(E, "RowStreams", RefusingRows)
+    one = ScalarDist.constant(1.0)
+    lo, hi, rows = -6, 6, range(4, 9)
+    for model, want in ((IIDConductance(one), 0.5),
+                        (IIDOmega(ScalarDist.constant(2.0)), 1.0 / 3.0)):
+        (blk, w), = model.omega_plus_blocks(7, rows, lo, hi)
+        assert np.all(w == want) and w.shape == (len(rows), hi - lo + 1)
+        assert np.all(model.omega_plus_sites(7, 3, lo, hi) == want)
+    (blk, (rm, rp)), = IIDConductance(one, "continuous").rate_blocks(7, rows, lo, hi)
+    assert np.all(rm == 1.0) and np.all(rp == 1.0)
+    coin = CoinFlip(one, TWO_POINT)
+    (blk, (rm, rp)), = coin.rate_blocks(7, rows, lo, hi)
+    for k, r in enumerate(rows):
+        assert all(np.array_equal(a[k], b)
+                   for a, b in zip((rm, rp), coin.rate_sites(7, r, lo, hi)))
+    assert np.all((rm == 1.0) | (rp == 1.0))
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         Renewal(1.0, 2.0)          # gamma must exceed 2

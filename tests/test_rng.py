@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwrelab.rng import (FIRST_FILL, REPLICA_BLOCK, BlockUniforms, CounterStream,
-                         derive_seed, generator, seed_sequence, tag_int)
+from rwrelab.rng import (FIRST_FILL, REPLICA_BLOCK, SITE_ORIGIN, BlockUniforms,
+                         CounterStream, RowStreams, derive_seed, generator,
+                         seed_sequence, tag_int)
 
 
 def test_counter_stream_overlap_consistency():
@@ -83,6 +84,42 @@ def test_counter_stream_rejects_negative_words():
             CounterStream(*args)
         with pytest.raises(ValueError):
             seed_sequence(*args)
+
+
+ROW_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 12345, 2**100 + 7]
+ROW_RANGES = [range(0, 3), range(2**32 - 3, 2**32 + 2),   # r: one word, then two
+              range(2**64 - 2, 2**64 + 1)]                # two, then three
+
+
+@pytest.mark.filterwarnings("error")   # a NumPy integer-overflow warning fails
+@pytest.mark.parametrize("seed", ROW_SEEDS)
+def test_row_streams_are_the_numpy_seeded_streams(seed):
+    width = 7
+    for tag in ("iid-conductance", 17, np.int64(2**40 + 5)):
+        for rows in ROW_RANGES:
+            streams = RowStreams(seed, ("env", tag), rows, ("c",))
+            for lo in (SITE_ORIGIN, 10**6):
+                out = np.empty((len(rows), width))
+                streams.site_uniforms(lo, out)
+                tail = np.empty((2, width))
+                streams.site_uniforms(lo, tail, first=len(rows) - 2)
+                for k, r in enumerate(rows):
+                    ss = np.random.SeedSequence(
+                        (seed, tag_int("env"), tag_int(tag), r, tag_int("c")))
+                    bit_gen = np.random.PCG64(ss)
+                    bit_gen.advance(lo - SITE_ORIGIN)
+                    ref = np.random.Generator(bit_gen).random(width)
+                    assert np.array_equal(out[k], ref), (tag, r, lo)
+                assert np.array_equal(tail, out[-2:])
+
+
+def test_row_streams_reject_addresses_below_the_origin():
+    streams = RowStreams(1, ("env",), range(2), ("c",))
+    out = np.empty((2, 3))
+    with pytest.raises(ValueError):
+        streams.site_uniforms(SITE_ORIGIN - 1, out)
+    with pytest.raises(ValueError):
+        streams.uniforms(-1, out)
 
 
 def _reference_step(seed, tags, lo, hi, t):

@@ -11,6 +11,7 @@ from rwrelab import (IIDConductance, IIDOmega, ScalarDist, SeriesValue,
                      sbar_quenched, save_environment, shat_quenched,
                      u_quenched, v_quenched)
 from rwrelab import series
+from rwrelab.rng import CounterStream
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 COTH_HALF = 2.163953413738653            # (1+1/e)/(1-1/e)
@@ -68,7 +69,8 @@ def test_sbar_matches_literal_conductance_sum():
         env = materialize(model, seed, (-600, 1))
         lam = 1.0
         q = math.exp(-2.0 * lam)
-        c = model._conductances(seed, 0, -600, 0)   # sites -600..0
+        c = TWO_POINT.from_uniforms(   # sites -600..0, read off the stream
+            CounterStream(seed, "env", model.tag, 0, "c").site_uniforms(-600, 0))
         c0 = c[-1]
         total = 1.0
         for i in range(0, 400):

@@ -160,11 +160,15 @@ def test_first_passage_is_the_target_level_run():
 # ensembles
 # ---------------------------------------------------------------------------
 
-def test_ensemble_matches_per_replica_environments():
-    # the engine's per-replica tables must equal the library materialization
+def test_ensemble_matches_per_replica_environments(monkeypatch):
+    # the engine's per-replica tables must equal the library materialization;
+    # blocks of 3 rows (width 21) split the rows across the replica block at 1024
+    import rwrelab.environments
     from rwrelab.walks import _Tables
+    monkeypatch.setattr(rwrelab.environments, "_BLOCK_SITES", 64)
     seed, lam, lo, hi = 33, 0.7, -10, 10
     width = hi - lo + 1
+    rows = range(1019, 1029)
 
     def discrete_row(env):
         return (bias_omega(env.omega_plus_window(lo, hi), lam)[1],)
@@ -173,16 +177,22 @@ def test_ensemble_matches_per_replica_environments():
         bm, bp = bias_rates(*env.rates_window(lo, hi), lam)
         return bm + bp, bp / (bm + bp)
 
+    three_atoms = ScalarDist.empirical([0.5, 1.0, 2.0], [0.3, 0.4, 0.3])
     for model, rates, row in (
             (IIDConductance(TWO_POINT), False, discrete_row),
+            (IIDConductance(CONST), False, discrete_row),
+            (IIDOmega(three_atoms), False, discrete_row),
             (IIDConductance(TWO_POINT, time_flavor="continuous"), True, rate_row),
-            (CoinFlip(TWO_POINT, TWO_POINT), True, rate_row)):
-        fields, offsets = _Tables(model, seed, None, lam, rates).build(range(3), lo, hi)
+            (IIDConductance(CONST, time_flavor="continuous"), True, rate_row),
+            (CoinFlip(TWO_POINT, TWO_POINT), True, rate_row),
+            (CoinFlip(CONST, ScalarDist.uniform(0.5, 1.5)), True, rate_row),
+            (PeriodicEnv(rates=((1.0, 2.0), (3.0, 0.5), (2.0, 2.0))), True, rate_row)):
+        fields, offsets = _Tables(model, seed, None, lam, rates).build(rows, lo, hi)
         assert len(fields) == (2 if rates else 1)
-        for r in range(3):
+        for k, r in enumerate(rows):
             want = row(materialize(model, seed, (lo, hi), replica=r))
             for flat, values in zip(fields, want):
-                assert np.array_equal(flat[offsets[r]:offsets[r] + width], values)
+                assert np.array_equal(flat[offsets[k]:offsets[k] + width], values)
         env = materialize(model, seed + 1, (-4, 4), replica=5)
         fields, offsets = _Tables(None, seed, env, lam, rates).build(range(3), lo, hi)
         assert np.array_equal(offsets, np.zeros(3))
