@@ -77,7 +77,7 @@ def _zrow(est, target: float) -> dict:
 @_timer
 def check_velocity_discrete(seed, workers) -> CheckResult:
     """Two-point {1,2} and deterministic conductances at lam in
-    {0.25, 0.5, 1}: annealed mean of X_n/n (n=1e5, 2000 replicas) within
+    {0.25, 0.5, 1}: annealed mean of D_n/n (n=1e5, 2000 replicas) within
     3 s.e. of the closed forms."""
     n, replicas = 10**5, 2000
     rows = {}

@@ -120,7 +120,9 @@ class ScalarDist:
         if len(self.atoms) == 1:
             return np.full_like(u, self.atoms[0])
         if len(self.atoms) == 2:
-            return np.where(u <= self.weights[0], self.atoms[0], self.atoms[1])
+            # index by the comparison's bytes: np.where with scalar branches
+            # takes NumPy's slow broadcast path
+            return np.asarray(self.atoms)[(u > self.weights[0]).view(np.uint8)]
         idx = np.searchsorted(np.asarray(self._cum), u, side="left")
         idx = np.minimum(idx, len(self.atoms) - 1)
         return np.asarray(self.atoms)[idx]

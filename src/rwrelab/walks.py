@@ -93,6 +93,9 @@ class EnsembleResult:
     replicas: int
     elapsed: float
     values: np.ndarray | None = None   # continuous: first-passage times etc.
+    # discrete only: per lane, the sum of omega+(lam) over the sites it left
+    # (its steps before it stopped); the compensator of X_n is 2 * sum - n
+    plus_sums: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,8 @@ class _Tables:
 class _DiscreteLanes:
     """Discrete-time step rule: one uniform per step, right iff it is <=
     omega+(lam) at the lane's site, for a fixed number of steps.  Lanes are
-    held as flat table indices (position = gidx - offsets + lo)."""
+    held as flat table indices (position = gidx - offsets + lo); psum adds
+    up, per lane, the omega+(lam) of every site it steps from."""
 
     def __init__(self, seed, rows: range, steps: int):
         m = len(rows)
@@ -171,6 +175,7 @@ class _DiscreteLanes:
         self.all_moving = True
         self.bbuf = np.empty(m, dtype=bool)
         self.sbuf = np.empty(m, dtype=np.int64)
+        self.psum = np.zeros(m)
 
     def running(self, k: int) -> bool:
         return k < self.steps and (self.all_moving or bool(self.active.any()))
@@ -193,12 +198,15 @@ class _DiscreteLanes:
     def step(self, k: int) -> None:
         gidx, bbuf = self.gidx, self.bbuf
         # take() without out=: with out= and mode="raise" NumPy buffers
-        np.less_equal(self.uni.step(k), self.flat.take(gidx), out=bbuf)
+        p = self.flat.take(gidx)
+        np.less_equal(self.uni.step(k), p, out=bbuf)
         if self.all_moving:
+            self.psum += p
             np.add(gidx, bbuf, out=gidx, casting="unsafe")
             np.add(gidx, bbuf, out=gidx, casting="unsafe")
             gidx -= 1
         else:
+            np.add(self.psum, p, out=self.psum, where=self.active)
             np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
             self.sbuf *= self.active
             gidx += self.sbuf
@@ -264,12 +272,14 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
     _CHECK_EVERY sites of +-range_cap are aborted, and the window grows if a
     lane is within _CHECK_EVERY sites of an edge.  Lanes still running after
     jump_budget steps are aborted.  With a target, lanes stop on reaching it
-    and `values` holds the arrival times.  observe(k, lanes) follows step k.
+    and `values` holds the arrival times.  A discrete rule's omega+ sums go
+    to `plus_sums`.  observe(k, lanes) follows step k.
     """
     lo0, hi0 = window
     finals = np.empty(replicas, dtype=np.int64)
     aborted = np.zeros(replicas, dtype=bool)
     values = np.full(replicas, np.nan) if target is not None else None
+    psums = np.empty(replicas) if rule is _DiscreteLanes else None
     chunk = max(64, int(_MEM_BUDGET / ((hi0 - lo0 + 1) * 8.0 * tables.fields)))
     for a in range(0, replicas, chunk):
         b = min(replicas, a + chunk)
@@ -307,7 +317,9 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
                 hi = min(max(hi, mx + max(span // 2, 4 * _CHECK_EVERY)), range_cap + 1)
                 lanes.rebase(*tables.build(rows, lo, hi), lo, pos)
         finals[a:b] = lanes.positions()
-    return EnsembleResult(finals, aborted, replicas, elapsed, values)
+        if psums is not None:
+            psums[a:b] = lanes.psum
+    return EnsembleResult(finals, aborted, replicas, elapsed, values, psums)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +331,8 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
                       window_hint: tuple[int, int] | None = None,
                       range_cap: int = DEFAULT_RANGE_CAP,
                       replica_offset: int = 0) -> EnsembleResult:
-    """Final positions of `replicas` discrete walks of n steps.
+    """Final positions of `replicas` discrete walks of n steps, and per walk
+    the sum of omega+(lam) over the sites it stepped from (`plus_sums`).
 
     Annealed mode (default) materializes a fresh environment per replica from
     (seed, replica); pass shared_env for the quenched mode (many walks, one

@@ -7,9 +7,10 @@ from scipy.special import zeta as hurwitz_zeta
 
 from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      ScalarDist, annealed_diffusion, annealed_tau1,
-                     annealed_velocity, einstein_slope, exact_product_moment,
-                     renewal_product_moment, sigma2_of_model, tau1_tail,
-                     rcm_discrete_taylor, velocity_jump_probe,
+                     annealed_velocity, einstein_slope, ensemble_discrete,
+                     exact_product_moment, exact_walk_distribution,
+                     materialize, renewal_product_moment, sigma2_of_model,
+                     tau1_tail, rcm_discrete_taylor, velocity_jump_probe,
                      velocity_of_model, velocity_rcm_discrete)
 from rwrelab import estimators
 from rwrelab.estimators import Estimate, ScalingFit, _run_ensemble
@@ -69,6 +70,31 @@ def test_annealed_velocity_deterministic_case():
                             seed=5)
     assert abs(est.mean - math.tanh(1.0)) < 3 * est.std_error
     assert est.count == 600 and est.excluded == 0
+
+
+def test_annealed_velocity_rounding_bound_on_deterministic_laws():
+    # constant conductances and period 2 give every lane the same D_n, so the
+    # s.e. is the rounding bound alone, and it covers the distance to v
+    n = 4000
+    bound = 2 * n * np.finfo(float).eps
+    for model, lam in ((IIDConductance(CONST), 1.0), (IIDConductance(CONST), -0.3),
+                       (PeriodicEnv(omega=(0.3, 0.8)), 0.5)):
+        est = annealed_velocity(model, lam, n=n, replicas=600, seed=5)
+        assert est.std_error == pytest.approx(bound, rel=1e-9)
+        assert abs(est.mean - velocity_of_model(model, lam).v) <= bound
+    est = annealed_velocity(IIDConductance(CONST), 1.0, n=n, replicas=600, seed=5)
+    assert abs(est.mean - math.tanh(1.0)) <= bound
+
+
+def test_compensator_mean_matches_the_exact_walk_law():
+    # in one environment E[D_n] = E[X_n], whose exact value the DP gives
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 12, (-40, 40))
+    for lam, seed in ((0.0, 61), (0.4, 62), (-1.0, 63)):
+        res = ensemble_discrete(model, lam, 40, 20000, seed, shared_env=env)
+        d = 2.0 * res.plus_sums - 40
+        want = exact_walk_distribution(env, lam, 40).mean()
+        assert abs(d.mean() - want) < 4 * d.std(ddof=1) / math.sqrt(d.size)
 
 
 def test_annealed_velocity_zero_field_is_zero():
@@ -193,9 +219,10 @@ def test_tau1_forced_jump_is_exponential_mean():
 
 def test_velocity_within_three_se_in_most_batches():
     # the 3-s.e. agreement criterion holds in >= 99% of repeated fixed-seed
-    # batches; at 40 batches allow at most one excursion
-    model = IIDConductance(CONST)
-    target = math.tanh(0.8)
+    # batches; at 40 batches allow at most one excursion (a random law: on a
+    # constant one D_n is deterministic)
+    model = IIDConductance(TWO_POINT)
+    target = velocity_rcm_discrete(0.8, 1.5, 0.75).v
     misses = 0
     for k in range(40):
         est = annealed_velocity(model, 0.8, n=900, replicas=500, seed=5000 + k)

@@ -122,13 +122,18 @@ def test_first_passage_discrete_ballistic_limit():
 # ---------------------------------------------------------------------------
 
 def test_run_discrete_is_replica_zero_of_the_ensemble():
+    # replica 0's plus_sums is the running sum of omega+(lam) along the path
     model = IIDConductance(TWO_POINT)
     env = materialize(model, 8, (-4, 4))
     for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42), (-1.5, 64, 43)):
-        traj = run_discrete(env, lam, n, seed)
+        traj = run_discrete(env, lam, n, seed, record_path=True)
         res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env)
         assert traj.final_position == res.final_positions[0]
         assert traj.elapsed == res.elapsed
+        path = traj.positions[:-1]
+        lo = int(path.min())
+        plus = bias_omega(env.omega_plus_window(lo, int(path.max())), lam)[1]
+        assert res.plus_sums[0] == np.add.accumulate(plus[path - lo])[-1]
 
 
 def test_run_continuous_is_replica_zero_of_the_ensemble():
@@ -142,6 +147,7 @@ def test_run_continuous_is_replica_zero_of_the_ensemble():
             assert traj.final_position == res.final_positions[0]
             assert traj.elapsed == res.elapsed
             assert traj.times[-1] <= horizon
+            assert res.plus_sums is None
 
 
 def test_first_passage_is_the_target_level_run():
@@ -216,6 +222,30 @@ def test_ensemble_range_cap_marks_aborted():
     assert res.aborted.all()
     res2 = ensemble_discrete(model, 0.0, 3000, 64, 5, range_cap=400)
     assert not res2.aborted.any()
+
+
+def test_plus_sums_stop_with_range_capped_lanes():
+    # a lane frozen at the cap after step k keeps the sum of its first k
+    # steps, and the lanes still running go on adding (the masked path);
+    # oracle: uncapped runs of k steps, which draw the same uniforms
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 9, (-4, 4))
+    lam, n, lanes, seed, cap = 0.0, 1280, 64, 45, 100
+    res = ensemble_discrete(model, lam, n, lanes, seed, shared_env=env,
+                            range_cap=cap)
+    assert 0 < res.aborted.sum() < lanes
+    frozen = np.zeros(lanes, dtype=bool)
+    want_sums, want_finals = np.empty(lanes), np.empty(lanes, dtype=np.int64)
+    for k in range(64, n + 1, 64):
+        pre = ensemble_discrete(model, lam, k, lanes, seed, shared_env=env)
+        newly = ~frozen & (np.abs(pre.final_positions) >= cap - 64)
+        last = ~frozen if k == n else newly
+        want_sums[last] = pre.plus_sums[last]
+        want_finals[last] = pre.final_positions[last]
+        frozen |= newly
+    assert np.array_equal(res.aborted, frozen)
+    assert np.array_equal(res.final_positions, want_finals)
+    assert np.array_equal(res.plus_sums, want_sums)
 
 
 def test_seed_decorrelation_across_replicas():
