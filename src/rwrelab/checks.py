@@ -102,8 +102,8 @@ def check_velocity_discrete(seed, workers) -> CheckResult:
 
 @_timer
 def check_velocity_continuous(seed, workers) -> CheckResult:
-    """Continuous RCM at lam=1, horizon 1e4, 1000 replicas: mean of Y_t/t
-    within 3 s.e. of (e - 1/e)/E[1/c]."""
+    """Continuous RCM at lam=1, horizon 1e4, 1000 replicas: mean of D_t/t,
+    D_t the compensator of Y_t, within 3 s.e. of (e - 1/e)/E[1/c]."""
     horizon, replicas = 1e4, 1000
     rows = {}
     aborted = 0

@@ -156,11 +156,11 @@ def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
         parts = list(pool.map(_ensemble_part, [job + r for r in ranges]))
     finals = np.concatenate([p.final_positions for p in parts])
     aborted = np.concatenate([p.aborted for p in parts])
-    values, psums = (None if getattr(parts[0], f) is None
-                     else np.concatenate([getattr(p, f) for p in parts])
-                     for f in ("values", "plus_sums"))
+    values, comp = (None if getattr(parts[0], f) is None
+                    else np.concatenate([getattr(p, f) for p in parts])
+                    for f in ("values", "compensator"))
     return EnsembleResult(finals, aborted, replicas, parts[0].elapsed, values,
-                          psums)
+                          comp, max(p.compensator_rounding for p in parts))
 
 
 def _ensemble_part(args) -> EnsembleResult:
@@ -200,16 +200,20 @@ def annealed_velocity(model, lam: float, *, n: int | None = None,
                       horizon: float | None = None, replicas: int, seed: int,
                       workers: int = 1,
                       range_cap: int | None = None) -> Estimate:
-    """Mean of D_n/n (discrete time) or Y_t/t (continuous time) over fresh
+    """Mean of D_n/n (discrete time) or D_t/t (continuous time) over fresh
     environments, with standard error.
 
-    D_n = sum_{k<n} (2 omega+_lam(X_k) - 1) is the compensator of X_n:
-    X_n - D_n is a mean-zero martingale, so D_n/n is an unbiased estimate of
-    E[X_n]/n with far less variance (conditional Monte Carlo of each step's
-    direction given the past; Asmussen & Glynn 2007, Stochastic Simulation,
-    ch. V).  Its std_error adds, in quadrature, the bound 2 n eps on the
-    rounding of the n-term sum behind each D_n/n; it is the whole error bar
-    where D_n is the same on every lane (constant conductances, period 2).
+    D is the compensator of the walk's position (`EnsembleResult`):
+    D_n = sum_{k<n} (2 omega+_lam(X_k) - 1), and D_t = sum_k (r+ - r-)_lam(Y_{T_k})
+    (min(T_{k+1}, t) - T_k) over the jump times T_k.  X - D is a mean-zero
+    martingale, so D/n (D/t) is an unbiased estimate of E[X_n]/n (E[Y_t]/t)
+    with far less variance (conditional Monte Carlo of each step's direction
+    and, in continuous time, of the time it comes; Asmussen & Glynn 2007,
+    Stochastic Simulation, ch. V).  Its std_error adds, in quadrature, the
+    ensemble's bound on the rounding of each lane's D, divided by n (t):
+    2 n eps in discrete time, about 3 eps times the jump count times the
+    mean rate in continuous time.  It is the whole error bar where D is the
+    same on every lane (constant rates, period 2 in discrete time).
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
@@ -220,12 +224,9 @@ def annealed_velocity(model, lam: float, *, n: int | None = None,
     if ok.sum() < 2:
         raise ValueError(f"{excluded} of {replicas} replicas hit "
                          "the range cap; nothing left to estimate")
-    if n is None:
-        return Estimate.from_samples(res.final_positions[ok] / float(horizon),
-                                     excluded=excluded)
-    est = Estimate.from_samples((2.0 * res.plus_sums[ok] - n) / n,
+    est = Estimate.from_samples(res.compensator[ok] / res.elapsed,
                                 excluded=excluded)
-    se = math.hypot(est.std_error, 2.0 * n * np.finfo(float).eps)
+    se = math.hypot(est.std_error, res.compensator_rounding / res.elapsed)
     return Estimate(est.mean, se, est.count,
                     (est.mean - 1.96 * se, est.mean + 1.96 * se), excluded)
 

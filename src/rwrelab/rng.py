@@ -30,7 +30,8 @@ routes, and both give the same draws:
 ``BlockUniforms`` draws walk uniforms ahead in fills that start at 16 steps
 and double up to ``steps_per_refill``, into one (steps x lanes) buffer: a
 walk that stops early draws little, and the buffer never holds more than
-``steps_per_refill`` steps of its lanes.
+``steps_per_refill`` steps of its lanes.  ``BlockExponentials`` turns each
+fill into Exp(1) draws in place.
 """
 
 from __future__ import annotations
@@ -317,3 +318,16 @@ class BlockUniforms:
             self._fill(t)
             j = 0
         return self._buf[j]
+
+
+class BlockExponentials(BlockUniforms):
+    """``BlockUniforms`` whose rows hold the Exp(1) draws -log1p(-u) of its
+    uniforms u: the transform runs once per fill, in place, so a step costs
+    no extra array and the values are those of the per-row expression."""
+
+    def _fill(self, step0: int) -> None:
+        super()._fill(step0)
+        buf = self._buf
+        np.negative(buf, out=buf)
+        np.log1p(buf, out=buf)
+        np.negative(buf, out=buf)

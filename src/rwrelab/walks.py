@@ -5,7 +5,9 @@ tables (``_Tables``: one field per site in discrete time, two in continuous
 time); it owns range-cap freezing, the window sweep every ``_CHECK_EVERY``
 steps with window growth, and result assembly.  Two step rules plug into it:
 one uniform per step (``_DiscreteLanes``), or an exponential holding time and
-a direction uniform per jump (``_ContinuousLanes``).  Ensembles step
+a direction uniform per jump (``_ContinuousLanes``).  Both add up each lane's
+compensator: the drift at every site it leaves, times the time it holds
+there (one step, or the holding time cut at the horizon).  Ensembles step
 per-replica environments (annealed) or one shared environment (quenched);
 ``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
 one-lane runs over a shared environment, i.e. replica 0 of that ensemble.
@@ -30,12 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environments import DiscreteEnv, RateEnv, bias_omega, bias_rates
-from .rng import BlockUniforms
+from .rng import BlockExponentials, BlockUniforms
 
 DEFAULT_RANGE_CAP = 10**7
 
 _CHECK_EVERY = 64    # steps between bound/abort sweeps (also the safety margin)
 _MEM_BUDGET = 1.5e9  # bytes of site tables per chunk of replicas
+_EPS = float(np.finfo(float).eps)
 
 
 class RangeCapExceeded(Exception):
@@ -93,9 +96,14 @@ class EnsembleResult:
     replicas: int
     elapsed: float
     values: np.ndarray | None = None   # continuous: first-passage times etc.
-    # discrete only: per lane, the sum of omega+(lam) over the sites it left
-    # (its steps before it stopped); the compensator of X_n is 2 * sum - n
-    plus_sums: np.ndarray | None = None
+    # per lane not aborted, the compensator D of its final position: the sum
+    # over the sites it left of the drift there times the time it held there,
+    # D_n = sum_{k<n} (2 omega+_lam(X_k) - 1) in discrete time and
+    # D_t = sum_k (r+ - r-)_lam(Y_{T_k}) (min(T_{k+1}, t) - T_k) in continuous
+    # time; None for target runs.  X - D is a mean-zero martingale.
+    compensator: np.ndarray | None = None
+    # a bound on the rounding error of every lane's compensator
+    compensator_rounding: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +203,12 @@ class _DiscreteLanes:
     def clock(self, k: int) -> np.ndarray:
         return np.full(len(self.gidx), float(k))
 
+    def compensator(self, k: int) -> tuple[np.ndarray, float]:
+        """D_n = 2 psum - n per lane, and the bound 2 n^2 eps on the rounding
+        of a sum of n values <= 1 (it holds for lanes that ran all n steps)."""
+        n = self.steps
+        return 2.0 * self.psum - n, 2.0 * n * n * _EPS
+
     def step(self, k: int) -> None:
         gidx, bbuf = self.gidx, self.bbuf
         # take() without out=: with out= and mode="raise" NumPy buffers
@@ -213,52 +227,87 @@ class _DiscreteLanes:
 
 
 class _ContinuousLanes:
-    """Continuous-time step rule: an Exp(total rate) holding time, then right
-    iff the direction uniform is <= p+ at the lane's site.  A lane stops at
-    its first jump time beyond the horizon (never if the horizon is None)."""
+    """Continuous-time step rule: an Exp(total rate) holding time E/rate, E
+    an Exp(1) draw, then right iff the direction uniform is <= p+ at the
+    lane's site.  A lane stops at its first jump time beyond the horizon
+    (never if the horizon is None).  Lanes are held as flat table indices,
+    as in _DiscreteLanes.
+
+    With a horizon, e_sum and pe_sum add up, per lane, E and p+ E over the
+    holding times that end within it: each adds (r+ - r-) E/(r- + r+) =
+    (2 p+ - 1) E to the compensator, so the site tables need no drift field.
+    `seen` holds the last step k = 0 mod _CHECK_EVERY that each lane ended
+    within the horizon, so it made at most seen + _CHECK_EVERY jumps.
+    """
 
     steps = None
 
     def __init__(self, seed, rows: range, horizon: float | None):
         m = len(rows)
         self.horizon = horizon
-        self.u_hold = BlockUniforms(seed, ("hold",), rows.start, m)
+        self.u_hold = BlockExponentials(seed, ("hold",), rows.start, m)
         self.u_dir = BlockUniforms(seed, ("dir",), rows.start, m)
-        self.pos = np.zeros(m, dtype=np.int64)
         self.t = np.zeros(m)
         self.active = np.ones(m, dtype=bool)
+        self.bbuf = np.empty(m, dtype=bool)
+        self.fbuf = np.empty(m)
+        self.e_sum = np.zeros(m)
+        self.pe_sum = np.zeros(m)
+        self.seen = np.zeros(m)
 
     def running(self, k: int) -> bool:
-        return bool(self.active.any())
+        return np.count_nonzero(self.active) > 0   # a third of any()'s cost
 
     def stop(self, lanes: np.ndarray) -> None:
         self.active &= ~lanes
 
     def rebase(self, fields, offsets, lo, pos) -> None:
         (self.total, self.wplus), self.offsets, self.lo = fields, offsets, lo
+        self.gidx = offsets - lo + pos
 
     def positions(self) -> np.ndarray:
-        return self.pos
+        return self.gidx - self.offsets + self.lo
 
     def clock(self, k: int) -> np.ndarray:
         return self.t
 
+    def compensator(self, k: int) -> tuple[np.ndarray, float]:
+        """D_t per lane: the complete holding times' 2 pe_sum - e_sum, plus
+        the last one cut at the horizon, (r+ - r-)(Y_t) (t - T_N).  The bound
+        (N + 8) eps (2 e_sum + rate(Y_t) t), N a lane's jump count, covers
+        the rounding of both sums and of T_N, and of the tables' p+; with
+        N <= seen + _CHECK_EVERY it does not depend on how lanes are chunked."""
+        total = self.total.take(self.gidx)
+        drift = total * (2.0 * self.wplus.take(self.gidx) - 1.0)
+        comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
+        jumps = self.seen + _CHECK_EVERY
+        bound = (jumps + 8.0) * (2.0 * self.e_sum + total * self.horizon)
+        return comp, _EPS * float(bound.max())
+
     def step(self, k: int) -> None:
-        active = self.active
-        idx = self.offsets - self.lo + self.pos
-        rate = self.total.take(idx)
-        dt = -np.log1p(-self.u_hold.step(k)) / rate
-        t_new = self.t + dt
+        active, gidx, bbuf = self.active, self.gidx, self.bbuf
+        e = self.u_hold.step(k)
+        p = self.wplus.take(gidx)
+        # dt = E/rate and t + dt, in place in the fresh gathered array
+        t_new = self.total.take(gidx)
+        np.divide(e, t_new, out=t_new)
+        t_new += self.t
         if self.horizon is not None:
-            done = active & (t_new > self.horizon)
-            active &= ~done
-        p = self.wplus.take(idx)
-        s = (self.u_dir.step(k) <= p).astype(np.int64)
-        s += s
-        s -= 1
-        s *= active
-        self.pos += s
-        self.t = np.where(active, t_new, self.t)
+            np.less_equal(t_new, self.horizon, out=bbuf)
+            active &= bbuf
+            if k % _CHECK_EVERY == 0:
+                self.seen[active] = k
+            np.add(self.e_sum, e, out=self.e_sum, where=active)
+            np.multiply(p, e, out=self.fbuf)
+            np.add(self.pe_sum, self.fbuf, out=self.pe_sum, where=active)
+        right = np.less_equal(self.u_dir.step(k), p, out=bbuf)
+        right &= active
+        # gidx += 2 right - active; one bool-to-int conversion, not three
+        s = right.astype(np.int64)
+        gidx += s
+        gidx += s
+        np.subtract(gidx, active, out=gidx)
+        np.copyto(self.t, t_new, where=active)
 
 
 def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
@@ -272,14 +321,16 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
     _CHECK_EVERY sites of +-range_cap are aborted, and the window grows if a
     lane is within _CHECK_EVERY sites of an edge.  Lanes still running after
     jump_budget steps are aborted.  With a target, lanes stop on reaching it
-    and `values` holds the arrival times.  A discrete rule's omega+ sums go
-    to `plus_sums`.  observe(k, lanes) follows step k.
+    and `values` holds the arrival times; without one, the lanes'
+    compensators go to `compensator`, and the largest of their rounding
+    bounds to `compensator_rounding`.  observe(k, lanes) follows step k.
     """
     lo0, hi0 = window
     finals = np.empty(replicas, dtype=np.int64)
     aborted = np.zeros(replicas, dtype=bool)
     values = np.full(replicas, np.nan) if target is not None else None
-    psums = np.empty(replicas) if rule is _DiscreteLanes else None
+    comp = np.empty(replicas) if target is None else None
+    rounding = 0.0
     chunk = max(64, int(_MEM_BUDGET / ((hi0 - lo0 + 1) * 8.0 * tables.fields)))
     for a in range(0, replicas, chunk):
         b = min(replicas, a + chunk)
@@ -317,9 +368,11 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
                 hi = min(max(hi, mx + max(span // 2, 4 * _CHECK_EVERY)), range_cap + 1)
                 lanes.rebase(*tables.build(rows, lo, hi), lo, pos)
         finals[a:b] = lanes.positions()
-        if psums is not None:
-            psums[a:b] = lanes.psum
-    return EnsembleResult(finals, aborted, replicas, elapsed, values, psums)
+        if comp is not None:
+            comp[a:b], bound = lanes.compensator(k)
+            rounding = max(rounding, bound)
+    return EnsembleResult(finals, aborted, replicas, elapsed, values, comp,
+                          rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +385,7 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
                       range_cap: int = DEFAULT_RANGE_CAP,
                       replica_offset: int = 0) -> EnsembleResult:
     """Final positions of `replicas` discrete walks of n steps, and per walk
-    the sum of omega+(lam) over the sites it stepped from (`plus_sums`).
+    the compensator D_n = sum_{k<n} (2 omega+_lam(X_k) - 1) (`compensator`).
 
     Annealed mode (default) materializes a fresh environment per replica from
     (seed, replica); pass shared_env for the quenched mode (many walks, one
@@ -352,7 +405,9 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
                         jump_budget: int = 10**8,
                         target_level: int | None = None,
                         replica_offset: int = 0) -> EnsembleResult:
-    """Final positions of continuous-time walks at the horizon.
+    """Final positions of continuous-time walks at the horizon, and per walk
+    the compensator D_t = sum_k (r+ - r-)_lam(Y_{T_k}) (min(T_{k+1}, t) - T_k)
+    (`compensator`).
 
     With target_level set, walks instead stop on first reaching that site and
     the result's `values` holds the first-passage times (nan if the jump

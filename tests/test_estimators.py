@@ -7,9 +7,10 @@ from scipy.special import zeta as hurwitz_zeta
 
 from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      ScalarDist, annealed_diffusion, annealed_tau1,
-                     annealed_velocity, einstein_slope, ensemble_discrete,
-                     exact_product_moment, exact_walk_distribution,
-                     materialize, renewal_product_moment, sigma2_of_model,
+                     annealed_velocity, einstein_slope, ensemble_continuous,
+                     ensemble_discrete, exact_product_moment,
+                     exact_walk_distribution, materialize,
+                     renewal_product_moment, sigma2_of_model,
                      tau1_tail, rcm_discrete_taylor, velocity_jump_probe,
                      velocity_of_model, velocity_rcm_discrete)
 from rwrelab import estimators
@@ -73,8 +74,10 @@ def test_annealed_velocity_deterministic_case():
 
 
 def test_annealed_velocity_rounding_bound_on_deterministic_laws():
-    # constant conductances and period 2 give every lane the same D_n, so the
-    # s.e. is the rounding bound alone, and it covers the distance to v
+    # constant rates (and period 2 in discrete time) give every lane the same
+    # D, so the s.e. is the rounding bound alone, and it covers the distance
+    # to v: 2 n eps on D_n/n; on D_t/t the ensemble's bound, of order eps
+    # times the jump count times the total rate (about 3 rate^2 t eps)
     n = 4000
     bound = 2 * n * np.finfo(float).eps
     for model, lam in ((IIDConductance(CONST), 1.0), (IIDConductance(CONST), -0.3),
@@ -84,6 +87,18 @@ def test_annealed_velocity_rounding_bound_on_deterministic_laws():
         assert abs(est.mean - velocity_of_model(model, lam).v) <= bound
     est = annealed_velocity(IIDConductance(CONST), 1.0, n=n, replicas=600, seed=5)
     assert abs(est.mean - math.tanh(1.0)) <= bound
+    horizon, eps = 200.0, np.finfo(float).eps
+    const = IIDConductance(CONST, time_flavor="continuous")
+    for model, lam, (r_minus, r_plus) in (
+            (const, 1.0, (1.0, 1.0)), (const, -0.3, (1.0, 1.0)),
+            (PeriodicEnv(rates=((1.0, 2.0),)), 0.5, (1.0, 2.0))):
+        est = annealed_velocity(model, lam, horizon=horizon, replicas=200, seed=5)
+        bound = _run_ensemble(model, lam, 200, 5, horizon=horizon) \
+            .compensator_rounding / horizon
+        rate = r_minus * math.exp(-lam) + r_plus * math.exp(lam)
+        assert 0 < bound <= 5 * rate**2 * horizon * eps
+        assert est.std_error == pytest.approx(bound, rel=1e-6)
+        assert abs(est.mean - velocity_of_model(model, lam).v) <= bound
 
 
 def test_compensator_mean_matches_the_exact_walk_law():
@@ -92,9 +107,21 @@ def test_compensator_mean_matches_the_exact_walk_law():
     env = materialize(model, 12, (-40, 40))
     for lam, seed in ((0.0, 61), (0.4, 62), (-1.0, 63)):
         res = ensemble_discrete(model, lam, 40, 20000, seed, shared_env=env)
-        d = 2.0 * res.plus_sums - 40
+        d = res.compensator
         want = exact_walk_distribution(env, lam, 40).mean()
         assert abs(d.mean() - want) < 4 * d.std(ddof=1) / math.sqrt(d.size)
+
+
+def test_continuous_compensator_is_unbiased_for_the_position():
+    # Y_t - D_t is a mean-zero martingale, so in one environment the paired
+    # mean of D_t - Y_t is 0; without its censored last holding time, D_t
+    # would be low by about tanh(lam) per lane (10-20 s.e. here)
+    model = IIDConductance(TWO_POINT, time_flavor="continuous")
+    env = materialize(model, 14, (-100, 100))
+    for lam, seed in ((0.5, 65), (1.0, 66)):
+        res = ensemble_continuous(model, lam, 10.0, 20000, seed, shared_env=env)
+        d = res.compensator - res.final_positions
+        assert abs(d.mean()) < 4 * d.std(ddof=1) / math.sqrt(d.size)
 
 
 def test_annealed_velocity_zero_field_is_zero():
@@ -111,15 +138,21 @@ def test_workers_do_not_change_results():
 
 
 def test_workers_do_not_change_continuous_results():
-    # both step rules through the pool: horizon runs and target_level=1 runs
+    # both step rules through the pool: horizon runs and target_level=1 runs;
+    # at horizon 20 a rounding bound taken from a chunk's step count, not
+    # each lane's, would differ between one worker and three
     model = IIDConductance(TWO_POINT, time_flavor="continuous")
-    for kw in ({"horizon": 60.0}, {"horizon": math.inf, "target_level": 1}):
+    for kw in ({"horizon": 60.0}, {"horizon": 20.0},
+               {"horizon": math.inf, "target_level": 1}):
         one = _run_ensemble(model, 0.7, 250, 29, workers=1, **kw)
         three = _run_ensemble(model, 0.7, 250, 29, workers=3, **kw)
         assert np.array_equal(one.final_positions, three.final_positions)
         assert np.array_equal(one.aborted, three.aborted)
         if one.values is not None:
             assert np.array_equal(one.values, three.values)
+        else:
+            assert np.array_equal(one.compensator, three.compensator)
+            assert one.compensator_rounding == three.compensator_rounding
     e1 = annealed_velocity(model, 0.5, horizon=60.0, replicas=250, seed=23)
     e3 = annealed_velocity(model, 0.5, horizon=60.0, replicas=250, seed=23,
                            workers=3)

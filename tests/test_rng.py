@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwrelab.rng import (FIRST_FILL, REPLICA_BLOCK, SITE_ORIGIN, BlockUniforms,
-                         CounterStream, RowStreams, derive_seed, generator,
-                         seed_sequence, tag_int)
+from rwrelab.rng import (FIRST_FILL, REPLICA_BLOCK, SITE_ORIGIN,
+                         BlockExponentials, BlockUniforms, CounterStream,
+                         RowStreams, derive_seed, generator, seed_sequence,
+                         tag_int)
 
 
 def test_counter_stream_overlap_consistency():
@@ -145,6 +146,16 @@ def test_block_uniforms_random_access_matches_streams(refill):
     uni = BlockUniforms(4, ("dir",), lo, hi - lo, steps_per_refill=refill)
     for t in STEP_ORDER + STEP_ORDER[::-1]:
         assert np.array_equal(uni.step(t), _reference_step(4, ("dir",), lo, hi, t))
+
+
+def test_block_exponentials_are_the_uniforms_transformed():
+    # the in-place transform of whole fills gives each row's -log1p(-u),
+    # bit for bit, in every fill
+    lo, hi = 700, 3200
+    uni = BlockUniforms(4, ("hold",), lo, hi - lo)
+    exp = BlockExponentials(4, ("hold",), lo, hi - lo)
+    for t in STEP_ORDER:
+        assert np.array_equal(exp.step(t), -np.log1p(-uni.step(t)))
 
 
 def test_block_uniforms_split_ranges_agree():

@@ -122,7 +122,8 @@ def test_first_passage_discrete_ballistic_limit():
 # ---------------------------------------------------------------------------
 
 def test_run_discrete_is_replica_zero_of_the_ensemble():
-    # replica 0's plus_sums is the running sum of omega+(lam) along the path
+    # replica 0's compensator is 2 (running sum of omega+(lam) along the
+    # path) - n
     model = IIDConductance(TWO_POINT)
     env = materialize(model, 8, (-4, 4))
     for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42), (-1.5, 64, 43)):
@@ -133,10 +134,12 @@ def test_run_discrete_is_replica_zero_of_the_ensemble():
         path = traj.positions[:-1]
         lo = int(path.min())
         plus = bias_omega(env.omega_plus_window(lo, int(path.max())), lam)[1]
-        assert res.plus_sums[0] == np.add.accumulate(plus[path - lo])[-1]
+        assert res.compensator[0] == 2.0 * np.add.accumulate(plus[path - lo])[-1] - n
 
 
 def test_run_continuous_is_replica_zero_of_the_ensemble():
+    # replica 0's compensator is the drift r+ - r- along the recorded path
+    # times each holding time, the last one cut at the horizon
     for model in (IIDConductance(TWO_POINT, time_flavor="continuous"),
                   CoinFlip(TWO_POINT, TWO_POINT)):
         env = materialize(model, 8, (-4, 4))
@@ -147,7 +150,11 @@ def test_run_continuous_is_replica_zero_of_the_ensemble():
             assert traj.final_position == res.final_positions[0]
             assert traj.elapsed == res.elapsed
             assert traj.times[-1] <= horizon
-            assert res.plus_sums is None
+            x, t = traj.positions, np.append(traj.times, horizon)
+            lo = int(x.min())
+            bm, bp = bias_rates(*env.rates_window(lo, int(x.max())), lam)
+            terms = (bp - bm)[x - lo] * np.diff(t)
+            assert abs(res.compensator[0] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 def test_first_passage_is_the_target_level_run():
@@ -224,10 +231,11 @@ def test_ensemble_range_cap_marks_aborted():
     assert not res2.aborted.any()
 
 
-def test_plus_sums_stop_with_range_capped_lanes():
-    # a lane frozen at the cap after step k keeps the sum of its first k
-    # steps, and the lanes still running go on adding (the masked path);
-    # oracle: uncapped runs of k steps, which draw the same uniforms
+def test_compensator_stops_with_range_capped_lanes():
+    # a lane frozen at the cap after step k keeps the omega+ sum of its first
+    # k steps, so its compensator is that of k steps less n - k (to rounding),
+    # and the lanes still running go on adding (the masked path); oracle:
+    # uncapped runs of k steps, which draw the same uniforms
     model = IIDConductance(TWO_POINT)
     env = materialize(model, 9, (-4, 4))
     lam, n, lanes, seed, cap = 0.0, 1280, 64, 45, 100
@@ -235,17 +243,18 @@ def test_plus_sums_stop_with_range_capped_lanes():
                             range_cap=cap)
     assert 0 < res.aborted.sum() < lanes
     frozen = np.zeros(lanes, dtype=bool)
-    want_sums, want_finals = np.empty(lanes), np.empty(lanes, dtype=np.int64)
+    want_comp, want_finals = np.empty(lanes), np.empty(lanes, dtype=np.int64)
     for k in range(64, n + 1, 64):
         pre = ensemble_discrete(model, lam, k, lanes, seed, shared_env=env)
         newly = ~frozen & (np.abs(pre.final_positions) >= cap - 64)
         last = ~frozen if k == n else newly
-        want_sums[last] = pre.plus_sums[last]
+        want_comp[last] = pre.compensator[last] - (n - k)
         want_finals[last] = pre.final_positions[last]
         frozen |= newly
     assert np.array_equal(res.aborted, frozen)
     assert np.array_equal(res.final_positions, want_finals)
-    assert np.array_equal(res.plus_sums, want_sums)
+    assert np.array_equal(res.compensator[~frozen], want_comp[~frozen])
+    assert np.abs(res.compensator - want_comp).max() <= 4 * n * np.finfo(float).eps
 
 
 def test_seed_decorrelation_across_replicas():
@@ -404,3 +413,18 @@ GOLDEN_ENSEMBLES = {
 def test_ensemble_golden(case):
     run, digest = GOLDEN_ENSEMBLES[case]
     assert _ensemble_digest(run()) == digest
+
+
+# per-lane compensators D_t of two horizon runs above, recorded from the
+# continuous step rule that sums E and p+ E over the complete holding times
+GOLDEN_COMPENSATORS = {
+    "continuous-horizon": "0c42b7fbb0d62f2a8feb80e283acd070",
+    "continuous-coinflip-mixed": "25004407c42ddd046b6176c1f637c29a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMPENSATORS))
+def test_compensator_golden(case):
+    res = GOLDEN_ENSEMBLES[case][0]()
+    digest = hashlib.blake2b(res.compensator.tobytes(), digest_size=16).hexdigest()
+    assert digest == GOLDEN_COMPENSATORS[case]
