@@ -535,15 +535,15 @@ class _SnapshotRate:
 _GROW = 64  # minimum slack added on window growth
 
 
-class DiscreteEnv:
-    """One realization of discrete-time jump probabilities over a window.
+class _Realization:
+    """Site fields of one realization over a window [lo, hi] that grows on
+    demand.  Subclasses give the fields at a range of sites (_sites) and
+    check them (_check).
 
     Safe to share across concurrent readers once materialized; window
     extension mutates the realization object (values never change, only the
     covered range) and needs exclusive access.
     """
-
-    kind = "discrete"
 
     def __init__(self, model, seed: int, window: tuple[int, int], replica: int = 0):
         self.model = model
@@ -553,35 +553,52 @@ class DiscreteEnv:
         if lo > hi:
             raise ValueError("window must be nonempty")
         self.lo, self.hi = lo, hi
-        self._omega = np.asarray(
-            model.omega_plus_sites(self.seed, self.replica, lo, hi), dtype=float)
-        self._check(self._omega)
+        self._fields = self._drawn(lo, hi)
+
+    def _drawn(self, lo: int, hi: int) -> tuple:
+        fields = tuple(np.asarray(f, dtype=float) for f in self._sites(lo, hi))
+        self._check(*fields)
+        return fields
+
+    def ensure(self, lo: int, hi: int) -> None:
+        """Extend the window to cover [lo, hi], with slack of half its span
+        (at least _GROW) on each side that grows.  Only the new sites are
+        drawn and checked; existing sites are unchanged (values are pure
+        functions of (seed, replica, site))."""
+        if lo >= self.lo and hi <= self.hi:
+            return
+        grow = max(_GROW, (self.hi - self.lo + 1) // 2)
+        new_lo = min(lo, self.lo - grow) if lo < self.lo else self.lo
+        new_hi = max(hi, self.hi + grow) if hi > self.hi else self.hi
+        parts = [self._fields]
+        if new_lo < self.lo:
+            parts.insert(0, self._drawn(new_lo, self.lo - 1))
+        if new_hi > self.hi:
+            parts.append(self._drawn(self.hi + 1, new_hi))
+        self._fields = tuple(np.concatenate(f) for f in zip(*parts))
+        self.lo, self.hi = new_lo, new_hi
+
+
+class DiscreteEnv(_Realization):
+    """One realization of discrete-time jump probabilities over a window."""
+
+    kind = "discrete"
+
+    def _sites(self, lo: int, hi: int) -> tuple:
+        return (self.model.omega_plus_sites(self.seed, self.replica, lo, hi),)
 
     @staticmethod
     def _check(w: np.ndarray) -> None:
         if w.size and not ((w > 0.0) & (w < 1.0)).all():
             raise ValueError("materialized omega+ left (0,1)")
 
-    def ensure(self, lo: int, hi: int) -> None:
-        """Extend the window to cover [lo, hi]; existing sites are unchanged
-        (values are pure functions of (seed, replica, site))."""
-        if lo >= self.lo and hi <= self.hi:
-            return
-        span = self.hi - self.lo + 1
-        new_lo = self.lo if lo >= self.lo else min(lo, self.lo - max(_GROW, span // 2))
-        new_hi = self.hi if hi <= self.hi else max(hi, self.hi + max(_GROW, span // 2))
-        fresh = np.asarray(self.model.omega_plus_sites(
-            self.seed, self.replica, new_lo, new_hi), dtype=float)
-        self._check(fresh)
-        self.lo, self.hi, self._omega = new_lo, new_hi, fresh
-
     def omega_plus(self, x: int) -> float:
         self.ensure(x, x)
-        return float(self._omega[x - self.lo])
+        return float(self._fields[0][x - self.lo])
 
     def omega_plus_window(self, lo: int, hi: int) -> np.ndarray:
         self.ensure(lo, hi)
-        return self._omega[lo - self.lo: hi - self.lo + 1]
+        return self._fields[0][lo - self.lo: hi - self.lo + 1]
 
     def rho(self, x: int) -> float:
         w = self.omega_plus(x)
@@ -599,49 +616,28 @@ class DiscreteEnv:
                            (-self.hi, -self.lo), self.replica)
 
 
-class RateEnv:
+class RateEnv(_Realization):
     """One realization of continuous-time jump rates over a window."""
 
     kind = "rate"
 
-    def __init__(self, model, seed: int, window: tuple[int, int], replica: int = 0):
-        self.model = model
-        self.seed = int(seed)
-        self.replica = int(replica)
-        lo, hi = int(window[0]), int(window[1])
-        if lo > hi:
-            raise ValueError("window must be nonempty")
-        self.lo, self.hi = lo, hi
-        rm, rp = model.rate_sites(self.seed, self.replica, lo, hi)
-        self._r_minus = np.asarray(rm, dtype=float)
-        self._r_plus = np.asarray(rp, dtype=float)
-        self._check(self._r_minus, self._r_plus)
+    def _sites(self, lo: int, hi: int) -> tuple:
+        return self.model.rate_sites(self.seed, self.replica, lo, hi)
 
     @staticmethod
     def _check(rm: np.ndarray, rp: np.ndarray) -> None:
         if rm.size and not ((rm > 0.0).all() and (rp > 0.0).all()):
             raise ValueError("materialized rates must be positive")
 
-    def ensure(self, lo: int, hi: int) -> None:
-        if lo >= self.lo and hi <= self.hi:
-            return
-        span = self.hi - self.lo + 1
-        new_lo = self.lo if lo >= self.lo else min(lo, self.lo - max(_GROW, span // 2))
-        new_hi = self.hi if hi <= self.hi else max(hi, self.hi + max(_GROW, span // 2))
-        rm, rp = self.model.rate_sites(self.seed, self.replica, new_lo, new_hi)
-        rm, rp = np.asarray(rm, dtype=float), np.asarray(rp, dtype=float)
-        self._check(rm, rp)
-        self.lo, self.hi, self._r_minus, self._r_plus = new_lo, new_hi, rm, rp
-
     def rates(self, x: int) -> tuple[float, float]:
         self.ensure(x, x)
         i = x - self.lo
-        return float(self._r_minus[i]), float(self._r_plus[i])
+        return float(self._fields[0][i]), float(self._fields[1][i])
 
     def rates_window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         self.ensure(lo, hi)
         sl = slice(lo - self.lo, hi - self.lo + 1)
-        return self._r_minus[sl], self._r_plus[sl]
+        return self._fields[0][sl], self._fields[1][sl]
 
     def rates_biased(self, x: int, lam: float) -> tuple[float, float]:
         rm, rp = self.rates(x)

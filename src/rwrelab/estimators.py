@@ -23,7 +23,7 @@ from .closed_forms import (VelocityResult, sigma2_iid_omega, sigma2_rcm,
                            velocity_iid_omega, velocity_rcm_continuous,
                            velocity_rcm_discrete)
 from .environments import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
-                           Renewal, _gap_from_uniform)
+                           _gap_from_uniform)
 from .exact import velocity_periodic
 from .rng import derive_seed, generator
 from .walks import (DEFAULT_RANGE_CAP, EnsembleResult, ensemble_continuous,
@@ -124,30 +124,13 @@ def sigma2_of_model(model, lam: float) -> float | None:
 # ensemble helpers
 # ---------------------------------------------------------------------------
 
-def _window_hint(model, lam: float, drift_time: float,
-                 steps: float) -> tuple[int, int]:
-    try:
-        v = velocity_of_model(model, lam).v
-    except ValueError:
-        v = 0.0
-    center = v * drift_time
-    spread = 8.0 * math.sqrt(max(steps, 1.0)) + 256.0
-    return (int(min(0.0, center) - spread), int(max(0.0, center) + spread))
-
-
 def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
                   workers=1, target_level=None, jump_budget=10**8,
                   range_cap=None) -> EnsembleResult:
     if (n is None) == (horizon is None):
         raise ValueError("give exactly one of n (discrete) or horizon (continuous)")
-    if target_level is not None:
-        hint = (-256, target_level + 256)
-    elif n is not None:
-        hint = _window_hint(model, lam, n, n)
-    else:
-        hint = _window_hint(model, lam, horizon, horizon * _rate_scale(model, lam))
     cap = DEFAULT_RANGE_CAP if range_cap is None else range_cap
-    job = (model, lam, seed, n, horizon, target_level, jump_budget, hint, cap)
+    job = (model, lam, seed, n, horizon, target_level, jump_budget, cap)
     if workers <= 1:
         return _ensemble_part(job + (0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
@@ -165,31 +148,15 @@ def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
 
 def _ensemble_part(args) -> EnsembleResult:
     """One replica range of an ensemble, run inline or in a pool worker."""
-    (model, lam, seed, n, horizon, target_level, jump_budget, hint, cap,
+    (model, lam, seed, n, horizon, target_level, jump_budget, cap,
      offset, count) = args
     if n is not None:
-        return ensemble_discrete(model, lam, n, count, seed, window_hint=hint,
-                                 range_cap=cap, replica_offset=offset)
-    return ensemble_continuous(model, lam, horizon, count, seed,
-                               window_hint=hint, range_cap=cap,
+        return ensemble_discrete(model, lam, n, count, seed, range_cap=cap,
+                                 replica_offset=offset)
+    return ensemble_continuous(model, lam, horizon, count, seed, range_cap=cap,
                                jump_budget=jump_budget,
                                target_level=target_level,
                                replica_offset=offset)
-
-
-def _rate_scale(model, lam: float) -> float:
-    # crude per-unit-time jump-rate bound used only to size windows
-    if isinstance(model, IIDConductance):
-        hi = model.c.support_bounds()[1]
-        return 2.0 * hi * math.cosh(lam)
-    if isinstance(model, CoinFlip):
-        hi = max(model.a_plus.support_bounds()[1], model.a_minus.support_bounds()[1])
-        return 2.0 * hi * math.cosh(lam)
-    if isinstance(model, Renewal):
-        return (model.a + 2.0) * math.cosh(lam)
-    if isinstance(model, PeriodicEnv) and model.rates:
-        return 2.0 * max(max(p) for p in model.rates) * math.cosh(lam)
-    return 2.0 * math.cosh(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Streams are PCG64 generators keyed through ``numpy.random.SeedSequence``,
 and random access inside a stream uses ``PCG64.advance`` (one advance unit
 per 64-bit draw, i.e. per ``float64`` uniform).
 
-This is what makes environment windows extendable without perturbing already
-materialized sites, replicas independent of chunking, and ensemble results
-independent of worker count.
+This is what makes environment windows extendable and movable without
+perturbing already materialized sites, and ensemble results independent of
+how the replicas are split across workers.
 
 Costs are kept to what a caller uses.  A stream is seeded by one of two
 routes, and both give the same draws:
@@ -269,9 +269,9 @@ class BlockUniforms:
     Replicas are organized in fixed blocks of ``REPLICA_BLOCK`` lanes; block b
     owns one stream, and the uniform for (replica r, step t) is draw
     ``t * REPLICA_BLOCK + (r mod REPLICA_BLOCK)`` of that stream.  The layout
-    depends only on (root seed, tags), never on ensemble size or memory
-    chunking, so any slice of replicas can be stepped independently yet
-    reproducibly.
+    depends only on (root seed, tags), never on ensemble size or how the
+    replicas are split, so any slice of replicas can be stepped independently
+    yet reproducibly.
 
     Steps are drawn ahead into one (steps x lanes) buffer, all blocks side by
     side, and ``step`` returns a row of it.  A step outside the buffer starts a

@@ -1,26 +1,29 @@
 """Quenched walk engine: vectorized replica ensembles and single runs.
 
-One stepping core (``_walk``) moves chunks of replica lanes over biased site
-tables (``_Tables``: one field per site in discrete time, two in continuous
-time); it owns range-cap freezing, the window sweep every ``_CHECK_EVERY``
-steps with window growth, and result assembly.  Two step rules plug into it:
-one uniform per step (``_DiscreteLanes``), or an exponential holding time and
-a direction uniform per jump (``_ContinuousLanes``).  Both add up each lane's
-compensator: the drift at every site it leaves, times the time it holds
-there (one step, or the holding time cut at the horizon).  Ensembles step
-per-replica environments (annealed) or one shared environment (quenched);
+One stepping core (``_walk``) moves an ensemble's replica lanes over biased
+site tables (``_Tables``: one field per site in discrete time, two in
+continuous time); it owns range-cap freezing, the window sweep every
+``_CHECK_EVERY`` steps, the window that follows the lanes, and result
+assembly.  Two step rules plug into it: one uniform per step
+(``_DiscreteLanes``), or an exponential holding time and a direction uniform
+per jump (``_ContinuousLanes``).  Both add up each lane's compensator: the
+drift at every site it leaves, times the time it holds there (one step, or
+the holding time cut at the horizon).  Ensembles step per-replica
+environments (annealed) or one shared environment (quenched);
 ``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
 one-lane runs over a shared environment, i.e. replica 0 of that ensemble.
 Every uniform is counter-addressed by (root seed, stream, replica block,
-step), so results are independent of memory chunking and worker count.
+step), so results are independent of the window's moves and of worker count.
 
 A table build takes blocks of rows from models that build many replicas
 together (the i.i.d. models), and one replica's environment at a time from
-the others.
+the others; a build after a move copies the sites the old window holds and
+draws only the new ones.
 
-Environment windows grow on demand.  A walker that comes within
-``_CHECK_EVERY`` sites of the range cap is aborted with a distinct signal,
-never silently truncated.
+The window starts small and slides with the lanes, so table memory follows
+their spread plus ``_SLIDE``, not the run's length.  A walker that comes
+within ``_CHECK_EVERY`` sites of the range cap is aborted with a distinct
+signal, never silently truncated.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .rng import BlockExponentials, BlockUniforms
 
 DEFAULT_RANGE_CAP = 10**7
 
-_CHECK_EVERY = 64    # steps between bound/abort sweeps (also the safety margin)
-_MEM_BUDGET = 1.5e9  # bytes of site tables per chunk of replicas
+_CHECK_EVERY = 64   # steps between bound/abort sweeps (also the safety margin)
+_SLIDE = 8192       # most sites a window extends past its lead lane
 _EPS = float(np.finfo(float).eps)
 
 
@@ -149,8 +152,11 @@ class _Tables:
             return blocks(self.seed, rows, lo, hi)
         return ((k, sites_of(self.seed, r, lo, hi)) for k, r in enumerate(rows))
 
-    def build(self, rows: range, lo: int, hi: int):
-        """The fields as flat arrays, and the offset of each row in them."""
+    def build(self, rows: range, lo: int, hi: int, old=None):
+        """The fields as flat arrays, and the offset of each row in them.
+
+        old, the (fields, lo, hi) of an earlier build over the same rows,
+        lends the sites it holds; only the others are drawn."""
         env = self.shared_env
         if env is not None:
             sites = (env.rates_window(lo, hi) if self.rates
@@ -161,9 +167,21 @@ class _Tables:
         # one array per field: a single (fields, rows, width) block raised
         # the continuous benchmark's peak RSS by about 20% (allocator reuse)
         table = [np.empty((len(rows), width)) for _ in range(self.fields)]
-        for k, sites in self._site_rows(rows, lo, hi):
-            for f, values in zip(table, self._biased(sites)):
-                f[k] = values
+        parts = [(lo, hi)]
+        if old is not None:
+            fields, olo, ohi = old
+            a, b = max(lo, olo), min(hi, ohi)
+            if a <= b:
+                for f, flat in zip(table, fields):
+                    held = flat.reshape(len(rows), ohi - olo + 1)
+                    f[:, a - lo:b - lo + 1] = held[:, a - olo:b - olo + 1]
+                parts = [(lo, a - 1), (b + 1, hi)]
+        for plo, phi in parts:
+            if plo > phi:
+                continue
+            for k, sites in self._site_rows(rows, plo, phi):
+                for f, values in zip(table, self._biased(sites)):
+                    f[k, plo - lo:phi - lo + 1] = values
         return ([f.ravel() for f in table],
                 np.arange(len(rows), dtype=np.int64) * width)
 
@@ -276,7 +294,8 @@ class _ContinuousLanes:
         the last one cut at the horizon, (r+ - r-)(Y_t) (t - T_N).  The bound
         (N + 8) eps (2 e_sum + rate(Y_t) t), N a lane's jump count, covers
         the rounding of both sums and of T_N, and of the tables' p+; with
-        N <= seen + _CHECK_EVERY it does not depend on how lanes are chunked."""
+        N <= seen + _CHECK_EVERY it does not depend on how the replicas are
+        split across workers."""
         total = self.total.take(self.gidx)
         drift = total * (2.0 * self.wplus.take(self.gidx) - 1.0)
         comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
@@ -310,69 +329,84 @@ class _ContinuousLanes:
         np.copyto(self.t, t_new, where=active)
 
 
+def _ahead(x: int, clock: float, end: float | None) -> int:
+    """Sites a window side extends past its lead lane at x (counted away
+    from the origin): the lane's linear extrapolation x end/clock to the end
+    of the run (x itself, i.e. doubling, for a run without an end), at
+    least 4 sweeps and at most _SLIDE."""
+    if x <= 0:
+        far = 0.0
+    elif end is None:
+        far = float(x)
+    else:
+        far = x * (end - clock) / clock if clock > 0 else math.inf
+    return int(min(_SLIDE, max(4 * _CHECK_EVERY, far)))
+
+
 def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
           window: tuple[int, int], range_cap: int, elapsed: float, *,
           jump_budget=math.inf, target: int | None = None,
           observe=None) -> EnsembleResult:
-    """Step replicas replica_offset.. in chunks whose tables fit _MEM_BUDGET,
-    with lanes rule(seed, rows, limit) (limit: step count or horizon).
+    """Step replicas replica_offset.. as lanes rule(seed, rows, limit)
+    (limit: step count or horizon) over one window of site tables, starting
+    at `window`, that follows the lanes.
 
     After every _CHECK_EVERY-th step (and a discrete rule's last) lanes within
-    _CHECK_EVERY sites of +-range_cap are aborted, and the window grows if a
-    lane is within _CHECK_EVERY sites of an edge.  Lanes still running after
-    jump_budget steps are aborted.  With a target, lanes stop on reaching it
-    and `values` holds the arrival times; without one, the lanes'
-    compensators go to `compensator`, and the largest of their rounding
-    bounds to `compensator_rounding`.  observe(k, lanes) follows step k.
+    _CHECK_EVERY sites of +-range_cap are aborted, and if a lane still
+    running is within _CHECK_EVERY sites of an edge, the window moves: that
+    side extends by _ahead (towards the end of the run, or doubling for
+    target runs), and a side that needs no room is trimmed to 4 sweeps past
+    its trailing lane.  Lanes still running after jump_budget steps are
+    aborted.  With a target, lanes stop on reaching it and `values` holds
+    the arrival times; without one, the lanes' compensators go to
+    `compensator`, and the largest of their rounding bounds to
+    `compensator_rounding`.  observe(k, lanes) follows step k.
     """
-    lo0, hi0 = window
-    finals = np.empty(replicas, dtype=np.int64)
+    rows = range(replica_offset, replica_offset + replicas)
     aborted = np.zeros(replicas, dtype=bool)
     values = np.full(replicas, np.nan) if target is not None else None
-    comp = np.empty(replicas) if target is None else None
-    rounding = 0.0
-    chunk = max(64, int(_MEM_BUDGET / ((hi0 - lo0 + 1) * 8.0 * tables.fields)))
-    for a in range(0, replicas, chunk):
-        b = min(replicas, a + chunk)
-        rows = range(replica_offset + a, replica_offset + b)
-        lo, hi = lo0, hi0
-        lanes = rule(tables.seed, rows, limit)
-        lanes.rebase(*tables.build(rows, lo, hi), lo, 0)
-        capped = aborted[a:b]
-        k = 0
-        while lanes.running(k):
-            lanes.step(k)
-            k += 1
-            if target is not None:
-                arrived = lanes.active & (lanes.positions() == target)
-                np.copyto(values[a:b], lanes.clock(k), where=arrived)
-                lanes.stop(arrived)
-            if observe is not None:
-                observe(k, lanes)
-            if k >= jump_budget:
-                capped |= lanes.active
-                break
-            if k % _CHECK_EVERY and k != lanes.steps:
-                continue
-            pos = lanes.positions()
-            mn, mx = int(pos.min()), int(pos.max())
-            if mn - _CHECK_EVERY <= -range_cap or mx + _CHECK_EVERY >= range_cap:
-                newly = lanes.active & (np.abs(pos) >= range_cap - _CHECK_EVERY)
-                capped |= newly
-                lanes.stop(newly)
-                if not lanes.active.any():
-                    break
-            if mn - _CHECK_EVERY < lo or mx + _CHECK_EVERY > hi:
-                span = hi - lo + 1
-                lo = max(min(lo, mn - max(span // 2, 4 * _CHECK_EVERY)), -range_cap - 1)
-                hi = min(max(hi, mx + max(span // 2, 4 * _CHECK_EVERY)), range_cap + 1)
-                lanes.rebase(*tables.build(rows, lo, hi), lo, pos)
-        finals[a:b] = lanes.positions()
-        if comp is not None:
-            comp[a:b], bound = lanes.compensator(k)
-            rounding = max(rounding, bound)
-    return EnsembleResult(finals, aborted, replicas, elapsed, values, comp,
-                          rounding)
+    end = None if target is not None else limit
+    lo, hi = window
+    fields, offsets = tables.build(rows, lo, hi)
+    lanes = rule(tables.seed, rows, limit)
+    lanes.rebase(fields, offsets, lo, 0)
+    k = 0
+    while lanes.running(k):
+        lanes.step(k)
+        k += 1
+        if target is not None:
+            arrived = lanes.active & (lanes.positions() == target)
+            np.copyto(values, lanes.clock(k), where=arrived)
+            lanes.stop(arrived)
+        if observe is not None:
+            observe(k, lanes)
+        if k >= jump_budget:
+            aborted |= lanes.active
+            break
+        if k % _CHECK_EVERY and k != lanes.steps:
+            continue
+        pos = lanes.positions()
+        mn, mx = int(pos.min()), int(pos.max())
+        if mn - _CHECK_EVERY <= -range_cap or mx + _CHECK_EVERY >= range_cap:
+            newly = lanes.active & (np.abs(pos) >= range_cap - _CHECK_EVERY)
+            aborted |= newly
+            lanes.stop(newly)
+        left, right = mn - _CHECK_EVERY < lo, mx + _CHECK_EVERY > hi
+        if (left or right) and lanes.running(k):
+            clock = lanes.clock(k)
+            slack = 4 * _CHECK_EVERY
+            new_lo = (mn - _ahead(-mn, float(clock[pos.argmin()]), end) if left
+                      else max(lo, mn - slack))
+            new_hi = (mx + _ahead(mx, float(clock[pos.argmax()]), end) if right
+                      else min(hi, mx + slack))
+            new_lo, new_hi = max(new_lo, -range_cap - 1), min(new_hi, range_cap + 1)
+            if new_lo < lo or new_hi > hi:   # not when held at the range cap
+                fields, offsets = tables.build(rows, new_lo, new_hi, (fields, lo, hi))
+                lo, hi = new_lo, new_hi
+                lanes.rebase(fields, offsets, lo, pos)
+    comp, rounding = lanes.compensator(k) if target is None else (None, 0.0)
+    return EnsembleResult(lanes.positions(), aborted, replicas, elapsed,
+                          values, comp, rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +415,6 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
 
 def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
                       shared_env: DiscreteEnv | None = None,
-                      window_hint: tuple[int, int] | None = None,
                       range_cap: int = DEFAULT_RANGE_CAP,
                       replica_offset: int = 0) -> EnsembleResult:
     """Final positions of `replicas` discrete walks of n steps, and per walk
@@ -391,16 +424,13 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
     (seed, replica); pass shared_env for the quenched mode (many walks, one
     environment).
     """
-    lo, hi = window_hint or (0, 0)
     margin = int(4.0 * math.sqrt(max(n, 1))) + 2 * _CHECK_EVERY
     return _walk(_DiscreteLanes, n, _Tables(model, seed, shared_env, lam, False),
-                 replicas, replica_offset, (min(lo, -margin), max(hi, margin)),
-                 range_cap, float(n))
+                 replicas, replica_offset, (-margin, margin), range_cap, float(n))
 
 
 def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
                         seed: int, *, shared_env: RateEnv | None = None,
-                        window_hint: tuple[int, int] | None = None,
                         range_cap: int = DEFAULT_RANGE_CAP,
                         jump_budget: int = 10**8,
                         target_level: int | None = None,
@@ -413,12 +443,13 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
     the result's `values` holds the first-passage times (nan if the jump
     budget ran out first, flagged in `aborted`).
     """
-    lo, hi = window_hint or (0, 0)
-    window = (min(lo, -4 * _CHECK_EVERY), max(hi, 4 * _CHECK_EVERY, target_level or 0))
+    # lanes stop at a target, so they never step on the sites past it
+    hi = (4 * _CHECK_EVERY if target_level is None
+          else max(target_level, 0) + _CHECK_EVERY)
     return _walk(_ContinuousLanes, horizon if target_level is None else None,
                  _Tables(model, seed, shared_env, lam, True), replicas,
-                 replica_offset, window, range_cap, float(horizon),
-                 jump_budget=jump_budget, target=target_level)
+                 replica_offset, (-4 * _CHECK_EVERY, hi), range_cap,
+                 float(horizon), jump_budget=jump_budget, target=target_level)
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,31 @@ def test_window_extension_never_changes_sites():
             assert np.array_equal(before, env_small.omega_plus_window(-5, 5))
             env_big = materialize(model, 17, (-200, 300))
             assert np.array_equal(before, env_big.omega_plus_window(-5, 5))
+            assert np.array_equal(env_small.omega_plus_window(-200, 300),
+                                  env_big.omega_plus_window(-200, 300))
         else:
             before = [env_small.rates(x) for x in range(-5, 6)]
             env_small.ensure(-200, 300)
             env_big = materialize(model, 17, (-200, 300))
             assert before == [env_small.rates(x) for x in range(-5, 6)]
             assert before == [env_big.rates(x) for x in range(-5, 6)]
+            for grown, fresh in zip(env_small.rates_window(-200, 300),
+                                    env_big.rates_window(-200, 300)):
+                assert np.array_equal(grown, fresh)
+
+
+def test_window_extension_draws_only_new_sites():
+    asked = []
+
+    class Recorded(IIDConductance):
+        def rate_sites(self, seed, replica, lo, hi):
+            asked.append((lo, hi))
+            return super().rate_sites(seed, replica, lo, hi)
+
+    env = materialize(Recorded(TWO_POINT, time_flavor="continuous"), 3, (-5, 5))
+    env.ensure(-20, 30)   # each side grows by at least 64 sites
+    env.ensure(0, 100)    # then by half the span, 69 sites
+    assert asked == [(-5, 5), (-69, -6), (6, 69), (70, 138)]
 
 
 def test_different_seeds_differ():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
-                     RangeCapExceeded, ScalarDist, dump_trajectory,
+                     RangeCapExceeded, Renewal, ScalarDist, dump_trajectory,
                      ensemble_continuous, ensemble_discrete, first_passage,
                      materialize, run_continuous, run_discrete)
 from rwrelab.environments import bias_omega, bias_rates
@@ -199,13 +199,24 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
             (IIDConductance(CONST, time_flavor="continuous"), True, rate_row),
             (CoinFlip(TWO_POINT, TWO_POINT), True, rate_row),
             (CoinFlip(CONST, ScalarDist.uniform(0.5, 1.5)), True, rate_row),
-            (PeriodicEnv(rates=((1.0, 2.0), (3.0, 0.5), (2.0, 2.0))), True, rate_row)):
-        fields, offsets = _Tables(model, seed, None, lam, rates).build(rows, lo, hi)
+            (PeriodicEnv(rates=((1.0, 2.0), (3.0, 0.5), (2.0, 2.0))), True, rate_row),
+            (Renewal(1.0, 3.0), False, discrete_row),
+            (Renewal(1.0, 3.0, time_flavor="continuous"), True, rate_row)):
+        tables = _Tables(model, seed, None, lam, rates)
+        fields, offsets = tables.build(rows, lo, hi)
         assert len(fields) == (2 if rates else 1)
         for k, r in enumerate(rows):
             want = row(materialize(model, seed, (lo, hi), replica=r))
             for flat, values in zip(fields, want):
                 assert np.array_equal(flat[offsets[k]:offsets[k] + width], values)
+        # grown from an old window: both sides, new parts at both site
+        # parities, a slide either way, and no overlap at all
+        for olo, ohi in ((-7, 6), (-6, 5), (-14, 3), (-3, 25), (30, 40)):
+            old = tables.build(rows, olo, ohi)[0]
+            grown, grown_offsets = tables.build(rows, lo, hi, (old, olo, ohi))
+            assert np.array_equal(grown_offsets, offsets)
+            for flat, fresh in zip(grown, fields):
+                assert np.array_equal(flat, fresh)
         env = materialize(model, seed + 1, (-4, 4), replica=5)
         fields, offsets = _Tables(None, seed, env, lam, rates).build(range(3), lo, hi)
         assert np.array_equal(offsets, np.zeros(3))
@@ -213,14 +224,70 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
             assert np.array_equal(flat, values)
 
 
-def test_ensemble_chunking_invariance(monkeypatch):
+def _counting_builds(monkeypatch):
+    """Count _Tables.build calls from here on: returns the live list of
+    the windows built."""
+    from rwrelab.walks import _Tables
+    windows, build = [], _Tables.build
+
+    def counted(self, rows, lo, hi, old=None):
+        windows.append((lo, hi))
+        return build(self, rows, lo, hi, old)
+
+    monkeypatch.setattr(_Tables, "build", counted)
+    return windows
+
+
+SLIDE_RUNS = {
+    "discrete": lambda: ensemble_discrete(IIDConductance(TWO_POINT), 1.0, 6000,
+                                          200, 77),
+    "continuous-horizon": lambda: ensemble_continuous(
+        CoinFlip(TWO_POINT, TWO_POINT), 0.8, 1500.0, 100, 78),
+    # the annealed_tau1 shape; drifting away from the target, the lanes move
+    # the window left by doubling until the jump budget stops them
+    "target": lambda: ensemble_continuous(C_TWO_POINT, -0.3, math.inf, 200, 79,
+                                          target_level=1, jump_budget=20000),
+    "shared-env": lambda: ensemble_discrete(
+        IIDConductance(TWO_POINT), 1.0, 6000, 200, 80,
+        shared_env=materialize(IIDConductance(TWO_POINT), 6, (-40, 40))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLIDE_RUNS))
+def test_ensemble_slide_invariance(monkeypatch, case):
+    # a window that slides a few hundred sites at a time moves many times
+    # and changes no output bit: site values are pure functions of
+    # (seed, replica, site)
     import rwrelab.walks
-    model = IIDConductance(TWO_POINT)
-    monkeypatch.setattr(rwrelab.walks, "_MEM_BUDGET", 1e9)
-    big = ensemble_discrete(model, 0.6, 400, 300, 77)
-    monkeypatch.setattr(rwrelab.walks, "_MEM_BUDGET", 2e5)   # 64-row chunks
-    small = ensemble_discrete(model, 0.6, 400, 300, 77)
-    assert np.array_equal(big.final_positions, small.final_positions)
+    run = SLIDE_RUNS[case]
+    wide = run()
+    monkeypatch.setattr(rwrelab.walks, "_SLIDE", 300)
+    windows = _counting_builds(monkeypatch)
+    narrow = run()
+    assert len(windows) >= 6
+    for name in ("final_positions", "aborted", "values", "compensator"):
+        a, b = getattr(wide, name), getattr(narrow, name)
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+    assert wide.compensator_rounding == narrow.compensator_rounding
+
+
+def test_renewal_ensemble_builds_twice(monkeypatch):
+    # no closed-form velocity: the window is sized from the lanes, and one
+    # move covers the run
+    from rwrelab.estimators import annealed_velocity
+    windows = _counting_builds(monkeypatch)
+    annealed_velocity(Renewal(2.0, 3.0), 0.6, n=5000, replicas=200, seed=43)
+    assert len(windows) <= 2
+
+
+def test_window_held_at_the_range_cap_is_not_rebuilt(monkeypatch):
+    # lanes frozen at the cap stay within a sweep of the capped edge; the
+    # window then cannot grow there, and trimming alone is no reason to build
+    windows = _counting_builds(monkeypatch)
+    res = ensemble_discrete(IIDConductance(TWO_POINT), 0.3, 40000, 300, 5,
+                            range_cap=3000)
+    assert res.aborted.all()
+    assert windows == [(-928, 928), (318, 3001)]
 
 
 def test_ensemble_range_cap_marks_aborted():
