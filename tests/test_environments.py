@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,20 @@ def test_gap_law_and_density():
     count = pts.size
     se_count = math.sqrt(count) * 1.2  # crude scale for the count fluctuation
     assert abs(count - density * 1_000_001) < 3 * se_count
+
+
+# points of RenewalPoints(3.0, 29, r).points_in(-5000, 5000) for replicas
+# r = 0..4, several gap batches on each side (BLAKE2b digest)
+GOLDEN_RENEWAL_POINTS = "caeb9b950ca570a4baa8cd218a01bda4"
+
+
+def test_renewal_points_golden():
+    h = hashlib.blake2b(digest_size=16)
+    for replica in range(5):
+        pts = RenewalPoints(3.0, 29, replica)
+        h.update(np.array([pts.tau0, pts.tau1]).tobytes())
+        h.update(pts.points_in(-5000, 5000).tobytes())
+    assert h.hexdigest() == GOLDEN_RENEWAL_POINTS
 
 
 def test_renewal_windows_consistent():

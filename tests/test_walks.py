@@ -473,6 +473,9 @@ GOLDEN_ENSEMBLES = {
             CoinFlip(ScalarDist.two_point(1.0, 3.0, 0.4), ScalarDist.uniform(0.5, 1.5)),
             0.5, 100.0, 200, 84),
         "418e537b34aea3bcd07cca4b5f44f03b"),
+    "discrete-renewal": (   # renewal points drawn per replica, no closed-form v
+        lambda: ensemble_discrete(Renewal(1.5, 3.0), 0.6, 1000, 200, 85),
+        "a869c65d9f7c6246fa68e4ec1efb7a82"),
 }
 
 
