@@ -18,11 +18,14 @@ CoinFlip        paired rates built from two i.i.d. sequences and one fair
                 coin choosing the pairing offset
 PeriodicEnv     explicit per-site values repeated with period L
 
-The three i.i.d. models also build the environments of a range of replicas
-together (``omega_plus_blocks`` / ``rate_blocks``), for the ensemble
-engine: every stream of every replica is seeded at once (``RowStreams``),
-and the law's map and the site transform run on blocks of rows with the
-code that serves one replica.  A law with one atom draws no uniforms.
+Every draw is read through ``RowStreams``, the stream (seed, "env", tag,
+replica, field) of each replica being one row.  The three i.i.d. models
+also build the environments of a range of replicas together
+(``omega_plus_blocks`` / ``rate_blocks``), for the ensemble engine: every
+stream of every replica is seeded at once, and the law's map and the site
+transform run on blocks of rows with the code that serves one replica, which
+is a range of one row.  The renewal point set reads its anchor and gap
+streams the same way.  A law with one atom draws no uniforms.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .distributions import ScalarDist
-from .rng import CounterStream, RowStreams
+from .rng import RowStreams
 
 __all__ = [
     "IIDOmega", "IIDConductance", "Renewal", "CoinFlip", "PeriodicEnv",
@@ -130,13 +133,11 @@ class RenewalPoints:
         if not gamma > 2:
             raise ValueError("renewal environment requires gamma > 2")
         self.gamma = float(gamma)
-        anchor = CounterStream(seed, "env", "renewal", replica, "anchor")
-        u1, u2 = anchor.uniforms(0, 2)
+        self._draws = _replica(seed, "renewal", replica)
+        u1, u2 = self._draws.uniforms("anchor", 0, 2)[0]
         self.tau1 = _tau1_from_uniform(u1, self.gamma)
         gap0 = int(np.floor(self.tau1 * (1.0 - u2) ** (-1.0 / self.gamma)))
         self.tau0 = self.tau1 - gap0
-        self._right = CounterStream(seed, "env", "renewal", replica, "right")
-        self._left = CounterStream(seed, "env", "renewal", replica, "left")
         self._right_pts = [self.tau1]
         self._left_pts = [self.tau0]
         self._nright = 0
@@ -144,7 +145,7 @@ class RenewalPoints:
 
     def _extend_right(self, hi: int) -> None:
         while self._right_pts[-1] <= hi:
-            u = self._right.uniforms(self._nright, self.GAP_BATCH)
+            u = self._draws.uniforms("right", self._nright, self.GAP_BATCH)[0]
             self._nright += self.GAP_BATCH
             gaps = _gap_from_uniform(u, self.gamma)
             last = self._right_pts[-1]
@@ -152,7 +153,7 @@ class RenewalPoints:
 
     def _extend_left(self, lo: int) -> None:
         while self._left_pts[-1] >= lo:
-            u = self._left.uniforms(self._nleft, self.GAP_BATCH)
+            u = self._draws.uniforms("left", self._nleft, self.GAP_BATCH)[0]
             self._nleft += self.GAP_BATCH
             gaps = _gap_from_uniform(u, self.gamma)
             last = self._left_pts[-1]
@@ -189,29 +190,11 @@ def sample_stationary_renewal(gamma: float, seed: int, window: tuple[int, int],
 # environment models
 # ---------------------------------------------------------------------------
 
-class _ReplicaDraws:
-    """The environment streams of one replica, each seeded on its own."""
-
-    def __init__(self, seed: int, tag: str, replica: int):
-        self.seed, self.tags = seed, ("env", tag, replica)
-
-    def first(self, field: str) -> np.ndarray:
-        """The first uniform of the field's stream, shape (1,)."""
-        return CounterStream(self.seed, *self.tags, field).uniforms(0, 1)
-
-    def sites(self, dist: ScalarDist, field: str, lo: int, hi: int) -> np.ndarray:
-        """dist's samples at sites [lo, hi] from the field's stream; a
-        one-atom law ignores its uniforms, so none are drawn."""
-        if len(dist.atoms) == 1:
-            return np.full(hi - lo + 1, dist.atoms[0])
-        u = CounterStream(self.seed, *self.tags, field).site_uniforms(lo, hi)
-        return dist.from_uniforms(u)
-
-
 class _RowDraws:
-    """The same streams for a range of replicas, seeded together
-    (``RowStreams``) and drawn for one block of rows at a time: the
-    ``block`` slice of rows, as rows x sites arrays."""
+    """The environment streams (seed, "env", tag, r, field) of a range of
+    replicas r, each field's seeded together (``RowStreams``) and drawn for
+    one block of rows at a time: the ``block`` slice of rows, as rows x
+    draws arrays.  One replica is a range of one row."""
 
     def __init__(self, seed: int, tag: str, rows: range):
         self.seed, self.head, self.rows = seed, ("env", tag), rows
@@ -223,18 +206,26 @@ class _RowDraws:
             self._streams[field] = RowStreams(self.seed, self.head, self.rows, (field,))
         return self._streams[field]
 
-    def first(self, field: str) -> np.ndarray:
-        u = np.empty((self.block.stop - self.block.start, 1))
-        self._stream(field).uniforms(0, u, first=self.block.start)
+    def uniforms(self, field: str, start: int, count: int) -> np.ndarray:
+        """Draws start..start+count-1 of the field's stream."""
+        u = np.empty((self.block.stop - self.block.start, count))
+        self._stream(field).uniforms(start, u, first=self.block.start)
         return u
 
     def sites(self, dist: ScalarDist, field: str, lo: int, hi: int) -> np.ndarray:
+        """dist's samples at sites [lo, hi] from the field's stream; a
+        one-atom law ignores its uniforms, so none are drawn."""
         shape = (self.block.stop - self.block.start, hi - lo + 1)
         if len(dist.atoms) == 1:
             return np.full(shape, dist.atoms[0])
         u = np.empty(shape)
         self._stream(field).site_uniforms(lo, u, first=self.block.start)
         return dist.from_uniforms(u)
+
+
+def _replica(seed: int, tag: str, replica: int) -> _RowDraws:
+    """The draws of one replica: a range of one row."""
+    return _RowDraws(seed, tag, range(replica, replica + 1))
 
 
 # Sites per block of rows in a batched build: enough to amortize NumPy's
@@ -264,7 +255,7 @@ class IIDOmega:
         return 1.0 / (1.0 + draws.sites(self.rho, "rho", lo, hi))
 
     def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        return self._omega_plus(_ReplicaDraws(seed, self.tag, replica), lo, hi)
+        return self._omega_plus(_replica(seed, self.tag, replica), lo, hi)[0]
 
     def omega_plus_blocks(self, seed: int, rows: range, lo: int, hi: int):
         """(row slice, omega+ rows) blocks covering the replicas in rows."""
@@ -295,11 +286,11 @@ class IIDConductance:
         return c[..., :-1], c[..., 1:]  # r-_x = c_{x-1}, r+_x = c_x
 
     def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        return self._omega_plus(_ReplicaDraws(seed, self.tag, replica), lo, hi)
+        return self._omega_plus(_replica(seed, self.tag, replica), lo, hi)[0]
 
     def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        rm, rp = self._rates(_ReplicaDraws(seed, self.tag, replica), lo, hi)
-        return rm.copy(), rp.copy()
+        rm, rp = self._rates(_replica(seed, self.tag, replica), lo, hi)
+        return rm[0].copy(), rp[0].copy()
 
     def omega_plus_blocks(self, seed: int, rows: range, lo: int, hi: int):
         """(row slice, omega+ rows) blocks covering the replicas in rows."""
@@ -362,7 +353,7 @@ class CoinFlip:
     tag: str = "coinflip"
 
     def _rates(self, draws, lo: int, hi: int):
-        heads = draws.first("coin") < 0.5
+        heads = draws.uniforms("coin", 0, 1) < 0.5
         # pair m is sites (2m+1, 2m+2) under heads and (2m, 2m+1) under tails;
         # its left member has (r-, r+) = (a-_m, a+_m), its right one the swap.
         # So r+ runs a+_m, a-_m, a+_m+1, ... from site 2 mlo + 1 (heads) or
@@ -379,7 +370,8 @@ class CoinFlip:
         return interleaved(am, ap), interleaved(ap, am)
 
     def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        return self._rates(_ReplicaDraws(seed, self.tag, replica), lo, hi)
+        rm, rp = self._rates(_replica(seed, self.tag, replica), lo, hi)
+        return rm[0], rp[0]
 
     def rate_blocks(self, seed: int, rows: range, lo: int, hi: int):
         """(row slice, (r- rows, r+ rows)) blocks covering the replicas in rows."""
@@ -608,9 +600,6 @@ class DiscreteEnv(_Realization):
         minus, plus = bias_omega(self.omega_plus(x), lam)
         return float(minus), float(plus)
 
-    def rho_biased(self, x: int, lam: float) -> float:
-        return self.rho(x) * math.exp(-2.0 * lam)
-
     def reflected(self) -> "DiscreteEnv":
         return DiscreteEnv(_Reflected(self.model), self.seed,
                            (-self.hi, -self.lo), self.replica)
@@ -646,9 +635,6 @@ class RateEnv(_Realization):
     def rho(self, x: int) -> float:
         rm, rp = self.rates(x)
         return rm / rp
-
-    def rho_biased(self, x: int, lam: float) -> float:
-        return self.rho(x) * math.exp(-2.0 * lam)
 
     def omega_plus(self, x: int) -> float:
         rm, rp = self.rates(x)

@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.special import zeta as _hurwitz_zeta
-from scipy.stats import kstest
 
 from .closed_forms import (VelocityResult, sigma2_iid_omega, sigma2_rcm,
                            sigma2_rcm_at_zero, velocity_coinflip,
@@ -230,8 +230,16 @@ def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
                        excluded=int(res.aborted.sum()))
     sigma2_ref = sigma2_of_model(model, lam)
     scale = math.sqrt(sigma2_ref) if sigma2_ref else float(z.std(ddof=1))
-    ks = float(kstest(z / scale, "norm").statistic)
-    return DiffusionResult(var_est, ks, float(v), sigma2_ref)
+    return DiffusionResult(var_est, _ks_to_normal(z / scale), float(v), sigma2_ref)
+
+
+def _ks_to_normal(x: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of the sample x to N(0, 1):
+    the larger of max(i/n - Phi(x_(i))) and max(Phi(x_(i)) - (i-1)/n)."""
+    cdf = ndtr(np.sort(x))
+    n = cdf.size
+    return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                     (cdf - np.arange(0.0, n) / n).max()))
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,18 @@ This is what makes environment windows extendable and movable without
 perturbing already materialized sites, and ensemble results independent of
 how the replicas are split across workers.
 
-Costs are kept to what a caller uses.  A stream is seeded by one of two
-routes, and both give the same draws:
-
-* ``CounterStream`` seeds one stream: a ``SeedSequence`` over the 32-bit
-  words NumPy would derive from the ``(root_seed, *tags)`` tuple, with the
-  words of string tags cached, so a fresh environment build skips the tuple
-  coercion and tag hashing.  It costs about 20 us per stream.
-* ``RowStreams`` seeds the stream ``(root_seed, *head, r, *tail)`` of every
-  replica r of a range at once: SeedSequence's pool mixing runs as array
-  operations over the replicas, PCG64's seeding and jump-ahead run in
-  128-bit integer arithmetic (O'Neill 2014, "PCG: A Family of Simple Fast
-  Space-Efficient Statistically Good Algorithms for Random Number
-  Generation"), and one reused PCG64 is set to each replica's state to draw
-  its row.  That is a few us per replica but a fixed 0.35-0.6 ms per call,
-  so batched environment builds use it and single streams (one
-  environment, a walk's replica block) keep ``CounterStream``.
+``RowStreams`` is the one random-access stream type.  It seeds the stream
+``(root_seed, *head, r, *tail)`` of every replica r of a range, and a single
+stream is a range of one row; batched environment builds, one environment,
+a renewal point set and a walk's replica blocks all read their draws
+through it.  Costs are kept to what a caller uses: a small range is seeded
+row by row with NumPy's own ``SeedSequence`` over the 32-bit words NumPy
+would derive from the tuple (the words of string tags cached), a large one
+with SeedSequence's pool mixing run as array operations over its rows.
+PCG64's seeding and jump-ahead run in 128-bit integer arithmetic (O'Neill
+2014, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation"), and one reused PCG64 is set to
+each row's state to draw it.
 
 ``BlockUniforms`` draws walk uniforms ahead in fills that start at 16 steps
 and double up to ``steps_per_refill``, into one (steps x lanes) buffer: a
@@ -37,6 +33,7 @@ fill into Exp(1) draws in place.
 from __future__ import annotations
 
 import hashlib
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -85,11 +82,6 @@ def _tag_words(tags) -> list[int]:
     return words
 
 
-def _entropy_words(root_seed: int, tags) -> np.ndarray:
-    """The uint32 entropy NumPy derives from ``(root_seed, *tag_ints)``."""
-    return np.array(_int_words(int(root_seed)) + _tag_words(tags), dtype=np.uint32)
-
-
 def seed_sequence(root_seed: int, *tags: str | int) -> np.random.SeedSequence:
     entropy = (int(root_seed),) + tuple(tag_int(t) for t in tags)
     return np.random.SeedSequence(entropy)
@@ -105,35 +97,6 @@ def derive_seed(root_seed: int, *tags: str | int) -> int:
     return int(seed_sequence(root_seed, *tags).generate_state(1)[0])
 
 
-class CounterStream:
-    """Random-access view of one PCG64 stream.
-
-    ``uniforms(start, count)`` returns draws number start..start+count-1 of
-    the stream, regardless of what was asked for before; overlapping requests
-    agree exactly.  The stream is the one ``seed_sequence(root_seed, *tags)``
-    keys; it is seeded from the equivalent word array.
-    """
-
-    __slots__ = ("_ss",)
-
-    def __init__(self, root_seed: int, *tags: str | int):
-        self._ss = np.random.SeedSequence(_entropy_words(root_seed, tags))
-
-    def uniforms(self, start: int, count: int) -> np.ndarray:
-        if start < 0:
-            raise ValueError("stream counter must be nonnegative")
-        bit_gen = np.random.PCG64(self._ss)
-        if start:
-            bit_gen.advance(start)
-        return np.random.Generator(bit_gen).random(count)
-
-    def site_uniforms(self, lo: int, hi: int) -> np.ndarray:
-        """One uniform per site for the inclusive window [lo, hi]."""
-        if lo < SITE_ORIGIN:
-            raise ValueError(f"site index below supported origin {SITE_ORIGIN}")
-        return self.uniforms(lo - SITE_ORIGIN, hi - lo + 1)
-
-
 # NumPy's SeedSequence (O'Neill's seed_seq) and PCG64 constants, for seeding
 # many streams at once exactly as one SeedSequence + PCG64 seeds each.
 _M32 = 0xFFFFFFFF
@@ -143,6 +106,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Rows of one word-count group from which RowStreams seeds them together
+# with _seed_words (about 0.3 ms a call plus 0.1 us a row) rather than row by
+# row with NumPy's SeedSequence (about 9 us a row); on a 2-vCPU x86 host the
+# two cost the same near 30 rows.
+_ARRAY_SEEDING = 32
 
 
 class _HashMix:
@@ -202,38 +171,56 @@ def _advance(delta: int) -> tuple[int, int]:
     return acc_mult, acc_plus
 
 
-class RowStreams:
-    """The streams ``(root_seed, *head, r, *tail)`` of a range of replicas r,
-    seeded together; row k is replica ``rows[k]``.
+_scratch = threading.local()
 
-    Each row's stream is the one ``CounterStream(root_seed, *head, r, *tail)``
-    reads, draw for draw.  Rows are grouped by how many 32-bit words r takes,
-    and each group's SeedSequence runs as array operations over its rows; a
-    fill then sets one reused PCG64 to each row's state, seeded and advanced
-    in 128-bit arithmetic, and draws the row into the caller's array.
+
+def _scratch_generator() -> tuple[np.random.PCG64, np.random.Generator]:
+    """This thread's PCG64 for RowStreams to set to a row's state and draw
+    from; constructing one costs more than seeding a row."""
+    if not hasattr(_scratch, "gen"):
+        _scratch.bit_gen = np.random.PCG64(0)
+        _scratch.gen = np.random.Generator(_scratch.bit_gen)
+    return _scratch.bit_gen, _scratch.gen
+
+
+class RowStreams:
+    """Random access to the streams ``(root_seed, *head, r, *tail)`` of a
+    range of replicas r; row k is replica ``rows[k]``.
+
+    Each row's stream is the PCG64 that NumPy seeds with
+    ``SeedSequence((root_seed, *tag_ints))``, draw for draw, and fills of
+    overlapping draws agree exactly whatever was asked for before.  Rows are
+    grouped by how many 32-bit words r takes; a group of fewer than
+    ``_ARRAY_SEEDING`` rows is seeded row by row with NumPy's SeedSequence,
+    a larger one by ``_seed_words``.  A fill sets one reused PCG64 to each
+    row's state, seeded and advanced in 128-bit arithmetic, and draws the row
+    into the caller's array.
     """
 
     def __init__(self, root_seed: int, head: tuple, rows: range, tail: tuple):
-        prefix = _entropy_words(root_seed, head)
+        prefix = _int_words(int(root_seed)) + _tag_words(head)
         suffix = _tag_words(tail)
         groups = []
         a = rows.start
         while a < rows.stop:
             nwords = len(_int_words(a))
             b = min(rows.stop, 1 << 32 * nwords)
-            r = np.arange(b - a, dtype=np.uint64 if b <= 1 << 64 else object) + a
-            entropy = np.empty((b - a, len(prefix) + nwords + len(suffix)),
-                               dtype=np.uint32)
-            entropy[:, :len(prefix)] = prefix
-            for j in range(nwords):
-                entropy[:, len(prefix) + j] = (r >> 32 * j) & _M32
-            entropy[:, len(prefix) + nwords:] = suffix
-            groups.append(_seed_words(entropy))
+            if b - a < _ARRAY_SEEDING:
+                groups.append([np.random.SeedSequence(np.array(
+                    prefix + _int_words(r) + suffix, dtype=np.uint32,
+                )).generate_state(4, np.uint64) for r in range(a, b)])
+            else:
+                r = np.arange(b - a, dtype=np.uint64 if b <= 1 << 64 else object) + a
+                entropy = np.empty((b - a, len(prefix) + nwords + len(suffix)),
+                                   dtype=np.uint32)
+                entropy[:, :len(prefix)] = prefix
+                for j in range(nwords):
+                    entropy[:, len(prefix) + j] = (r >> 32 * j) & _M32
+                entropy[:, len(prefix) + nwords:] = suffix
+                groups.append(_seed_words(entropy))
             a = b
         # (seed high, seed low, increment high, increment low) per row
         self._words = np.concatenate(groups) if groups else np.empty((0, 4), np.uint64)
-        self._bit_gen = np.random.PCG64()
-        self._gen = np.random.Generator(self._bit_gen)
 
     def uniforms(self, start: int, out: np.ndarray, first: int = 0) -> None:
         """Fill row i of out with draws start, start+1, ... of row first+i."""
@@ -247,7 +234,7 @@ class RowStreams:
         key = {"state": 0, "inc": 0}
         value = {"bit_generator": "PCG64", "state": key,
                  "has_uint32": 0, "uinteger": 0}
-        bit_gen, gen = self._bit_gen, self._gen
+        bit_gen, gen = _scratch_generator()
         words = self._words[first:first + len(out)].tolist()
         for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words):
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
@@ -267,7 +254,8 @@ class BlockUniforms:
     """Per-step uniforms for a contiguous range of replicas.
 
     Replicas are organized in fixed blocks of ``REPLICA_BLOCK`` lanes; block b
-    owns one stream, and the uniform for (replica r, step t) is draw
+    owns the stream ``(root_seed, *tags, b)``, a row of one ``RowStreams``
+    over the range's blocks, and the uniform for (replica r, step t) is draw
     ``t * REPLICA_BLOCK + (r mod REPLICA_BLOCK)`` of that stream.  The layout
     depends only on (root seed, tags), never on ensemble size or how the
     replicas are split, so any slice of replicas can be stepped independently
@@ -275,7 +263,7 @@ class BlockUniforms:
 
     Steps are drawn ahead into one (steps x lanes) buffer, all blocks side by
     side, and ``step`` returns a row of it.  A step outside the buffer starts a
-    fill there: the first covers ``FIRST_FILL`` steps, each later one twice the
+    fill there, drawn one block at a time: the first covers ``FIRST_FILL`` steps, each later one twice the
     last, up to ``steps_per_refill``, and no fill crosses a multiple of
     ``steps_per_refill``.  So the buffer holds at most ``steps_per_refill``
     steps of the range's lanes, and a walk of s steps draws fewer than
@@ -285,13 +273,12 @@ class BlockUniforms:
 
     def __init__(self, root_seed: int, tags: tuple[str | int, ...],
                  first_replica: int, count: int, steps_per_refill: int = 1024):
-        self._blocks: list[tuple[int, int, CounterStream]] = []
         lo, hi = first_replica, first_replica + count  # [lo, hi)
-        b0, b1 = lo // REPLICA_BLOCK, (hi - 1) // REPLICA_BLOCK
-        for b in range(b0, b1 + 1):
-            bs = b * REPLICA_BLOCK
-            a, z = max(lo - bs, 0), min(hi - bs, REPLICA_BLOCK)
-            self._blocks.append((a, z, CounterStream(root_seed, *tags, b)))
+        blocks = range(lo // REPLICA_BLOCK, (hi - 1) // REPLICA_BLOCK + 1)
+        self._streams = RowStreams(root_seed, tuple(tags), blocks, ())
+        # the lanes [a, z) of each block that the range holds
+        self._spans = [(max(lo - b * REPLICA_BLOCK, 0),
+                        min(hi - b * REPLICA_BLOCK, REPLICA_BLOCK)) for b in blocks]
         self._count = count
         self._cap = steps_per_refill
         self._next = min(FIRST_FILL, steps_per_refill)
@@ -303,11 +290,11 @@ class BlockUniforms:
         self._next = min(2 * self._next, self._cap)
         self._buf = None  # release the old rows before drawing new ones
         buf = np.empty((steps, self._count))
+        draws = np.empty((1, steps * REPLICA_BLOCK))   # one block's, reused
         col = 0
-        for a, z, stream in self._blocks:
-            buf[:, col:col + z - a] = stream.uniforms(
-                step0 * REPLICA_BLOCK, steps * REPLICA_BLOCK,
-            ).reshape(steps, REPLICA_BLOCK)[:, a:z]
+        for k, (a, z) in enumerate(self._spans):
+            self._streams.uniforms(step0 * REPLICA_BLOCK, draws, first=k)
+            buf[:, col:col + z - a] = draws.reshape(steps, REPLICA_BLOCK)[:, a:z]
             col += z - a
         self._buf, self._buf_step0 = buf, step0
 

@@ -13,7 +13,8 @@ environments (annealed) or one shared environment (quenched);
 ``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
 one-lane runs over a shared environment, i.e. replica 0 of that ensemble.
 Every uniform is counter-addressed by (root seed, stream, replica block,
-step), so results are independent of the window's moves and of worker count.
+step), one ``RowStreams`` row per replica block (``BlockUniforms``), so
+results are independent of the window's moves and of worker count.
 
 A table build takes blocks of rows from models that build many replicas
 together (the i.i.d. models), and one replica's environment at a time from

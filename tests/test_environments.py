@@ -102,18 +102,14 @@ def test_one_atom_laws_draw_nothing(monkeypatch):
     # batch of rows may open its stream; the other fields still draw
     import rwrelab.environments as E
     constant_fields = {"c", "rho", "a+"}
-
-    class Refusing(E.CounterStream):
-        def __init__(self, seed, *tags):
-            assert tags[-1] not in constant_fields, f"drew stream {tags[-1]!r}"
-            super().__init__(seed, *tags)
+    opened = []
 
     class RefusingRows(E.RowStreams):
         def __init__(self, seed, head, rows, tail):
             assert tail[-1] not in constant_fields, f"drew stream {tail[-1]!r}"
+            opened.append((len(rows), tail[-1]))
             super().__init__(seed, head, rows, tail)
 
-    monkeypatch.setattr(E, "CounterStream", Refusing)
     monkeypatch.setattr(E, "RowStreams", RefusingRows)
     one = ScalarDist.constant(1.0)
     lo, hi, rows = -6, 6, range(4, 9)
@@ -129,6 +125,8 @@ def test_one_atom_laws_draw_nothing(monkeypatch):
     for k, r in enumerate(rows):
         assert all(np.array_equal(a[k], b)
                    for a, b in zip((rm, rp), coin.rate_sites(7, r, lo, hi)))
+    # the coin flip's other fields were drawn, for the batch and one replica
+    assert {(len(rows), "coin"), (len(rows), "a-"), (1, "coin"), (1, "a-")} <= set(opened)
     assert np.all((rm == 1.0) | (rp == 1.0))
 
 

@@ -187,6 +187,32 @@ def test_ks_distance_shrinks_with_replicas():
     assert big.ks_distance < small.ks_distance
 
 
+def test_ks_distance_is_scipys_kstest_statistic():
+    from scipy.stats import kstest
+    gen = np.random.default_rng(8)
+    for n in (1, 2, 3, 17, 3000):
+        x = gen.standard_normal(n) * 1.3 + 0.1
+        for sample in (x, np.round(x * 20) / 20):   # the second has ties
+            assert estimators._ks_to_normal(sample) == kstest(sample, "norm").statistic
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of the package's import time and is not needed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rwrelab; print(sorted(m for m in sys.modules"
+         " if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Einstein table
 # ---------------------------------------------------------------------------

@@ -3,29 +3,56 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rwrelab import rng
 from rwrelab.rng import (FIRST_FILL, REPLICA_BLOCK, SITE_ORIGIN,
-                         BlockExponentials, BlockUniforms, CounterStream,
-                         RowStreams, derive_seed, generator, seed_sequence,
-                         tag_int)
+                         BlockExponentials, BlockUniforms, RowStreams,
+                         derive_seed, generator, seed_sequence, tag_int)
+
+
+def _numpy_stream(seed, *tags, start=0):
+    """NumPy's PCG64 seeded with the tuple (seed, *tag_ints), advanced to
+    draw number start: the reference for every stream."""
+    bit_gen = np.random.PCG64(np.random.SeedSequence(
+        (seed,) + tuple(tag_int(t) for t in tags)))
+    bit_gen.advance(start)
+    return np.random.Generator(bit_gen)
+
+
+def _draw(streams, start, count, first=0, rows=1):
+    out = np.empty((rows, count))
+    streams.uniforms(start, out, first)
+    return out
+
+
+def _sites(streams, lo, hi):
+    out = np.empty((1, hi - lo + 1))
+    streams.site_uniforms(lo, out)
+    return out[0]
 
 
 def test_counter_stream_overlap_consistency():
-    s = CounterStream(42, "env", "tag", 3)
-    a = s.uniforms(0, 100)
-    b = s.uniforms(40, 100)
+    # a counter stream: one row of a RowStreams, read at any counter
+    s = RowStreams(42, ("env", "tag"), range(3, 4), ())
+    a = _draw(s, 0, 100)[0]
+    b = _draw(s, 40, 100)[0]
     assert np.array_equal(a[40:], b[:60])
-    assert np.array_equal(s.site_uniforms(-10, 10), s.site_uniforms(-10, 10))
+    assert np.array_equal(_sites(s, -10, 10), _sites(s, -10, 10))
     # sub-window of a site range equals the slice of the larger range
-    wide = s.site_uniforms(-50, 50)
-    assert np.array_equal(s.site_uniforms(-20, 5), wide[30:56])
+    wide = _sites(s, -50, 50)
+    assert np.array_equal(_sites(s, -20, 5), wide[30:56])
+    # a row read from a wider range is the one-row range's stream
+    rows = RowStreams(42, ("env", "tag"), range(1, 6), ())
+    assert np.array_equal(_draw(rows, 40, 100, first=2)[0], b)
+    assert np.array_equal(_draw(rows, 0, 100, rows=5)[2], a)
 
 
 def test_streams_with_different_tags_differ():
-    a = CounterStream(42, "env", 0).uniforms(0, 50)
-    b = CounterStream(42, "env", 1).uniforms(0, 50)
-    c = CounterStream(43, "env", 0).uniforms(0, 50)
+    a, b = _draw(RowStreams(42, ("env",), range(2), ()), 0, 50, rows=2)
+    c = _draw(RowStreams(43, ("env",), range(1), ()), 0, 50)[0]
+    d = _draw(RowStreams(42, ("env",), range(1), ("x",)), 0, 50)[0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
 
 
 def test_tag_int_and_derive_seed_stable():
@@ -67,49 +94,73 @@ TAGS = [(), (5,), ("env", "iid-conductance", 17, "c"), ("walk", 2**40),
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_counter_stream_is_the_tuple_seeded_stream(seed):
+    # the tags before the row (head) or after it (tail), rows of one to three
+    # words: each one-row range reads NumPy's tuple-seeded PCG64
     for tags in TAGS:
         ss = np.random.SeedSequence((seed,) + tuple(tag_int(t) for t in tags))
         assert seed_sequence(seed, *tags).entropy == ss.entropy
-        stream = CounterStream(seed, *tags)
-        ref = np.random.Generator(np.random.PCG64(ss))
-        assert np.array_equal(stream.uniforms(0, 16), ref.random(16))
-        bit_gen = np.random.PCG64(ss)
-        bit_gen.advance(2**41 + 3)
-        assert np.array_equal(stream.uniforms(2**41 + 3, 5),
-                              np.random.Generator(bit_gen).random(5))
+        for r in (0, 2**32 + 1, 2**64 + 5):
+            for streams, ref in (
+                    (RowStreams(seed, tags, range(r, r + 1), ()), (*tags, r)),
+                    (RowStreams(seed, (), range(r, r + 1), tags), (r, *tags))):
+                assert np.array_equal(_draw(streams, 0, 16)[0],
+                                      _numpy_stream(seed, *ref).random(16))
+                assert np.array_equal(
+                    _draw(streams, 2**41 + 3, 5)[0],
+                    _numpy_stream(seed, *ref, start=2**41 + 3).random(5))
 
 
 def test_counter_stream_rejects_negative_words():
-    for args in ((-1,), (3, -2)):
+    for args in ((-1, (), range(1), ()), (3, (-2,), range(1), ()),
+                 (3, (), range(1), (-2,)), (3, (), range(-1, 0), ())):
         with pytest.raises(ValueError):
-            CounterStream(*args)
+            RowStreams(*args)
+    for args in ((-1,), (3, -2)):
         with pytest.raises(ValueError):
             seed_sequence(*args)
 
 
 ROW_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 12345, 2**100 + 7]
-ROW_RANGES = [range(0, 3), range(2**32 - 3, 2**32 + 2),   # r: one word, then two
-              range(2**64 - 2, 2**64 + 1)]                # two, then three
+T = rng._ARRAY_SEEDING
+# (rows, the sizes of the word-count groups seeded as arrays); the other
+# groups are seeded row by row
+ROW_RANGES = [
+    (range(0, 3), []),
+    (range(2**32 - 3, 2**32 + 2), []),         # r: one word, then two
+    (range(2**64 - 2, 2**64 + 1), []),         # two, then three
+    (range(5, 5 + T - 1), []),                 # one row short of the threshold
+    (range(5, 5 + T), [T]),
+    (range(2**32 - T, 2**32 + T), [T, T]),
+    (range(2**64 - T - 1, 2**64 + T), [T + 1, T]),
+    (range(2**32 - 2, 2**32 + T + 3), [T + 3]),  # row by row, then an array
+]
 
 
 @pytest.mark.filterwarnings("error")   # a NumPy integer-overflow warning fails
 @pytest.mark.parametrize("seed", ROW_SEEDS)
-def test_row_streams_are_the_numpy_seeded_streams(seed):
+def test_row_streams_are_the_numpy_seeded_streams(seed, monkeypatch):
+    seeded = []
+    seed_words = rng._seed_words
+
+    def recorded(entropy):
+        seeded.append(len(entropy))
+        return seed_words(entropy)
+
+    monkeypatch.setattr(rng, "_seed_words", recorded)
     width = 7
     for tag in ("iid-conductance", 17, np.int64(2**40 + 5)):
-        for rows in ROW_RANGES:
+        for rows, array_groups in ROW_RANGES:
+            seeded.clear()
             streams = RowStreams(seed, ("env", tag), rows, ("c",))
+            assert seeded == array_groups
             for lo in (SITE_ORIGIN, 10**6):
                 out = np.empty((len(rows), width))
                 streams.site_uniforms(lo, out)
                 tail = np.empty((2, width))
                 streams.site_uniforms(lo, tail, first=len(rows) - 2)
                 for k, r in enumerate(rows):
-                    ss = np.random.SeedSequence(
-                        (seed, tag_int("env"), tag_int(tag), r, tag_int("c")))
-                    bit_gen = np.random.PCG64(ss)
-                    bit_gen.advance(lo - SITE_ORIGIN)
-                    ref = np.random.Generator(bit_gen).random(width)
+                    ref = _numpy_stream(seed, "env", tag, r, "c",
+                                        start=lo - SITE_ORIGIN).random(width)
                     assert np.array_equal(out[k], ref), (tag, r, lo)
                 assert np.array_equal(tail, out[-2:])
 
@@ -130,8 +181,8 @@ def _reference_step(seed, tags, lo, hi, t):
     while r < hi:
         b, a = divmod(r, REPLICA_BLOCK)
         z = min(REPLICA_BLOCK, a + hi - r)
-        stream = CounterStream(seed, *tags, b)
-        parts.append(stream.uniforms(t * REPLICA_BLOCK + a, z - a))
+        stream = _numpy_stream(seed, *tags, b, start=t * REPLICA_BLOCK + a)
+        parts.append(stream.random(z - a))
         r += z - a
     return np.concatenate(parts)
 
@@ -174,13 +225,13 @@ def test_short_walk_holds_one_small_buffer(monkeypatch):
     # than FIRST_FILL x lanes uniforms held at once (plus one block's draws)
     lanes = 10_000
     drawn = []
-    uniforms = CounterStream.uniforms
+    uniforms = RowStreams.uniforms
 
-    def counted(self, start, count):
-        drawn.append(count)
-        return uniforms(self, start, count)
+    def counted(self, start, out, first=0):
+        drawn.append(out.size)
+        return uniforms(self, start, out, first)
 
-    monkeypatch.setattr(CounterStream, "uniforms", counted)
+    monkeypatch.setattr(RowStreams, "uniforms", counted)
     tracemalloc.start()
     try:
         uni = BlockUniforms(8, ("hold",), 0, lanes)

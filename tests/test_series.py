@@ -11,7 +11,7 @@ from rwrelab import (IIDConductance, IIDOmega, ScalarDist, SeriesValue,
                      sbar_quenched, save_environment, shat_quenched,
                      u_quenched, v_quenched)
 from rwrelab import series
-from rwrelab.rng import CounterStream
+from rwrelab.rng import SITE_ORIGIN, tag_int
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 COTH_HALF = 2.163953413738653            # (1+1/e)/(1-1/e)
@@ -69,8 +69,10 @@ def test_sbar_matches_literal_conductance_sum():
         env = materialize(model, seed, (-600, 1))
         lam = 1.0
         q = math.exp(-2.0 * lam)
-        c = TWO_POINT.from_uniforms(   # sites -600..0, read off the stream
-            CounterStream(seed, "env", model.tag, 0, "c").site_uniforms(-600, 0))
+        stream = np.random.PCG64(np.random.SeedSequence(   # the "c" stream
+            (seed, tag_int("env"), tag_int(model.tag), 0, tag_int("c"))))
+        stream.advance(-600 - SITE_ORIGIN)   # sites -600..0, read off the stream
+        c = TWO_POINT.from_uniforms(np.random.Generator(stream).random(601))
         c0 = c[-1]
         total = 1.0
         for i in range(0, 400):
