@@ -174,13 +174,13 @@ def _advance(delta: int) -> tuple[int, int]:
 _scratch = threading.local()
 
 
-def _scratch_generator() -> tuple[np.random.PCG64, np.random.Generator]:
-    """This thread's PCG64 for RowStreams to set to a row's state and draw
-    from; constructing one costs more than seeding a row."""
+def _scratch_generator() -> np.random.Generator:
+    """This thread's PCG64 generator for RowStreams to draw rows from.  Its
+    state is set before every draw, so nothing carries between callers; it is
+    shared because building a PCG64 costs more than seeding a row."""
     if not hasattr(_scratch, "gen"):
-        _scratch.bit_gen = np.random.PCG64(0)
-        _scratch.gen = np.random.Generator(_scratch.bit_gen)
-    return _scratch.bit_gen, _scratch.gen
+        _scratch.gen = np.random.Generator(np.random.PCG64(0))
+    return _scratch.gen
 
 
 class RowStreams:
@@ -234,7 +234,8 @@ class RowStreams:
         key = {"state": 0, "inc": 0}
         value = {"bit_generator": "PCG64", "state": key,
                  "has_uint32": 0, "uinteger": 0}
-        bit_gen, gen = _scratch_generator()
+        gen = _scratch_generator()
+        bit_gen = gen.bit_generator
         words = self._words[first:first + len(out)].tolist()
         for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words):
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
@@ -263,11 +264,11 @@ class BlockUniforms:
 
     Steps are drawn ahead into one (steps x lanes) buffer, all blocks side by
     side, and ``step`` returns a row of it.  A step outside the buffer starts a
-    fill there, drawn one block at a time: the first covers ``FIRST_FILL`` steps, each later one twice the
-    last, up to ``steps_per_refill``, and no fill crosses a multiple of
-    ``steps_per_refill``.  So the buffer holds at most ``steps_per_refill``
-    steps of the range's lanes, and a walk of s steps draws fewer than
-    ``2 s + FIRST_FILL`` steps.  Any step may be asked for in any order;
+    fill there, drawn one block at a time: the first covers ``FIRST_FILL``
+    steps, each later one twice the last, up to ``steps_per_refill``, and no
+    fill crosses a multiple of ``steps_per_refill``.  So the buffer holds at
+    most ``steps_per_refill`` steps of the range's lanes, and a walk of s
+    steps draws fewer than ``2 s + FIRST_FILL`` steps.  Any step may be asked for in any order;
     the returned row is overwritten by later fills.
     """
 
