@@ -18,13 +18,21 @@ CoinFlip        paired rates built from two i.i.d. sequences and one fair
                 coin choosing the pairing offset
 PeriodicEnv     explicit per-site values repeated with period L
 
+Each model has one entry point, ``site_source(seed, rows)``, for its
+native fields only: omega+ (IIDOmega, PeriodicEnv(omega=...), discrete
+snapshots) or (r-, r+) (the others).  It returns a source, seeded once
+(but see Renewal.site_source for several replicas): called with a site
+range [lo, hi], it yields (row slice, fields) blocks covering the replicas
+in rows, one replica being a range of one row.
+``field_source`` serves either time flavor from it; discrete time takes a
+rate model's omega+ = omega_from_rates(r-, r+), its jump chain.  A
+realization holds one source for its lifetime, so a growing window draws
+only its new sites from streams seeded once; the ensemble engine takes a
+source per table build.
+
 Every draw is read through ``RowStreams``, the stream (seed, "env", tag,
-replica, field) of each replica being one row.  The three i.i.d. models
-also build the environments of a range of replicas together
-(``omega_plus_blocks`` / ``rate_blocks``), for the ensemble engine: every
-stream of every replica is seeded at once, and the law's map and the site
-transform run on blocks of rows with the code that serves one replica, which
-is a range of one row.  The renewal point set reads its anchor and gap
+replica, field) of each replica being one row, each field's streams seeded
+together for the range.  The renewal point set reads its anchor and gap
 streams the same way.  A law with one atom draws no uniforms.
 """
 
@@ -124,7 +132,8 @@ class RenewalPoints:
     size-biased and tau_1 placed inside it via its exact marginal
     P(tau_1 = m) = m^-gamma / zeta(gamma); both sides then extend with i.i.d.
     gaps P(gap >= j) = j^-gamma from dedicated counter streams, so any two
-    windows of the same (seed, replica) agree on their intersection.
+    windows of the same (seed, replica) agree on their intersection.  Each
+    side keeps its points as int64 arrays, one per batch of GAP_BATCH gaps.
     """
 
     GAP_BATCH = 1024
@@ -133,39 +142,32 @@ class RenewalPoints:
         if not gamma > 2:
             raise ValueError("renewal environment requires gamma > 2")
         self.gamma = float(gamma)
-        self._draws = _replica(seed, "renewal", replica)
+        self._draws = _RowDraws(seed, "renewal", range(replica, replica + 1))
         u1, u2 = self._draws.uniforms("anchor", 0, 2)[0]
         self.tau1 = _tau1_from_uniform(u1, self.gamma)
         gap0 = int(np.floor(self.tau1 * (1.0 - u2) ** (-1.0 / self.gamma)))
         self.tau0 = self.tau1 - gap0
-        self._right_pts = [self.tau1]
-        self._left_pts = [self.tau0]
-        self._nright = 0
-        self._nleft = 0
+        # per side, the chunks of points in order away from the origin
+        self._chunks = {"right": [np.array([self.tau1])],
+                        "left": [np.array([self.tau0])]}
 
-    def _extend_right(self, hi: int) -> None:
-        while self._right_pts[-1] <= hi:
-            u = self._draws.uniforms("right", self._nright, self.GAP_BATCH)[0]
-            self._nright += self.GAP_BATCH
+    def _extend(self, side: str, sign: int, bound: int) -> None:
+        """Draw the side's gap batches until its last point lies beyond bound."""
+        chunks = self._chunks[side]
+        while sign * chunks[-1][-1] <= sign * bound:
+            start = (len(chunks) - 1) * self.GAP_BATCH
+            u = self._draws.uniforms(side, start, self.GAP_BATCH)[0]
             gaps = _gap_from_uniform(u, self.gamma)
-            last = self._right_pts[-1]
-            self._right_pts.extend((last + np.cumsum(gaps)).tolist())
-
-    def _extend_left(self, lo: int) -> None:
-        while self._left_pts[-1] >= lo:
-            u = self._draws.uniforms("left", self._nleft, self.GAP_BATCH)[0]
-            self._nleft += self.GAP_BATCH
-            gaps = _gap_from_uniform(u, self.gamma)
-            last = self._left_pts[-1]
-            self._left_pts.extend((last - np.cumsum(gaps)).tolist())
+            chunks.append(chunks[-1][-1] + sign * np.cumsum(gaps))
 
     def points_in(self, lo: int, hi: int) -> np.ndarray:
         """Sorted points of the realization inside [lo, hi]."""
-        self._extend_right(hi)
-        self._extend_left(lo)
-        pts = np.concatenate([np.array(self._left_pts[::-1], dtype=np.int64),
-                              np.array(self._right_pts, dtype=np.int64)])
-        return pts[(pts >= lo) & (pts <= hi)]
+        self._extend("right", 1, hi)
+        self._extend("left", -1, lo)
+        runs = [c[::-1] for c in reversed(self._chunks["left"])] + self._chunks["right"]
+        return np.concatenate(
+            [c[np.searchsorted(c, lo):np.searchsorted(c, hi, side="right")]
+             for c in runs if c[0] <= hi and c[-1] >= lo] or [np.zeros(0, np.int64)])
 
     def contains(self, sites: np.ndarray) -> np.ndarray:
         sites = np.asarray(sites, dtype=np.int64)
@@ -190,16 +192,30 @@ def sample_stationary_renewal(gamma: float, seed: int, window: tuple[int, int],
 # environment models
 # ---------------------------------------------------------------------------
 
+# Sites per block of rows in a batched build: enough to amortize NumPy's
+# per-call cost, few enough that a block's temporaries stay in cache.
+_BLOCK_SITES = 1 << 15
+
+
 class _RowDraws:
     """The environment streams (seed, "env", tag, r, field) of a range of
-    replicas r, each field's seeded together (``RowStreams``) and drawn for
-    one block of rows at a time: the ``block`` slice of rows, as rows x
-    draws arrays.  One replica is a range of one row."""
+    replicas r, each field's seeded once (``RowStreams``) and held, and
+    drawn for the ``block`` slice of rows, as rows x draws arrays.
 
-    def __init__(self, seed: int, tag: str, rows: range):
+    Called with a site range, it is an i.i.d. model's source: (row slice,
+    fields_of(self, lo, hi)) for consecutive blocks of rows."""
+
+    def __init__(self, seed: int, tag: str, rows: range, fields_of=None):
         self.seed, self.head, self.rows = seed, ("env", tag), rows
         self.block = slice(0, len(rows))
+        self._fields_of = fields_of
         self._streams: dict[str, RowStreams] = {}
+
+    def __call__(self, lo: int, hi: int):
+        step = max(1, _BLOCK_SITES // (hi - lo + 1))
+        for k in range(0, len(self.rows), step):
+            self.block = slice(k, min(k + step, len(self.rows)))
+            yield self.block, self._fields_of(self, lo, hi)
 
     def _stream(self, field: str) -> RowStreams:
         if field not in self._streams:
@@ -223,24 +239,10 @@ class _RowDraws:
         return dist.from_uniforms(u)
 
 
-def _replica(seed: int, tag: str, replica: int) -> _RowDraws:
-    """The draws of one replica: a range of one row."""
-    return _RowDraws(seed, tag, range(replica, replica + 1))
-
-
-# Sites per block of rows in a batched build: enough to amortize NumPy's
-# per-call cost, few enough that a block's temporaries stay in cache.
-_BLOCK_SITES = 1 << 15
-
-
-def _site_blocks(sites_of, seed: int, tag: str, rows: range, lo: int, hi: int):
-    """(row slice, sites_of(draws, lo, hi)) for consecutive blocks of rows,
-    with every stream of every row seeded once for the whole range."""
-    draws = _RowDraws(seed, tag, rows)
-    step = max(1, _BLOCK_SITES // (hi - lo + 1))
-    for k in range(0, len(rows), step):
-        draws.block = slice(k, min(k + step, len(rows)))
-        yield draws.block, sites_of(draws, lo, hi)
+def _fixed(columns: np.ndarray, index):
+    """The source of a model without randomness: for sites [lo, hi], one
+    block that every row shares, each field's columns[f, index(lo, hi)]."""
+    return lambda lo, hi: [(slice(None), tuple(columns[:, None, index(lo, hi)]))]
 
 
 @dataclass(frozen=True)
@@ -251,15 +253,12 @@ class IIDOmega:
     tag: str = "iid-omega"
     time_flavor: str = "discrete"
 
-    def _omega_plus(self, draws, lo: int, hi: int) -> np.ndarray:
-        return 1.0 / (1.0 + draws.sites(self.rho, "rho", lo, hi))
+    def _omega_plus(self, draws, lo: int, hi: int) -> tuple:
+        return (1.0 / (1.0 + draws.sites(self.rho, "rho", lo, hi)),)
 
-    def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        return self._omega_plus(_replica(seed, self.tag, replica), lo, hi)[0]
-
-    def omega_plus_blocks(self, seed: int, rows: range, lo: int, hi: int):
-        """(row slice, omega+ rows) blocks covering the replicas in rows."""
-        return _site_blocks(self._omega_plus, seed, self.tag, rows, lo, hi)
+    def site_source(self, seed: int, rows: range):
+        """(row slice, (omega+ rows,)) blocks of the replicas in rows."""
+        return _RowDraws(seed, self.tag, rows, self._omega_plus)
 
     def params(self) -> dict:
         return {"rho": self.rho.spec_string()}
@@ -277,28 +276,13 @@ class IIDConductance:
         if self.time_flavor not in ("discrete", "continuous"):
             raise ValueError("time_flavor must be 'discrete' or 'continuous'")
 
-    def _omega_plus(self, draws, lo: int, hi: int) -> np.ndarray:
-        c = draws.sites(self.c, "c", lo - 1, hi)
-        return c[..., 1:] / (c[..., :-1] + c[..., 1:])
-
-    def _rates(self, draws, lo: int, hi: int):
+    def _rates(self, draws, lo: int, hi: int) -> tuple:
         c = draws.sites(self.c, "c", lo - 1, hi)
         return c[..., :-1], c[..., 1:]  # r-_x = c_{x-1}, r+_x = c_x
 
-    def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        return self._omega_plus(_replica(seed, self.tag, replica), lo, hi)[0]
-
-    def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        rm, rp = self._rates(_replica(seed, self.tag, replica), lo, hi)
-        return rm[0].copy(), rp[0].copy()
-
-    def omega_plus_blocks(self, seed: int, rows: range, lo: int, hi: int):
-        """(row slice, omega+ rows) blocks covering the replicas in rows."""
-        return _site_blocks(self._omega_plus, seed, self.tag, rows, lo, hi)
-
-    def rate_blocks(self, seed: int, rows: range, lo: int, hi: int):
-        """(row slice, (r- rows, r+ rows)) blocks covering the replicas in rows."""
-        return _site_blocks(self._rates, seed, self.tag, rows, lo, hi)
+    def site_source(self, seed: int, rows: range):
+        """(row slice, (r- rows, r+ rows)) blocks of the replicas in rows."""
+        return _RowDraws(seed, self.tag, rows, self._rates)
 
     def params(self) -> dict:
         return {"c": self.c.spec_string(), "time_flavor": self.time_flavor}
@@ -322,17 +306,23 @@ class Renewal:
         if self.time_flavor not in ("discrete", "continuous"):
             raise ValueError("time_flavor must be 'discrete' or 'continuous'")
 
-    def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        pts = RenewalPoints(self.gamma, seed, replica)
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        marked = pts.contains(-sites)
-        r_plus = np.where(marked, 2.0, 1.0)
-        r_minus = np.full(sites.shape, float(self.a))
-        return r_minus, r_plus
+    def site_source(self, seed: int, rows: range):
+        """(row slice, (r- row, r+ row)) for each replica in rows, from its
+        renewal points.  A source of one replica (a realization) draws them
+        once and holds them.  A larger one draws each replica's points per
+        call and drops them, since together they would grow with the rows
+        times the distance from the origin."""
+        held = RenewalPoints(self.gamma, seed, rows[0]) if len(rows) == 1 else None
 
-    def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        rm, rp = self.rate_sites(seed, replica, lo, hi)
-        return omega_from_rates(rm, rp)
+        def blocks(lo: int, hi: int):
+            sites = np.arange(lo, hi + 1, dtype=np.int64)
+            r_minus = np.full((1, sites.size), float(self.a))
+            for k, r in enumerate(rows):
+                pts = held or RenewalPoints(self.gamma, seed, r)
+                r_plus = np.where(pts.contains(-sites), 2.0, 1.0)
+                yield slice(k, k + 1), (r_minus, r_plus[None])
+
+        return blocks
 
     def params(self) -> dict:
         return {"a": self.a, "gamma": self.gamma, "time_flavor": self.time_flavor}
@@ -352,7 +342,7 @@ class CoinFlip:
     time_flavor: str = "continuous"
     tag: str = "coinflip"
 
-    def _rates(self, draws, lo: int, hi: int):
+    def _rates(self, draws, lo: int, hi: int) -> tuple:
         heads = draws.uniforms("coin", 0, 1) < 0.5
         # pair m is sites (2m+1, 2m+2) under heads and (2m, 2m+1) under tails;
         # its left member has (r-, r+) = (a-_m, a+_m), its right one the swap.
@@ -369,13 +359,9 @@ class CoinFlip:
 
         return interleaved(am, ap), interleaved(ap, am)
 
-    def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        rm, rp = self._rates(_replica(seed, self.tag, replica), lo, hi)
-        return rm[0], rp[0]
-
-    def rate_blocks(self, seed: int, rows: range, lo: int, hi: int):
-        """(row slice, (r- rows, r+ rows)) blocks covering the replicas in rows."""
-        return _site_blocks(self._rates, seed, self.tag, rows, lo, hi)
+    def site_source(self, seed: int, rows: range):
+        """(row slice, (r- rows, r+ rows)) blocks of the replicas in rows."""
+        return _RowDraws(seed, self.tag, rows, self._rates)
 
     def params(self) -> dict:
         return {"a_plus": self.a_plus.spec_string(),
@@ -431,19 +417,10 @@ class PeriodicEnv:
         w = self.omega_plus_at(x)
         return (1.0 - w) / w
 
-    def omega_plus_sites(self, seed: int, replica: int, lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi + 1) % self.period
-        if self.omega:
-            return np.asarray(self.omega)[idx]
-        r = np.asarray(self.rates)
-        return omega_from_rates(r[idx, 0], r[idx, 1])
-
-    def rate_sites(self, seed: int, replica: int, lo: int, hi: int):
-        if not self.rates:
-            raise ValueError("periodic environment has no rates")
-        idx = np.arange(lo, hi + 1) % self.period
-        r = np.asarray(self.rates)
-        return r[idx, 0].copy(), r[idx, 1].copy()
+    def site_source(self, seed: int, rows: range):
+        """One block for every row: (omega+,) or (r-, r+) at each site."""
+        columns = np.array([self.omega]) if self.omega else np.array(self.rates).T
+        return _fixed(columns, lambda lo, hi: np.arange(lo, hi + 1) % self.period)
 
     def params(self) -> dict:
         if self.omega:
@@ -453,71 +430,68 @@ class PeriodicEnv:
 
 @dataclass(frozen=True)
 class _Reflected:
-    """Site reflection of a base model: omega+_x -> omega-_{-x} and
-    (r-_x, r+_x) -> (r+_{-x}, r-_{-x})."""
+    """Site reflection of a base model in one time flavor: omega+_x ->
+    1 - omega+_{-x}, or (r-_x, r+_x) -> (r+_{-x}, r-_{-x}) if rates."""
 
     base: object
+    rates: bool
     tag: str = "reflected"
 
-    def omega_plus_sites(self, seed, replica, lo, hi):
-        w = self.base.omega_plus_sites(seed, replica, -hi, -lo)
-        return 1.0 - w[::-1]
+    def site_source(self, seed: int, rows: range):
+        base = field_source(self.base, seed, rows, self.rates)
 
-    def rate_sites(self, seed, replica, lo, hi):
-        rm, rp = self.base.rate_sites(seed, replica, -hi, -lo)
-        return rp[::-1].copy(), rm[::-1].copy()
+        def blocks(lo: int, hi: int):
+            for blk, f in base(-hi, -lo):
+                yield blk, ((f[1][..., ::-1], f[0][..., ::-1]) if self.rates
+                            else (1.0 - f[0][..., ::-1],))
 
-    def params(self) -> dict:
-        return {"base": getattr(self.base, "tag", "?"), **self.base.params()}
-
-
-@dataclass(frozen=True)
-class _JumpChain:
-    """Discrete-time jump chain of a rate model (omega from rates)."""
-
-    base: object
-    tag: str = "jump-chain"
-
-    def omega_plus_sites(self, seed, replica, lo, hi):
-        rm, rp = self.base.rate_sites(seed, replica, lo, hi)
-        return omega_from_rates(rm, rp)
+        return blocks
 
     def params(self) -> dict:
         return {"base": getattr(self.base, "tag", "?"), **self.base.params()}
 
 
 @dataclass(frozen=True)
-class _SnapshotDiscrete:
-    lo: int
-    values: tuple[float, ...]
-    source: str = "snapshot"
-    tag: str = "snapshot-discrete"
+class _Snapshot:
+    """The fields of a loaded snapshot, (omega+,) or (r-, r+), at sites
+    lo, lo+1, ...; its window cannot grow."""
 
-    def omega_plus_sites(self, seed, replica, lo, hi):
-        if lo < self.lo or hi >= self.lo + len(self.values):
-            raise ValueError("snapshot environments cannot extend their window")
-        return np.asarray(self.values)[lo - self.lo: hi - self.lo + 1]
+    lo: int
+    columns: tuple[tuple[float, ...], ...]
+    source: str
+    tag: str
+
+    def site_source(self, seed: int, rows: range):
+        end = self.lo + len(self.columns[0])
+
+        def index(lo: int, hi: int) -> slice:
+            if lo < self.lo or hi >= end:
+                raise ValueError("snapshot environments cannot extend their window")
+            return slice(lo - self.lo, hi - self.lo + 1)
+
+        return _fixed(np.array(self.columns), index)
 
     def params(self) -> dict:
         return {"source": self.source}
 
 
-@dataclass(frozen=True)
-class _SnapshotRate:
-    lo: int
-    r_minus: tuple[float, ...]
-    r_plus: tuple[float, ...]
-    source: str = "snapshot"
-    tag: str = "snapshot-rate"
+def field_source(model, seed: int, rows: range, rates: bool):
+    """The source of a model's fields in one time flavor, for the replicas
+    in rows: called with a site range [lo, hi], it yields (row slice,
+    fields) blocks covering every row, fields being (r-, r+) if rates and
+    (omega+,) otherwise.  A rate model's omega+ is omega_from_rates(r-, r+),
+    its jump chain; a model with only omega+ has no rates."""
+    source = model.site_source(seed, rows)
 
-    def rate_sites(self, seed, replica, lo, hi):
-        if lo < self.lo or hi >= self.lo + len(self.r_minus):
-            raise ValueError("snapshot environments cannot extend their window")
-        sl = slice(lo - self.lo, hi - self.lo + 1)
-        return np.asarray(self.r_minus)[sl].copy(), np.asarray(self.r_plus)[sl].copy()
+    def blocks(lo: int, hi: int):
+        for blk, fields in source(lo, hi):
+            if len(fields) == 2 and not rates:
+                fields = (omega_from_rates(*fields),)
+            elif len(fields) == 1 and rates:
+                raise ValueError(f"{model.tag} environment has no rates")
+            yield blk, fields
 
-    def params(self) -> dict:
-        return {"source": self.source}
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +503,8 @@ _GROW = 64  # minimum slack added on window growth
 
 class _Realization:
     """Site fields of one realization over a window [lo, hi] that grows on
-    demand.  Subclasses give the fields at a range of sites (_sites) and
-    check them (_check).
+    demand, drawn from one source of the model's fields held for the
+    realization's lifetime; subclasses check the fields (_check).
 
     Safe to share across concurrent readers once materialized; window
     extension mutates the realization object (values never change, only the
@@ -544,13 +518,21 @@ class _Realization:
         lo, hi = int(window[0]), int(window[1])
         if lo > hi:
             raise ValueError("window must be nonempty")
+        self._source = field_source(model, self.seed,
+                                    range(self.replica, self.replica + 1),
+                                    self.kind == "rate")
         self.lo, self.hi = lo, hi
         self._fields = self._drawn(lo, hi)
 
     def _drawn(self, lo: int, hi: int) -> tuple:
-        fields = tuple(np.asarray(f, dtype=float) for f in self._sites(lo, hi))
+        (_, fields), = self._source(lo, hi)
+        fields = tuple(np.asarray(f[0], dtype=float) for f in fields)
         self._check(*fields)
         return fields
+
+    def __reduce__(self):
+        # the source does not pickle; the fields are drawn again, bit for bit
+        return type(self), (self.model, self.seed, (self.lo, self.hi), self.replica)
 
     def ensure(self, lo: int, hi: int) -> None:
         """Extend the window to cover [lo, hi], with slack of half its span
@@ -576,9 +558,6 @@ class DiscreteEnv(_Realization):
 
     kind = "discrete"
 
-    def _sites(self, lo: int, hi: int) -> tuple:
-        return (self.model.omega_plus_sites(self.seed, self.replica, lo, hi),)
-
     @staticmethod
     def _check(w: np.ndarray) -> None:
         if w.size and not ((w > 0.0) & (w < 1.0)).all():
@@ -601,7 +580,7 @@ class DiscreteEnv(_Realization):
         return float(minus), float(plus)
 
     def reflected(self) -> "DiscreteEnv":
-        return DiscreteEnv(_Reflected(self.model), self.seed,
+        return DiscreteEnv(_Reflected(self.model, False), self.seed,
                            (-self.hi, -self.lo), self.replica)
 
 
@@ -609,9 +588,6 @@ class RateEnv(_Realization):
     """One realization of continuous-time jump rates over a window."""
 
     kind = "rate"
-
-    def _sites(self, lo: int, hi: int) -> tuple:
-        return self.model.rate_sites(self.seed, self.replica, lo, hi)
 
     @staticmethod
     def _check(rm: np.ndarray, rp: np.ndarray) -> None:
@@ -642,11 +618,11 @@ class RateEnv(_Realization):
 
     def jump_chain(self) -> DiscreteEnv:
         """The embedded discrete-time chain (same seed and replica)."""
-        return DiscreteEnv(_JumpChain(self.model), self.seed,
+        return DiscreteEnv(self.model, self.seed,
                            (self.lo, self.hi), self.replica)
 
     def reflected(self) -> "RateEnv":
-        return RateEnv(_Reflected(self.model), self.seed,
+        return RateEnv(_Reflected(self.model, True), self.seed,
                        (-self.hi, -self.lo), self.replica)
 
 
@@ -713,11 +689,8 @@ def load_environment(path):
     source = f"{header.get('model', '?')} {header.get('params', '')}".strip()
     seed = int(header.get("seed", 0))
     replica = int(header.get("replica", 0))
-    if header["kind"] == "discrete":
-        values = tuple(float(r[1]) for r in rows)
-        return DiscreteEnv(_SnapshotDiscrete(lo, values, source), seed,
-                           (lo, hi), replica)
-    r_minus = tuple(float(r[1]) for r in rows)
-    r_plus = tuple(float(r[2]) for r in rows)
-    return RateEnv(_SnapshotRate(lo, r_minus, r_plus, source), seed,
-                   (lo, hi), replica)
+    discrete = header["kind"] == "discrete"
+    columns = tuple(tuple(float(r[j]) for r in rows) for j in range(1, 2 if discrete else 3))
+    model = _Snapshot(lo, columns, source,
+                      "snapshot-discrete" if discrete else "snapshot-rate")
+    return (DiscreteEnv if discrete else RateEnv)(model, seed, (lo, hi), replica)

@@ -16,10 +16,9 @@ Every uniform is counter-addressed by (root seed, stream, replica block,
 step), one ``RowStreams`` row per replica block (``BlockUniforms``), so
 results are independent of the window's moves and of worker count.
 
-A table build takes blocks of rows from models that build many replicas
-together (the i.i.d. models), and one replica's environment at a time from
-the others; a build after a move copies the sites the old window holds and
-draws only the new ones.
+A table build takes blocks of rows from one source of the model's fields
+(``field_source``), the entry point that serves every model; a build after
+a move copies the sites the old window holds and draws only the new ones.
 
 The window starts small and slides with the lanes, so table memory follows
 their spread plus ``_SLIDE``, not the run's length.  A walker that comes
@@ -35,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import DiscreteEnv, RateEnv, bias_omega, bias_rates
+from .environments import (DiscreteEnv, RateEnv, bias_omega, bias_rates,
+                           field_source)
 from .rng import BlockExponentials, BlockUniforms
 
 DEFAULT_RANGE_CAP = 10**7
@@ -138,20 +138,7 @@ class _Tables:
             bm, bp = bias_rates(*sites, self.lam)
             total = bm + bp
             return total, bp / total
-        return bias_omega(sites, self.lam)[1:]
-
-    def _site_rows(self, rows: range, lo: int, hi: int):
-        """(row index or slice, site values) pairs covering every row: blocks
-        of rows from models that build them together, else one replica's
-        environment at a time."""
-        if self.rates:
-            blocks, sites_of = getattr(self.model, "rate_blocks", None), self.model.rate_sites
-        else:
-            blocks = getattr(self.model, "omega_plus_blocks", None)
-            sites_of = self.model.omega_plus_sites
-        if blocks is not None:
-            return blocks(self.seed, rows, lo, hi)
-        return ((k, sites_of(self.seed, r, lo, hi)) for k, r in enumerate(rows))
+        return bias_omega(*sites, self.lam)[1:]
 
     def build(self, rows: range, lo: int, hi: int, old=None):
         """The fields as flat arrays, and the offset of each row in them.
@@ -161,7 +148,7 @@ class _Tables:
         env = self.shared_env
         if env is not None:
             sites = (env.rates_window(lo, hi) if self.rates
-                     else env.omega_plus_window(lo, hi))
+                     else (env.omega_plus_window(lo, hi),))
             return ([f.ravel() for f in self._biased(sites)],
                     np.zeros(len(rows), dtype=np.int64))
         width = hi - lo + 1
@@ -177,12 +164,13 @@ class _Tables:
                     held = flat.reshape(len(rows), ohi - olo + 1)
                     f[:, a - lo:b - lo + 1] = held[:, a - olo:b - olo + 1]
                 parts = [(lo, a - 1), (b + 1, hi)]
+        source = field_source(self.model, self.seed, rows, self.rates)
         for plo, phi in parts:
             if plo > phi:
                 continue
-            for k, sites in self._site_rows(rows, plo, phi):
+            for blk, sites in source(plo, phi):
                 for f, values in zip(table, self._biased(sites)):
-                    f[k, plo - lo:phi - lo + 1] = values
+                    f[blk, plo - lo:phi - lo + 1] = values
         return ([f.ravel() for f in table],
                 np.arange(len(rows), dtype=np.int64) * width)
 

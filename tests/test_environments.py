@@ -1,14 +1,17 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
-                     RenewalPoints, ScalarDist, bias, load_environment,
-                     materialize, sample_stationary_renewal, save_environment)
-from rwrelab.environments import _tau1_cdf_table
+from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, RateEnv,
+                     Renewal, RenewalPoints, ScalarDist, bias, load_environment,
+                     materialize, sample_stationary_renewal, save_environment,
+                     sbar_quenched)
+from rwrelab.environments import _GROW, _tau1_cdf_table
 from rwrelab.rng import generator
+from rwrelab.walks import ensemble_continuous
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 
@@ -80,9 +83,13 @@ def test_window_extension_draws_only_new_sites():
     asked = []
 
     class Recorded(IIDConductance):
-        def rate_sites(self, seed, replica, lo, hi):
-            asked.append((lo, hi))
-            return super().rate_sites(seed, replica, lo, hi)
+        def site_source(self, seed, rows):
+            source = super().site_source(seed, rows)
+
+            def recorded(lo, hi):
+                asked.append((lo, hi))
+                return source(lo, hi)
+            return recorded
 
     env = materialize(Recorded(TWO_POINT, time_flavor="continuous"), 3, (-5, 5))
     env.ensure(-20, 30)   # each side grows by at least 64 sites
@@ -115,19 +122,84 @@ def test_one_atom_laws_draw_nothing(monkeypatch):
     lo, hi, rows = -6, 6, range(4, 9)
     for model, want in ((IIDConductance(one), 0.5),
                         (IIDOmega(ScalarDist.constant(2.0)), 1.0 / 3.0)):
-        (blk, w), = model.omega_plus_blocks(7, rows, lo, hi)
+        (blk, (w,)), = E.field_source(model, 7, rows, False)(lo, hi)
         assert np.all(w == want) and w.shape == (len(rows), hi - lo + 1)
-        assert np.all(model.omega_plus_sites(7, 3, lo, hi) == want)
-    (blk, (rm, rp)), = IIDConductance(one, "continuous").rate_blocks(7, rows, lo, hi)
+        assert np.all(materialize(model, 7, (lo, hi), 3).omega_plus_window(lo, hi) == want)
+    (blk, (rm, rp)), = IIDConductance(one, "continuous").site_source(7, rows)(lo, hi)
     assert np.all(rm == 1.0) and np.all(rp == 1.0)
     coin = CoinFlip(one, TWO_POINT)
-    (blk, (rm, rp)), = coin.rate_blocks(7, rows, lo, hi)
+    (blk, (rm, rp)), = coin.site_source(7, rows)(lo, hi)
     for k, r in enumerate(rows):
-        assert all(np.array_equal(a[k], b)
-                   for a, b in zip((rm, rp), coin.rate_sites(7, r, lo, hi)))
+        one_replica = materialize(coin, 7, (lo, hi), r).rates_window(lo, hi)
+        assert all(np.array_equal(a[k], b) for a, b in zip((rm, rp), one_replica))
     # the coin flip's other fields were drawn, for the batch and one replica
     assert {(len(rows), "coin"), (len(rows), "a-"), (1, "coin"), (1, "a-")} <= set(opened)
     assert np.all((rm == 1.0) | (rp == 1.0))
+
+
+def test_growing_realization_seeds_each_field_once(monkeypatch):
+    # a realization holds one source for its lifetime, so a series that
+    # grows its window many times draws from the streams seeded at the start
+    import rwrelab.environments as E
+    seeded = []
+
+    class CountedRows(E.RowStreams):
+        def __init__(self, seed, head, rows, tail):
+            seeded.append(tail[-1])
+            super().__init__(seed, head, rows, tail)
+
+    monkeypatch.setattr(E, "RowStreams", CountedRows)
+    env = materialize(IIDConductance(TWO_POINT), 5, (-4, 4))
+    sbar_quenched(env, 0.05, 1e-10, 10**4)
+    assert env.lo < -4 * _GROW
+    assert seeded == ["c"]
+
+
+def test_growing_renewal_realization_draws_each_batch_once(monkeypatch):
+    # the renewal points of a realization are drawn once and held: growth
+    # draws the anchor once and every gap batch once
+    import rwrelab.environments as E
+    drawn = []
+
+    class CountedRows(E.RowStreams):
+        def __init__(self, seed, head, rows, tail):
+            super().__init__(seed, head, rows, tail)
+            self.field = tail[-1]
+
+        def uniforms(self, start, out, first=0):
+            drawn.append((self.field, start))
+            super().uniforms(start, out, first)
+
+    monkeypatch.setattr(E, "RowStreams", CountedRows)
+    env = materialize(Renewal(1.5, 3.0, time_flavor="continuous"), 13, (-4, 4))
+    for hi in (1000, 50_000, 200_000):
+        env.ensure(-4, hi)
+    assert env.hi >= 200_000
+    assert drawn.count(("anchor", 0)) == 1
+    assert len(drawn) == len(set(drawn))
+    left = sorted(start for field, start in drawn if field == "left")
+    assert left == list(range(0, len(left) * 1024, 1024)) and len(left) > 100
+
+
+@pytest.mark.parametrize("law", [TWO_POINT, ScalarDist.uniform(0.5, 1.5)])
+def test_discrete_conductance_is_the_jump_chain_of_its_rates(law):
+    # one derivation of omega+ from rates serves discrete time and the jump
+    # chain: omega+_x = c_x/(c_{x-1} + c_x), bit for bit
+    window = (-30, 30)
+    discrete = materialize(IIDConductance(law), 9, window)
+    chain = materialize(IIDConductance(law, time_flavor="continuous"), 9,
+                        window).jump_chain()
+    assert np.array_equal(discrete.omega_plus_window(*window),
+                          chain.omega_plus_window(*window))
+
+
+def test_discrete_only_models_have_no_rates():
+    for model in (IIDOmega(TWO_POINT, time_flavor="continuous"),
+                  PeriodicEnv(omega=(0.3, 0.6))):
+        with pytest.raises(ValueError, match="no rates"):
+            RateEnv(model, 1, (-5, 5))
+        with pytest.raises(ValueError, match="no rates"):
+            ensemble_continuous(model, 0.5, 10.0, 4, 1)
 
 
 def test_invalid_parameters_rejected():
@@ -261,6 +333,11 @@ def test_renewal_windows_consistent():
     small = sample_stationary_renewal(gamma, seed, (-100, 100))
     big = sample_stationary_renewal(gamma, seed, (-1000, 1000))
     assert np.array_equal(small, big[(big >= -100) & (big <= 100)])
+    # one realization asked for a wide window, then for windows inside it
+    pts = RenewalPoints(gamma, seed)
+    assert np.array_equal(pts.points_in(-1000, 1000), big)
+    assert np.array_equal(pts.points_in(-100, 100), small)
+    assert np.array_equal(pts.points_in(3, 2), np.zeros(0, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +414,18 @@ def test_snapshot_window_is_fixed(tmp_path):
     loaded = load_environment(path)
     with pytest.raises(ValueError):
         loaded.omega_plus(9)
+
+
+def test_realizations_pickle():
+    # a realization's source does not pickle: the copy draws its window again
+    discrete = materialize(IIDConductance(TWO_POINT), 5, (-5, 5))
+    discrete.ensure(-100, 5)
+    rates = materialize(Renewal(1.5, 3.0, time_flavor="continuous"), 5, (-5, 5))
+    for env in (discrete, discrete.reflected(), rates, rates.reflected()):
+        copy = pickle.loads(pickle.dumps(env))
+        assert (copy.lo, copy.hi) == (env.lo, env.hi)
+        for a, b in zip(copy._fields, env._fields):
+            assert np.array_equal(a, b)
 
 
 def test_tau1_inverse_cdf_table_matches_direct_sum():
