@@ -242,7 +242,7 @@ class _RowDraws:
 def _fixed(columns: np.ndarray, index):
     """The source of a model without randomness: for sites [lo, hi], one
     block that every row shares, each field's columns[f, index(lo, hi)]."""
-    return lambda lo, hi: [(slice(None), tuple(columns[:, None, index(lo, hi)]))]
+    return lambda lo, hi: [(slice(None), tuple(columns.take(index(lo, hi), axis=1)[:, None]))]
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,8 @@ class PeriodicEnv:
     def site_source(self, seed: int, rows: range):
         """One block for every row: (omega+,) or (r-, r+) at each site."""
         columns = np.array([self.omega]) if self.omega else np.array(self.rates).T
-        return _fixed(columns, lambda lo, hi: np.arange(lo, hi + 1) % self.period)
+        period = self.period
+        return _fixed(columns, lambda lo, hi: np.arange(lo, hi + 1) % period)
 
     def params(self) -> dict:
         if self.omega:
@@ -464,10 +465,10 @@ class _Snapshot:
     def site_source(self, seed: int, rows: range):
         end = self.lo + len(self.columns[0])
 
-        def index(lo: int, hi: int) -> slice:
+        def index(lo: int, hi: int) -> np.ndarray:
             if lo < self.lo or hi >= end:
                 raise ValueError("snapshot environments cannot extend their window")
-            return slice(lo - self.lo, hi - self.lo + 1)
+            return np.arange(lo - self.lo, hi - self.lo + 1)
 
         return _fixed(np.array(self.columns), index)
 
