@@ -113,19 +113,26 @@ class ScalarDist:
 
     # -- sampling ------------------------------------------------------------
 
+    def atom_index(self, u: np.ndarray) -> np.ndarray:
+        """The index into atoms of the inverse-CDF sample of each uniform in
+        (0,1] (vectorized); a "uniform" law has no atoms."""
+        if self.kind == "uniform":
+            raise ValueError("a uniform law has no atoms")
+        if len(self.atoms) == 1:
+            return np.zeros(np.shape(u), dtype=np.uint8)
+        if len(self.atoms) == 2:
+            # the comparison's bytes: np.where with scalar branches takes
+            # NumPy's slow broadcast path
+            return (u > self.weights[0]).view(np.uint8)
+        idx = np.searchsorted(np.asarray(self._cum), u, side="left")
+        return np.minimum(idx, len(self.atoms) - 1)
+
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms in (0,1] to samples (inverse CDF, vectorized)."""
+        """Map uniforms in (0,1] to samples (inverse CDF, vectorized): a
+        finite-support law's atoms[atom_index(u)]."""
         if self.kind == "uniform":
             return self.lo + (self.hi - self.lo) * u
-        if len(self.atoms) == 1:
-            return np.full_like(u, self.atoms[0])
-        if len(self.atoms) == 2:
-            # index by the comparison's bytes: np.where with scalar branches
-            # takes NumPy's slow broadcast path
-            return np.asarray(self.atoms)[(u > self.weights[0]).view(np.uint8)]
-        idx = np.searchsorted(np.asarray(self._cum), u, side="left")
-        idx = np.minimum(idx, len(self.atoms) - 1)
-        return np.asarray(self.atoms)[idx]
+        return np.asarray(self.atoms)[self.atom_index(u)]
 
     # -- CLI mini-grammar ----------------------------------------------------
 

@@ -20,15 +20,21 @@ PeriodicEnv     explicit per-site values repeated with period L
 
 Each model has one entry point, ``site_source(seed, rows)``, for its
 native fields only: omega+ (IIDOmega, PeriodicEnv(omega=...), discrete
-snapshots) or (r-, r+) (the others).  It returns a source, seeded once
-(but see Renewal.site_source for several replicas): called with a site
-range [lo, hi], it yields (row slice, fields) blocks covering the replicas
-in rows, one replica being a range of one row.
-``field_source`` serves either time flavor from it; discrete time takes a
-rate model's omega+ = omega_from_rates(r-, r+), its jump chain.  A
-realization holds one source for its lifetime, so a growing window draws
-only its new sites from streams seeded once; the ensemble engine takes a
-source per table build.
+snapshots) or (r-, r+) (the others).  It returns a source, seeded once, as
+a pair (values, blocks): called with a site range [lo, hi], blocks yields
+(row slice, per-site arrays) blocks covering the replicas in rows, one
+replica being a range of one row.  A law with finite support yields one
+uint8 code per site, and values holds its fields per code:
+IIDConductance the atoms of (c_{x-1}, c_x), IIDOmega the atom of rho,
+CoinFlip the atoms of (r-, r+) among those of a+ and a-, Renewal whether
+the site is marked, PeriodicEnv x mod L.  A law that needs more than 256
+codes, or has no atoms (``uniform:``), has values None and yields its
+fields per site.  ``field_source`` serves either time flavor from it;
+discrete time takes a rate model's omega+ = omega_from_rates(r-, r+), its
+jump chain, on the per-code values when there are codes.  A realization
+holds one source for its lifetime and decodes the codes to float64, so a
+growing window draws only its new sites from streams seeded once; the
+ensemble engine holds one source per ensemble.
 
 Every draw is read through ``RowStreams``, the stream (seed, "env", tag,
 replica, field) of each replica being one row, each field's streams seeded
@@ -125,6 +131,56 @@ def _tau1_from_uniform(u: float, gamma: float) -> int:
     return hi
 
 
+class _RenewalSide:
+    """One side of a renewal point set as chunks of points ordered away from
+    the origin: chunk 0 is the anchor point, chunk c >= 1 the points after
+    gap batch c - 1 of the side's stream.  It holds a run of chunks, first,
+    first + 1, ..., up to the last one drawn, and the point before the run."""
+
+    def __init__(self, draws, gamma: float, name: str, sign: int, anchor: int):
+        self.draws, self.gamma, self.name = draws, gamma, name
+        self.sign, self.anchor = sign, anchor
+        self.chunks, self.first, self.before = [np.array([anchor])], 0, anchor
+
+    def _gaps(self, chunk: int) -> np.ndarray:
+        batch = RenewalPoints.GAP_BATCH
+        u = self.draws.uniforms(self.name, (chunk - 1) * batch, batch)[0]
+        return _gap_from_uniform(u, self.gamma)
+
+    def _drop_inside(self, near: int) -> None:
+        """Drop the chunks before the last one that lie nearer the origin
+        than near."""
+        s = self.sign
+        while len(self.chunks) > 1 and s * self.chunks[0][-1] < s * near:
+            self.before = self.chunks.pop(0)[-1]
+            self.first += 1
+
+    def cover(self, near: int, far: int) -> list:
+        """Make the run hold every chunk that meets the points from near out
+        to far and no chunk before those, and return it.  Chunks past the
+        last one drawn are drawn from it; chunks before the run are drawn
+        again backwards from the point before it, which gives the same
+        integers, unless the points asked for lie on the other side of the
+        origin."""
+        s = self.sign
+        while s * self.chunks[-1][-1] <= s * far:
+            gaps = self._gaps(self.first + len(self.chunks))
+            self.chunks.append(self.chunks[-1][-1] + s * np.cumsum(gaps))
+            self._drop_inside(near)
+        while (self.first > 0 and s * self.before >= s * near
+               and s * far >= s * self.anchor):
+            self.first -= 1
+            if self.first == 0:
+                self.chunks.insert(0, np.array([self.anchor]))
+                continue
+            gaps = self._gaps(self.first)
+            start = self.before - s * int(gaps.sum())
+            self.chunks.insert(0, start + s * np.cumsum(gaps))
+            self.before = start
+        self._drop_inside(near)
+        return self.chunks
+
+
 class RenewalPoints:
     """Lazy two-sided realization of the stationary renewal point set.
 
@@ -133,7 +189,10 @@ class RenewalPoints:
     P(tau_1 = m) = m^-gamma / zeta(gamma); both sides then extend with i.i.d.
     gaps P(gap >= j) = j^-gamma from dedicated counter streams, so any two
     windows of the same (seed, replica) agree on their intersection.  Each
-    side keeps its points as int64 arrays, one per batch of GAP_BATCH gaps.
+    side keeps its points as int64 arrays, one per batch of GAP_BATCH gaps,
+    and between calls only those from the last window asked for out to the
+    last one drawn, so memory follows the windows asked for, not their
+    distance from the origin.
     """
 
     GAP_BATCH = 1024
@@ -147,24 +206,13 @@ class RenewalPoints:
         self.tau1 = _tau1_from_uniform(u1, self.gamma)
         gap0 = int(np.floor(self.tau1 * (1.0 - u2) ** (-1.0 / self.gamma)))
         self.tau0 = self.tau1 - gap0
-        # per side, the chunks of points in order away from the origin
-        self._chunks = {"right": [np.array([self.tau1])],
-                        "left": [np.array([self.tau0])]}
-
-    def _extend(self, side: str, sign: int, bound: int) -> None:
-        """Draw the side's gap batches until its last point lies beyond bound."""
-        chunks = self._chunks[side]
-        while sign * chunks[-1][-1] <= sign * bound:
-            start = (len(chunks) - 1) * self.GAP_BATCH
-            u = self._draws.uniforms(side, start, self.GAP_BATCH)[0]
-            gaps = _gap_from_uniform(u, self.gamma)
-            chunks.append(chunks[-1][-1] + sign * np.cumsum(gaps))
+        self._right = _RenewalSide(self._draws, self.gamma, "right", 1, self.tau1)
+        self._left = _RenewalSide(self._draws, self.gamma, "left", -1, self.tau0)
 
     def points_in(self, lo: int, hi: int) -> np.ndarray:
         """Sorted points of the realization inside [lo, hi]."""
-        self._extend("right", 1, hi)
-        self._extend("left", -1, lo)
-        runs = [c[::-1] for c in reversed(self._chunks["left"])] + self._chunks["right"]
+        right, left = self._right.cover(lo, hi), self._left.cover(hi, lo)
+        runs = [c[::-1] for c in reversed(left)] + right
         return np.concatenate(
             [c[np.searchsorted(c, lo):np.searchsorted(c, hi, side="right")]
              for c in runs if c[0] <= hi and c[-1] >= lo] or [np.zeros(0, np.int64)])
@@ -197,12 +245,18 @@ def sample_stationary_renewal(gamma: float, seed: int, window: tuple[int, int],
 _BLOCK_SITES = 1 << 15
 
 
+def _one_byte(codes: int) -> bool:
+    """Whether a law whose sites take this many codes (0 if its support is
+    not finite) has one-byte site codes."""
+    return 0 < codes <= 256
+
+
 class _RowDraws:
     """The environment streams (seed, "env", tag, r, field) of a range of
     replicas r, each field's seeded once (``RowStreams``) and held, and
     drawn for the ``block`` slice of rows, as rows x draws arrays.
 
-    Called with a site range, it is an i.i.d. model's source: (row slice,
+    Called with a site range, it is an i.i.d. model's blocks: (row slice,
     fields_of(self, lo, hi)) for consecutive blocks of rows."""
 
     def __init__(self, seed: int, tag: str, rows: range, fields_of=None):
@@ -222,27 +276,45 @@ class _RowDraws:
             self._streams[field] = RowStreams(self.seed, self.head, self.rows, (field,))
         return self._streams[field]
 
+    def _shape(self, lo: int, hi: int) -> tuple[int, int]:
+        return self.block.stop - self.block.start, hi - lo + 1
+
     def uniforms(self, field: str, start: int, count: int) -> np.ndarray:
         """Draws start..start+count-1 of the field's stream."""
         u = np.empty((self.block.stop - self.block.start, count))
         self._stream(field).uniforms(start, u, first=self.block.start)
         return u
 
+    def _site_uniforms(self, field: str, lo: int, hi: int) -> np.ndarray:
+        u = np.empty(self._shape(lo, hi))
+        self._stream(field).site_uniforms(lo, u, first=self.block.start)
+        return u
+
     def sites(self, dist: ScalarDist, field: str, lo: int, hi: int) -> np.ndarray:
         """dist's samples at sites [lo, hi] from the field's stream; a
         one-atom law ignores its uniforms, so none are drawn."""
-        shape = (self.block.stop - self.block.start, hi - lo + 1)
         if len(dist.atoms) == 1:
-            return np.full(shape, dist.atoms[0])
-        u = np.empty(shape)
-        self._stream(field).site_uniforms(lo, u, first=self.block.start)
-        return dist.from_uniforms(u)
+            return np.full(self._shape(lo, hi), dist.atoms[0])
+        return dist.from_uniforms(self._site_uniforms(field, lo, hi))
+
+    def codes(self, dist: ScalarDist, field: str, lo: int, hi: int) -> np.ndarray:
+        """The uint8 atom indices of the samples that ``sites`` gives."""
+        if len(dist.atoms) == 1:
+            return np.zeros(self._shape(lo, hi), dtype=np.uint8)
+        index = dist.atom_index(self._site_uniforms(field, lo, hi))
+        return index.astype(np.uint8, copy=False)
 
 
 def _fixed(columns: np.ndarray, index):
     """The source of a model without randomness: for sites [lo, hi], one
-    block that every row shares, each field's columns[f, index(lo, hi)]."""
-    return lambda lo, hi: [(slice(None), tuple(columns.take(index(lo, hi), axis=1)[:, None]))]
+    block that every row shares, columns[:, index(lo, hi)].  With at most 256
+    columns a site's code is its column and the per-code fields are the rows
+    of columns; with more the block holds each field's values."""
+    if _one_byte(columns.shape[1]):
+        return tuple(columns), lambda lo, hi: [
+            (slice(None), (index(lo, hi).astype(np.uint8)[None],))]
+    return None, lambda lo, hi: [
+        (slice(None), tuple(columns.take(index(lo, hi), axis=1)[:, None]))]
 
 
 @dataclass(frozen=True)
@@ -253,12 +325,20 @@ class IIDOmega:
     tag: str = "iid-omega"
     time_flavor: str = "discrete"
 
+    def _codes(self, draws, lo: int, hi: int) -> tuple:
+        return (draws.codes(self.rho, "rho", lo, hi),)
+
     def _omega_plus(self, draws, lo: int, hi: int) -> tuple:
         return (1.0 / (1.0 + draws.sites(self.rho, "rho", lo, hi)),)
 
     def site_source(self, seed: int, rows: range):
-        """(row slice, (omega+ rows,)) blocks of the replicas in rows."""
-        return _RowDraws(seed, self.tag, rows, self._omega_plus)
+        """(omega+ per code, blocks of the replicas in rows); a site's code
+        is the atom of its rho."""
+        atoms = np.array(self.rho.atoms)
+        if _one_byte(len(atoms)):
+            return ((1.0 / (1.0 + atoms),),
+                    _RowDraws(seed, self.tag, rows, self._codes))
+        return None, _RowDraws(seed, self.tag, rows, self._omega_plus)
 
     def params(self) -> dict:
         return {"rho": self.rho.spec_string()}
@@ -276,13 +356,23 @@ class IIDConductance:
         if self.time_flavor not in ("discrete", "continuous"):
             raise ValueError("time_flavor must be 'discrete' or 'continuous'")
 
+    def _codes(self, draws, lo: int, hi: int) -> tuple:
+        i = draws.codes(self.c, "c", lo - 1, hi)
+        return (i[..., :-1] * len(self.c.atoms) + i[..., 1:],)
+
     def _rates(self, draws, lo: int, hi: int) -> tuple:
         c = draws.sites(self.c, "c", lo - 1, hi)
         return c[..., :-1], c[..., 1:]  # r-_x = c_{x-1}, r+_x = c_x
 
     def site_source(self, seed: int, rows: range):
-        """(row slice, (r- rows, r+ rows)) blocks of the replicas in rows."""
-        return _RowDraws(seed, self.tag, rows, self._rates)
+        """((r-, r+) per code, blocks of the replicas in rows); a site's
+        code is k i + j for the atoms i of c_{x-1} and j of c_x, k atoms."""
+        k = len(self.c.atoms)
+        if _one_byte(k * k):
+            atoms = np.array(self.c.atoms)
+            return ((np.repeat(atoms, k), np.tile(atoms, k)),
+                    _RowDraws(seed, self.tag, rows, self._codes))
+        return None, _RowDraws(seed, self.tag, rows, self._rates)
 
     def params(self) -> dict:
         return {"c": self.c.spec_string(), "time_flavor": self.time_flavor}
@@ -307,22 +397,17 @@ class Renewal:
             raise ValueError("time_flavor must be 'discrete' or 'continuous'")
 
     def site_source(self, seed: int, rows: range):
-        """(row slice, (r- row, r+ row)) for each replica in rows, from its
-        renewal points.  A source of one replica (a realization) draws them
-        once and holds them.  A larger one draws each replica's points per
-        call and drops them, since together they would grow with the rows
-        times the distance from the origin."""
-        held = RenewalPoints(self.gamma, seed, rows[0]) if len(rows) == 1 else None
+        """((r-, r+) per code, blocks of one replica each); a site's code
+        is 1 where it is marked.  The source holds each replica's renewal
+        points, which keep only the chunks its last site range needs."""
+        points = [RenewalPoints(self.gamma, seed, r) for r in rows]
 
         def blocks(lo: int, hi: int):
-            sites = np.arange(lo, hi + 1, dtype=np.int64)
-            r_minus = np.full((1, sites.size), float(self.a))
-            for k, r in enumerate(rows):
-                pts = held or RenewalPoints(self.gamma, seed, r)
-                r_plus = np.where(pts.contains(-sites), 2.0, 1.0)
-                yield slice(k, k + 1), (r_minus, r_plus[None])
+            marks = -np.arange(lo, hi + 1, dtype=np.int64)
+            for k, pts in enumerate(points):
+                yield slice(k, k + 1), (pts.contains(marks).astype(np.uint8)[None],)
 
-        return blocks
+        return (np.full(2, float(self.a)), np.array([1.0, 2.0])), blocks
 
     def params(self) -> dict:
         return {"a": self.a, "gamma": self.gamma, "time_flavor": self.time_flavor}
@@ -342,26 +427,49 @@ class CoinFlip:
     time_flavor: str = "continuous"
     tag: str = "coinflip"
 
-    def _rates(self, draws, lo: int, hi: int) -> tuple:
+    def _sites(self, draws, lo: int, hi: int, sample, members) -> tuple:
+        """Per-site arrays at sites [lo, hi] from per-pair ones: with a+ and
+        a- = sample(law, field, mlo, mhi) for pairs mlo..mhi, members(a-, a+)
+        gives each array's values at the left and the right member of a
+        pair."""
         heads = draws.uniforms("coin", 0, 1) < 0.5
         # pair m is sites (2m+1, 2m+2) under heads and (2m, 2m+1) under tails;
         # its left member has (r-, r+) = (a-_m, a+_m), its right one the swap.
         # So r+ runs a+_m, a-_m, a+_m+1, ... from site 2 mlo + 1 (heads) or
         # 2 mlo (tails), and r- runs a-_m, a+_m, ... from the same site.
         mlo, mhi = (lo - 1) // 2, hi // 2
-        ap = draws.sites(self.a_plus, "a+", mlo, mhi)
-        am = draws.sites(self.a_minus, "a-", mlo, mhi)
+        ap = sample(self.a_plus, "a+", mlo, mhi)
+        am = sample(self.a_minus, "a-", mlo, mhi)
         width, at = hi - lo + 1, lo - 2 * mlo  # site lo's place in a tails run
 
         def interleaved(first, second):
             run = np.stack((first, second), axis=-1).reshape(*first.shape[:-1], -1)
             return np.where(heads, run[..., at - 1:at - 1 + width], run[..., at:at + width])
 
-        return interleaved(am, ap), interleaved(ap, am)
+        return tuple(interleaved(*pair) for pair in members(am, ap))
+
+    def _rates(self, draws, lo: int, hi: int) -> tuple:
+        return self._sites(draws, lo, hi, draws.sites,
+                           lambda am, ap: ((am, ap), (ap, am)))
 
     def site_source(self, seed: int, rows: range):
-        """(row slice, (r- rows, r+ rows)) blocks of the replicas in rows."""
-        return _RowDraws(seed, self.tag, rows, self._rates)
+        """((r-, r+) per code, blocks of the replicas in rows); a site's
+        code is m i + j for the places i of r- and j of r+ among the m
+        atoms of a+ and a- together."""
+        union = np.unique(self.a_plus.atoms + self.a_minus.atoms)
+        m = len(union)
+        if not (self.a_plus.atoms and self.a_minus.atoms and _one_byte(m * m)):
+            return None, _RowDraws(seed, self.tag, rows, self._rates)
+        place = {field: np.searchsorted(union, law.atoms).astype(np.uint8)
+                 for field, law in (("a+", self.a_plus), ("a-", self.a_minus))}
+
+        def codes(draws, lo: int, hi: int) -> tuple:
+            return self._sites(
+                draws, lo, hi,
+                lambda law, field, a, b: place[field].take(draws.codes(law, field, a, b)),
+                lambda am, ap: ((am * m + ap, ap * m + am),))
+
+        return (np.repeat(union, m), np.tile(union, m)), _RowDraws(seed, self.tag, rows, codes)
 
     def params(self) -> dict:
         return {"a_plus": self.a_plus.spec_string(),
@@ -418,7 +526,8 @@ class PeriodicEnv:
         return (1.0 - w) / w
 
     def site_source(self, seed: int, rows: range):
-        """One block for every row: (omega+,) or (r-, r+) at each site."""
+        """One block for every row, of (omega+,) or (r-, r+); a site's code
+        is x mod L."""
         columns = np.array([self.omega]) if self.omega else np.array(self.rates).T
         period = self.period
         return _fixed(columns, lambda lo, hi: np.arange(lo, hi + 1) % period)
@@ -438,15 +547,18 @@ class _Reflected:
     rates: bool
     tag: str = "reflected"
 
+    def _flipped(self, fields: tuple) -> tuple:
+        return (fields[1], fields[0]) if self.rates else (1.0 - fields[0],)
+
     def site_source(self, seed: int, rows: range):
-        base = field_source(self.base, seed, rows, self.rates)
+        values, base = field_source(self.base, seed, rows, self.rates)
 
         def blocks(lo: int, hi: int):
             for blk, f in base(-hi, -lo):
-                yield blk, ((f[1][..., ::-1], f[0][..., ::-1]) if self.rates
-                            else (1.0 - f[0][..., ::-1],))
+                f = tuple(a[..., ::-1] for a in f)
+                yield blk, f if values is not None else self._flipped(f)
 
-        return blocks
+        return None if values is None else self._flipped(values), blocks
 
     def params(self) -> dict:
         return {"base": getattr(self.base, "tag", "?"), **self.base.params()}
@@ -477,22 +589,26 @@ class _Snapshot:
 
 
 def field_source(model, seed: int, rows: range, rates: bool):
-    """The source of a model's fields in one time flavor, for the replicas
-    in rows: called with a site range [lo, hi], it yields (row slice,
-    fields) blocks covering every row, fields being (r-, r+) if rates and
-    (omega+,) otherwise.  A rate model's omega+ is omega_from_rates(r-, r+),
-    its jump chain; a model with only omega+ has no rates."""
-    source = model.site_source(seed, rows)
+    """The source of a model's fields in one time flavor for the replicas in
+    rows, fields being (r-, r+) if rates and (omega+,) otherwise: a pair
+    (values, blocks).  Called with a site range [lo, hi], blocks yields
+    (row slice, per-site arrays) blocks covering every row.  For a
+    finite-support law values holds the fields per code and the arrays are
+    (uint8 codes,); otherwise values is None and the arrays are the fields.
+    A rate model's omega+ is omega_from_rates(r-, r+), its jump chain; a
+    model with only omega+ has no rates."""
+    values, source = model.site_source(seed, rows)
 
-    def blocks(lo: int, hi: int):
-        for blk, fields in source(lo, hi):
-            if len(fields) == 2 and not rates:
-                fields = (omega_from_rates(*fields),)
-            elif len(fields) == 1 and rates:
-                raise ValueError(f"{model.tag} environment has no rates")
-            yield blk, fields
+    def fields_of(native: tuple) -> tuple:
+        if len(native) == 2 and not rates:
+            return (omega_from_rates(*native),)
+        if len(native) == 1 and rates:
+            raise ValueError(f"{model.tag} environment has no rates")
+        return native
 
-    return blocks
+    if values is not None:
+        return fields_of(values), source
+    return None, lambda lo, hi: ((blk, fields_of(f)) for blk, f in source(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +621,8 @@ _GROW = 64  # minimum slack added on window growth
 class _Realization:
     """Site fields of one realization over a window [lo, hi] that grows on
     demand, drawn from one source of the model's fields held for the
-    realization's lifetime; subclasses check the fields (_check).
+    realization's lifetime and decoded to float64 if it yields codes;
+    subclasses check the fields (_check).
 
     Safe to share across concurrent readers once materialized; window
     extension mutates the realization object (values never change, only the
@@ -519,15 +636,18 @@ class _Realization:
         lo, hi = int(window[0]), int(window[1])
         if lo > hi:
             raise ValueError("window must be nonempty")
-        self._source = field_source(model, self.seed,
-                                    range(self.replica, self.replica + 1),
-                                    self.kind == "rate")
+        self._values, self._blocks = field_source(
+            model, self.seed, range(self.replica, self.replica + 1),
+            self.kind == "rate")
         self.lo, self.hi = lo, hi
         self._fields = self._drawn(lo, hi)
 
     def _drawn(self, lo: int, hi: int) -> tuple:
-        (_, fields), = self._source(lo, hi)
-        fields = tuple(np.asarray(f[0], dtype=float) for f in fields)
+        (_, sites), = self._blocks(lo, hi)
+        if self._values is None:
+            fields = tuple(np.asarray(f[0], dtype=float) for f in sites)
+        else:   # decode the codes
+            fields = tuple(v.take(sites[0][0]) for v in self._values)
         self._check(*fields)
         return fields
 

@@ -1,8 +1,8 @@
 """Quenched walk engine: vectorized replica ensembles and single runs.
 
 One stepping core (``_walk``) moves an ensemble's replica lanes over biased
-site tables (``_Tables``: one field per site in discrete time, two in
-continuous time); it owns range-cap freezing, the window sweep every
+site tables (``_Tables``: one field in discrete time, two in continuous
+time); it owns range-cap freezing, the window sweep every
 ``_CHECK_EVERY`` steps, the window that follows the lanes, and result
 assembly.  Two step rules plug into it: one uniform per step
 (``_DiscreteLanes``), or an exponential holding time and a direction uniform
@@ -17,8 +17,14 @@ step), one ``RowStreams`` row per replica block (``BlockUniforms``), so
 results are independent of the window's moves and of worker count.
 
 A table build takes blocks of rows from one source of the model's fields
-(``field_source``), the entry point that serves every model; a build after
-a move copies the sites the old window holds and draws only the new ones.
+(``field_source``), the entry point that serves every model, held for the
+ensemble's lifetime; a build after a move copies the sites the old window
+holds and draws only the new ones.  A finite-support law's table holds one
+uint8 code per site, and each build a small lookup table (LUT) of the biased
+fields per code, made by the same elementwise formulas, so a step gathers
+the code and then the field(s) from the LUT, bit for bit the values a
+float64 table would hold.  Other laws keep float64 tables, read through the
+same step rules with a LUT of None.
 
 The window starts small and slides with the lanes, so table memory follows
 their spread plus ``_SLIDE``, not the run's length.  A walker that comes
@@ -116,11 +122,17 @@ class EnsembleResult:
 
 @dataclass
 class _Tables:
-    """Biased site tables of a range of replicas over one window [lo, hi].
+    """Biased site tables of the replicas in rows over one window [lo, hi].
 
-    A row holds one field per site (discrete time: omega+(lam)) or two
-    (continuous time: the total rate and p+ = r+/(r- + r+), at lam).  Row k
-    is the environment of replica rows[k], or shared_env for every row.
+    The fields are omega+(lam) in discrete time, and the total rate and
+    p+ = r+/(r- + r+) at lam in continuous time.  Row k is the environment
+    of replica rows[k], from one source of the model's fields held for the
+    ensemble's lifetime, or shared_env for every row.  A finite-support
+    law's table holds one uint8 code per site, and each build a lookup table
+    (LUT) of the fields per code, made by the same formulas from the law's
+    per-code values, so lut[codes] is the fields bit for bit.  Other laws
+    (``uniform:`` ones, those with more than 256 codes) and shared_env keep
+    the fields per site, and a LUT of None.
     """
 
     model: object
@@ -128,6 +140,11 @@ class _Tables:
     shared_env: object
     lam: float
     rates: bool
+    rows: range
+
+    def __post_init__(self):
+        self._source = (None if self.shared_env is not None else
+                        field_source(self.model, self.seed, self.rows, self.rates))
 
     @property
     def fields(self) -> int:
@@ -140,46 +157,48 @@ class _Tables:
             return total, bp / total
         return bias_omega(*sites, self.lam)[1:]
 
-    def build(self, rows: range, lo: int, hi: int, old=None):
-        """The fields as flat arrays, and the offset of each row in them.
+    def build(self, lo: int, hi: int, old=None):
+        """(table, lut, offsets): the window's flat per-site arrays (the
+        codes, or the fields if lut is None), the fields per code, and the
+        offset of each row in the table.
 
-        old, the (fields, lo, hi) of an earlier build over the same rows,
-        lends the sites it holds; only the others are drawn."""
+        old, the (table, lo, hi) of an earlier build, lends the sites it
+        holds; only the others are drawn."""
+        m = len(self.rows)
         env = self.shared_env
         if env is not None:
             sites = (env.rates_window(lo, hi) if self.rates
                      else (env.omega_plus_window(lo, hi),))
-            return ([f.ravel() for f in self._biased(sites)],
-                    np.zeros(len(rows), dtype=np.int64))
+            return ([f.ravel() for f in self._biased(sites)], None,
+                    np.zeros(m, dtype=np.int64))
+        values, blocks = self._source
+        lut = None if values is None else self._biased(values)
         width = hi - lo + 1
-        # one array per field: a single (fields, rows, width) block raised
-        # the continuous benchmark's peak RSS by about 20% (allocator reuse)
-        table = [np.empty((len(rows), width)) for _ in range(self.fields)]
+        table = ([np.empty((m, width), dtype=np.uint8)] if lut is not None
+                 else [np.empty((m, width)) for _ in range(self.fields)])
         parts = [(lo, hi)]
         if old is not None:
-            fields, olo, ohi = old
+            held, olo, ohi = old
             a, b = max(lo, olo), min(hi, ohi)
             if a <= b:
-                for f, flat in zip(table, fields):
-                    held = flat.reshape(len(rows), ohi - olo + 1)
-                    f[:, a - lo:b - lo + 1] = held[:, a - olo:b - olo + 1]
+                for f, flat in zip(table, held):
+                    f[:, a - lo:b - lo + 1] = flat.reshape(m, -1)[:, a - olo:b - olo + 1]
                 parts = [(lo, a - 1), (b + 1, hi)]
-        source = field_source(self.model, self.seed, rows, self.rates)
         for plo, phi in parts:
             if plo > phi:
                 continue
-            for blk, sites in source(plo, phi):
-                for f, values in zip(table, self._biased(sites)):
-                    f[blk, plo - lo:phi - lo + 1] = values
-        return ([f.ravel() for f in table],
-                np.arange(len(rows), dtype=np.int64) * width)
+            for blk, sites in blocks(plo, phi):
+                for f, v in zip(table, sites if lut is not None else self._biased(sites)):
+                    f[blk, plo - lo:phi - lo + 1] = v
+        return [f.ravel() for f in table], lut, np.arange(m, dtype=np.int64) * width
 
 
 class _DiscreteLanes:
     """Discrete-time step rule: one uniform per step, right iff it is <=
     omega+(lam) at the lane's site, for a fixed number of steps.  Lanes are
-    held as flat table indices (position = gidx - offsets + lo); psum adds
-    up, per lane, the omega+(lam) of every site it steps from."""
+    held as flat table indices (position = gidx - offsets + lo), and read
+    omega+(lam) through the table's code if it has a LUT; psum adds up, per
+    lane, the omega+(lam) of every site it steps from."""
 
     def __init__(self, seed, rows: range, steps: int):
         m = len(rows)
@@ -200,9 +219,9 @@ class _DiscreteLanes:
             self.active &= ~lanes
             self.all_moving = False
 
-    def rebase(self, fields, offsets, lo, pos) -> None:
-        (self.flat,), self.offsets, self.lo = fields, offsets, lo
-        self.gidx = offsets - lo + pos
+    def rebase(self, table, lut, offsets, lo, pos) -> None:
+        self.codes, (self.wplus,) = (None, table) if lut is None else (table[0], lut)
+        self.offsets, self.lo, self.gidx = offsets, lo, offsets - lo + pos
 
     def positions(self) -> np.ndarray:
         return self.gidx - self.offsets + self.lo
@@ -219,7 +238,7 @@ class _DiscreteLanes:
     def step(self, k: int) -> None:
         gidx, bbuf = self.gidx, self.bbuf
         # take() without out=: with out= and mode="raise" NumPy buffers
-        p = self.flat.take(gidx)
+        p = self.wplus.take(gidx if self.codes is None else self.codes.take(gidx))
         np.less_equal(self.uni.step(k), p, out=bbuf)
         if self.all_moving:
             self.psum += p
@@ -238,7 +257,7 @@ class _ContinuousLanes:
     an Exp(1) draw, then right iff the direction uniform is <= p+ at the
     lane's site.  A lane stops at its first jump time beyond the horizon
     (never if the horizon is None).  Lanes are held as flat table indices,
-    as in _DiscreteLanes.
+    and read the fields through the table's code, as in _DiscreteLanes.
 
     With a horizon, e_sum and pe_sum add up, per lane, E and p+ E over the
     holding times that end within it: each adds (r+ - r-) E/(r- + r+) =
@@ -268,9 +287,14 @@ class _ContinuousLanes:
     def stop(self, lanes: np.ndarray) -> None:
         self.active &= ~lanes
 
-    def rebase(self, fields, offsets, lo, pos) -> None:
-        (self.total, self.wplus), self.offsets, self.lo = fields, offsets, lo
-        self.gidx = offsets - lo + pos
+    def rebase(self, table, lut, offsets, lo, pos) -> None:
+        self.codes, (self.total, self.wplus) = ((None, table) if lut is None
+                                                else (table[0], lut))
+        self.offsets, self.lo, self.gidx = offsets, lo, offsets - lo + pos
+
+    def _index(self) -> np.ndarray:
+        """Each lane's index into the fields: its code, or its site."""
+        return self.gidx if self.codes is None else self.codes.take(self.gidx)
 
     def positions(self) -> np.ndarray:
         return self.gidx - self.offsets + self.lo
@@ -285,8 +309,9 @@ class _ContinuousLanes:
         the rounding of both sums and of T_N, and of the tables' p+; with
         N <= seen + _CHECK_EVERY it does not depend on how the replicas are
         split across workers."""
-        total = self.total.take(self.gidx)
-        drift = total * (2.0 * self.wplus.take(self.gidx) - 1.0)
+        idx = self._index()
+        total = self.total.take(idx)
+        drift = total * (2.0 * self.wplus.take(idx) - 1.0)
         comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
         jumps = self.seen + _CHECK_EVERY
         bound = (jumps + 8.0) * (2.0 * self.e_sum + total * self.horizon)
@@ -295,9 +320,10 @@ class _ContinuousLanes:
     def step(self, k: int) -> None:
         active, gidx, bbuf = self.active, self.gidx, self.bbuf
         e = self.u_hold.step(k)
-        p = self.wplus.take(gidx)
+        idx = self._index()
+        p = self.wplus.take(idx)
         # dt = E/rate and t + dt, in place in the fresh gathered array
-        t_new = self.total.take(gidx)
+        t_new = self.total.take(idx)
         np.divide(e, t_new, out=t_new)
         t_new += self.t
         if self.horizon is not None:
@@ -332,11 +358,10 @@ def _ahead(x: int, clock: float, end: float | None) -> int:
     return int(min(_SLIDE, max(4 * _CHECK_EVERY, far)))
 
 
-def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
-          window: tuple[int, int], range_cap: int, elapsed: float, *,
-          jump_budget=math.inf, target: int | None = None,
-          observe=None) -> EnsembleResult:
-    """Step replicas replica_offset.. as lanes rule(seed, rows, limit)
+def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
+          range_cap: int, elapsed: float, *, jump_budget=math.inf,
+          target: int | None = None, observe=None) -> EnsembleResult:
+    """Step the replicas of tables.rows as lanes rule(seed, rows, limit)
     (limit: step count or horizon) over one window of site tables, starting
     at `window`, that follows the lanes.
 
@@ -351,14 +376,15 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
     `compensator`, and the largest of their rounding bounds to
     `compensator_rounding`.  observe(k, lanes) follows step k.
     """
-    rows = range(replica_offset, replica_offset + replicas)
+    rows = tables.rows
+    replicas = len(rows)
     aborted = np.zeros(replicas, dtype=bool)
     values = np.full(replicas, np.nan) if target is not None else None
     end = None if target is not None else limit
     lo, hi = window
-    fields, offsets = tables.build(rows, lo, hi)
+    table, lut, offsets = tables.build(lo, hi)
     lanes = rule(tables.seed, rows, limit)
-    lanes.rebase(fields, offsets, lo, 0)
+    lanes.rebase(table, lut, offsets, lo, 0)
     k = 0
     while lanes.running(k):
         lanes.step(k)
@@ -390,9 +416,9 @@ def _walk(rule, limit, tables: _Tables, replicas: int, replica_offset: int,
                       else min(hi, mx + slack))
             new_lo, new_hi = max(new_lo, -range_cap - 1), min(new_hi, range_cap + 1)
             if new_lo < lo or new_hi > hi:   # not when held at the range cap
-                fields, offsets = tables.build(rows, new_lo, new_hi, (fields, lo, hi))
+                table, lut, offsets = tables.build(new_lo, new_hi, (table, lo, hi))
                 lo, hi = new_lo, new_hi
-                lanes.rebase(fields, offsets, lo, pos)
+                lanes.rebase(table, lut, offsets, lo, pos)
     comp, rounding = lanes.compensator(k) if target is None else (None, 0.0)
     return EnsembleResult(lanes.positions(), aborted, replicas, elapsed,
                           values, comp, rounding)
@@ -414,8 +440,9 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
     environment).
     """
     margin = int(4.0 * math.sqrt(max(n, 1))) + 2 * _CHECK_EVERY
-    return _walk(_DiscreteLanes, n, _Tables(model, seed, shared_env, lam, False),
-                 replicas, replica_offset, (-margin, margin), range_cap, float(n))
+    rows = range(replica_offset, replica_offset + replicas)
+    return _walk(_DiscreteLanes, n, _Tables(model, seed, shared_env, lam, False, rows),
+                 (-margin, margin), range_cap, float(n))
 
 
 def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
@@ -435,10 +462,11 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
     # lanes stop at a target, so they never step on the sites past it
     hi = (4 * _CHECK_EVERY if target_level is None
           else max(target_level, 0) + _CHECK_EVERY)
+    rows = range(replica_offset, replica_offset + replicas)
     return _walk(_ContinuousLanes, horizon if target_level is None else None,
-                 _Tables(model, seed, shared_env, lam, True), replicas,
-                 replica_offset, (-4 * _CHECK_EVERY, hi), range_cap,
-                 float(horizon), jump_budget=jump_budget, target=target_level)
+                 _Tables(model, seed, shared_env, lam, True, rows),
+                 (-4 * _CHECK_EVERY, hi), range_cap, float(horizon),
+                 jump_budget=jump_budget, target=target_level)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +501,7 @@ def _single(env, lam: float, seed: int, limit, range_cap: int, **core):
     rates = isinstance(env, RateEnv)
     path = _Path()
     res = _walk(_ContinuousLanes if rates else _DiscreteLanes, limit,
-                _Tables(None, seed, env, lam, rates), 1, 0,
+                _Tables(None, seed, env, lam, rates, range(1)),
                 (-4 * _CHECK_EVERY, 4 * _CHECK_EVERY), range_cap, 0.0,
                 observe=path, **core)
     return bool(res.aborted[0]), path

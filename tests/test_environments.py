@@ -84,12 +84,12 @@ def test_window_extension_draws_only_new_sites():
 
     class Recorded(IIDConductance):
         def site_source(self, seed, rows):
-            source = super().site_source(seed, rows)
+            values, source = super().site_source(seed, rows)
 
             def recorded(lo, hi):
                 asked.append((lo, hi))
                 return source(lo, hi)
-            return recorded
+            return values, recorded
 
     env = materialize(Recorded(TWO_POINT, time_flavor="continuous"), 3, (-5, 5))
     env.ensure(-20, 30)   # each side grows by at least 64 sites
@@ -120,15 +120,20 @@ def test_one_atom_laws_draw_nothing(monkeypatch):
     monkeypatch.setattr(E, "RowStreams", RefusingRows)
     one = ScalarDist.constant(1.0)
     lo, hi, rows = -6, 6, range(4, 9)
+    def decoded(source):
+        (values, blocks) = source
+        (blk, (codes,)), = blocks(lo, hi)
+        return tuple(v[codes] for v in values)
+
     for model, want in ((IIDConductance(one), 0.5),
                         (IIDOmega(ScalarDist.constant(2.0)), 1.0 / 3.0)):
-        (blk, (w,)), = E.field_source(model, 7, rows, False)(lo, hi)
+        w, = decoded(E.field_source(model, 7, rows, False))
         assert np.all(w == want) and w.shape == (len(rows), hi - lo + 1)
         assert np.all(materialize(model, 7, (lo, hi), 3).omega_plus_window(lo, hi) == want)
-    (blk, (rm, rp)), = IIDConductance(one, "continuous").site_source(7, rows)(lo, hi)
+    rm, rp = decoded(IIDConductance(one, "continuous").site_source(7, rows))
     assert np.all(rm == 1.0) and np.all(rp == 1.0)
     coin = CoinFlip(one, TWO_POINT)
-    (blk, (rm, rp)), = coin.site_source(7, rows)(lo, hi)
+    rm, rp = decoded(coin.site_source(7, rows))
     for k, r in enumerate(rows):
         one_replica = materialize(coin, 7, (lo, hi), r).rates_window(lo, hi)
         assert all(np.array_equal(a[k], b) for a, b in zip((rm, rp), one_replica))
@@ -338,6 +343,12 @@ def test_renewal_windows_consistent():
     assert np.array_equal(pts.points_in(-1000, 1000), big)
     assert np.array_equal(pts.points_in(-100, 100), small)
     assert np.array_equal(pts.points_in(3, 2), np.zeros(0, np.int64))
+    # far out and back: between calls a realization holds only the chunks
+    # its last window meets, and draws the ones it dropped again, the same
+    far = RenewalPoints(gamma, seed)
+    assert far.points_in(-300_000, -299_000).size > 0
+    assert len(far._left.chunks) + len(far._right.chunks) <= 4
+    assert np.array_equal(far.points_in(-1000, 1000), big)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      annealed_velocity, einstein_slope, ensemble_continuous,
                      ensemble_discrete, exact_product_moment,
                      exact_walk_distribution, materialize,
-                     renewal_product_moment, sigma2_of_model,
-                     tau1_tail, rcm_discrete_taylor, velocity_jump_probe,
+                     renewal_product_moment, sigma2_iid_omega,
+                     sigma2_of_model, tau1_tail, rcm_discrete_taylor,
+                     velocity_iid_omega, velocity_jump_probe,
                      velocity_of_model, velocity_rcm_discrete)
 from rwrelab import estimators
 from rwrelab.estimators import Estimate, ScalingFit, _run_ensemble
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
+RHO_TWO_POINT = ScalarDist.two_point(0.5, 2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +132,18 @@ def test_annealed_velocity_zero_field_is_zero():
     assert abs(est.mean) < 3 * est.std_error
 
 
+def test_iid_omega_velocity_matches_closed_form():
+    # both atoms of rho(lam) = rho e^-2lam below 1: no site traps the walk,
+    # so D_n/n at n = 1e4 is already at the limit
+    for lam in (0.5, 1.0):
+        est = annealed_velocity(IIDOmega(RHO_TWO_POINT), lam, n=10_000,
+                                replicas=2000, seed=5)
+        ref = velocity_iid_omega(lam, RHO_TWO_POINT.moment(1),
+                                 RHO_TWO_POINT.moment(-1)).v
+        assert est.excluded == 0
+        assert abs(est.mean - ref) <= 3 * est.std_error
+
+
 def test_workers_do_not_change_results():
     model = IIDConductance(TWO_POINT)
     e1 = annealed_velocity(model, 0.5, n=400, replicas=250, seed=23, workers=1)
@@ -178,6 +192,16 @@ def test_annealed_diffusion_symmetric_walk():
     assert abs(res.variance.mean - 1.0) < 4 * se
     assert res.ks_distance < 0.05
     assert res.sigma2_ref == pytest.approx(1.0)
+
+
+def test_iid_omega_diffusivity_matches_closed_form():
+    for lam in (0.6, 1.0, 1.5):
+        res = annealed_diffusion(IIDOmega(RHO_TWO_POINT), lam, n=4000,
+                                 replicas=10_000, seed=5)
+        ref = sigma2_iid_omega(lam, RHO_TWO_POINT.moment(1),
+                               RHO_TWO_POINT.moment(2)).sigma2
+        assert res.variance.excluded == 0
+        assert abs(res.variance.mean - ref) <= 3 * res.variance.std_error
 
 
 def test_ks_distance_shrinks_with_replicas():

@@ -175,7 +175,10 @@ def test_first_passage_is_the_target_level_run():
 
 def test_ensemble_matches_per_replica_environments(monkeypatch):
     # the engine's per-replica tables must equal the library materialization;
-    # blocks of 3 rows (width 21) split the rows across the replica block at 1024
+    # blocks of 3 rows (width 21) split the rows across the replica block at
+    # 1024.  A finite-support law with at most 256 codes is held as uint8
+    # codes whose LUT decodes to those tables bit for bit; other laws keep
+    # float64 tables
     import rwrelab.environments
     from rwrelab.walks import _Tables
     monkeypatch.setattr(rwrelab.environments, "_BLOCK_SITES", 64)
@@ -190,37 +193,47 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
         bm, bp = bias_rates(*env.rates_window(lo, hi), lam)
         return bm + bp, bp / (bm + bp)
 
+    def decoded(table, lut):
+        return table if lut is None else [v[table[0]] for v in lut]
+
     three_atoms = ScalarDist.empirical([0.5, 1.0, 2.0], [0.3, 0.4, 0.3])
-    for model, rates, row in (
-            (IIDConductance(TWO_POINT), False, discrete_row),
-            (IIDConductance(CONST), False, discrete_row),
-            (IIDOmega(three_atoms), False, discrete_row),
-            (IIDConductance(TWO_POINT, time_flavor="continuous"), True, rate_row),
-            (IIDConductance(CONST, time_flavor="continuous"), True, rate_row),
-            (CoinFlip(TWO_POINT, TWO_POINT), True, rate_row),
-            (CoinFlip(CONST, ScalarDist.uniform(0.5, 1.5)), True, rate_row),
-            (PeriodicEnv(rates=((1.0, 2.0), (3.0, 0.5), (2.0, 2.0))), True, rate_row),
-            (Renewal(1.0, 3.0), False, discrete_row),
-            (Renewal(1.0, 3.0, time_flavor="continuous"), True, rate_row)):
-        tables = _Tables(model, seed, None, lam, rates)
-        fields, offsets = tables.build(rows, lo, hi)
+    seventeen_atoms = ScalarDist.empirical(np.arange(1.0, 18.0), np.full(17, 1 / 17))
+    for model, rates, row, coded in (
+            (IIDConductance(TWO_POINT), False, discrete_row, True),
+            (IIDConductance(CONST), False, discrete_row, True),
+            (IIDOmega(three_atoms), False, discrete_row, True),
+            (IIDConductance(TWO_POINT, time_flavor="continuous"), True, rate_row, True),
+            (IIDConductance(CONST, time_flavor="continuous"), True, rate_row, True),
+            (CoinFlip(TWO_POINT, TWO_POINT), True, rate_row, True),
+            (CoinFlip(CONST, ScalarDist.uniform(0.5, 1.5)), True, rate_row, False),
+            (IIDConductance(seventeen_atoms), False, discrete_row, False),  # 289 codes
+            (PeriodicEnv(rates=((1.0, 2.0), (3.0, 0.5), (2.0, 2.0))), True, rate_row, True),
+            (Renewal(1.0, 3.0), False, discrete_row, True),
+            (Renewal(1.0, 3.0, time_flavor="continuous"), True, rate_row, True)):
+        tables = _Tables(model, seed, None, lam, rates, rows)
+        table, lut, offsets = tables.build(lo, hi)
+        assert (lut is not None) == coded
+        assert [f.dtype for f in table] == ([np.uint8] if coded else [np.float64] * len(lut or table))
+        fields = decoded(table, lut)
         assert len(fields) == (2 if rates else 1)
-        for k, r in enumerate(rows):
-            want = row(materialize(model, seed, (lo, hi), replica=r))
+        wants = [row(materialize(model, seed, (lo, hi), replica=r)) for r in rows]
+        for k, want in enumerate(wants):
             for flat, values in zip(fields, want):
                 assert np.array_equal(flat[offsets[k]:offsets[k] + width], values)
         # grown from an old window: both sides, new parts at both site
         # parities, a slide either way, and no overlap at all
         for olo, ohi in ((-7, 6), (-6, 5), (-14, 3), (-3, 25), (30, 40)):
-            old = tables.build(rows, olo, ohi)[0]
-            grown, grown_offsets = tables.build(rows, lo, hi, (old, olo, ohi))
+            old = tables.build(olo, ohi)[0]
+            grown, grown_lut, grown_offsets = tables.build(lo, hi, (old, olo, ohi))
             assert np.array_equal(grown_offsets, offsets)
-            for flat, fresh in zip(grown, fields):
+            for flat, held in zip(grown, table):
+                assert np.array_equal(flat, held)
+            for flat, fresh in zip(decoded(grown, grown_lut), fields):
                 assert np.array_equal(flat, fresh)
         env = materialize(model, seed + 1, (-4, 4), replica=5)
-        fields, offsets = _Tables(None, seed, env, lam, rates).build(range(3), lo, hi)
-        assert np.array_equal(offsets, np.zeros(3))
-        for flat, values in zip(fields, row(env)):
+        table, lut, offsets = _Tables(None, seed, env, lam, rates, range(3)).build(lo, hi)
+        assert lut is None and np.array_equal(offsets, np.zeros(3))
+        for flat, values in zip(table, row(env)):
             assert np.array_equal(flat, values)
 
 
@@ -230,9 +243,9 @@ def _counting_builds(monkeypatch):
     from rwrelab.walks import _Tables
     windows, build = [], _Tables.build
 
-    def counted(self, rows, lo, hi, old=None):
+    def counted(self, lo, hi, old=None):
         windows.append((lo, hi))
-        return build(self, rows, lo, hi, old)
+        return build(self, lo, hi, old)
 
     monkeypatch.setattr(_Tables, "build", counted)
     return windows
