@@ -251,6 +251,12 @@ def _one_byte(codes: int) -> bool:
     return 0 < codes <= 256
 
 
+def _pairs_of(atoms: np.ndarray) -> tuple:
+    """(atom i, atom j) for each code k i + j of a pair, k atoms."""
+    k = len(atoms)
+    return tuple(atoms[a] for a in np.divmod(np.arange(k * k), k))
+
+
 class _RowDraws:
     """The environment streams (seed, "env", tag, r, field) of a range of
     replicas r, each field's seeded once (``RowStreams``) and held, and
@@ -332,8 +338,8 @@ class IIDOmega:
         return (1.0 / (1.0 + draws.sites(self.rho, "rho", lo, hi)),)
 
     def site_source(self, seed: int, rows: range):
-        """(omega+ per code, blocks of the replicas in rows); a site's code
-        is the atom of its rho."""
+        """(omega+ per code or None, blocks of the replicas in rows); a
+        site's code is the atom of its rho."""
         atoms = np.array(self.rho.atoms)
         if _one_byte(len(atoms)):
             return ((1.0 / (1.0 + atoms),),
@@ -365,12 +371,12 @@ class IIDConductance:
         return c[..., :-1], c[..., 1:]  # r-_x = c_{x-1}, r+_x = c_x
 
     def site_source(self, seed: int, rows: range):
-        """((r-, r+) per code, blocks of the replicas in rows); a site's
-        code is k i + j for the atoms i of c_{x-1} and j of c_x, k atoms."""
+        """((r-, r+) per code or None, blocks of the replicas in rows); a
+        site's code is k i + j for the atoms i of c_{x-1} and j of c_x, k
+        atoms."""
         k = len(self.c.atoms)
         if _one_byte(k * k):
-            atoms = np.array(self.c.atoms)
-            return ((np.repeat(atoms, k), np.tile(atoms, k)),
+            return (_pairs_of(np.array(self.c.atoms)),
                     _RowDraws(seed, self.tag, rows, self._codes))
         return None, _RowDraws(seed, self.tag, rows, self._rates)
 
@@ -453,9 +459,9 @@ class CoinFlip:
                            lambda am, ap: ((am, ap), (ap, am)))
 
     def site_source(self, seed: int, rows: range):
-        """((r-, r+) per code, blocks of the replicas in rows); a site's
-        code is m i + j for the places i of r- and j of r+ among the m
-        atoms of a+ and a- together."""
+        """((r-, r+) per code or None, blocks of the replicas in rows); a
+        site's code is m i + j for the places i of r- and j of r+ among the
+        m atoms of a+ and a- together."""
         union = np.unique(self.a_plus.atoms + self.a_minus.atoms)
         m = len(union)
         if not (self.a_plus.atoms and self.a_minus.atoms and _one_byte(m * m)):
@@ -469,7 +475,7 @@ class CoinFlip:
                 lambda law, field, a, b: place[field].take(draws.codes(law, field, a, b)),
                 lambda am, ap: ((am * m + ap, ap * m + am),))
 
-        return (np.repeat(union, m), np.tile(union, m)), _RowDraws(seed, self.tag, rows, codes)
+        return _pairs_of(union), _RowDraws(seed, self.tag, rows, codes)
 
     def params(self) -> dict:
         return {"a_plus": self.a_plus.spec_string(),
