@@ -466,14 +466,20 @@ class CoinFlip:
         m = len(union)
         if not (self.a_plus.atoms and self.a_minus.atoms and _one_byte(m * m)):
             return None, _RowDraws(seed, self.tag, rows, self._rates)
-        place = {field: np.searchsorted(union, law.atoms).astype(np.uint8)
-                 for field, law in (("a+", self.a_plus), ("a-", self.a_minus))}
+        # each law's atom indices mapped to places among the m atoms; None
+        # where that map is the identity, as when both laws share their atoms
+        place = {}
+        for field, law in (("a+", self.a_plus), ("a-", self.a_minus)):
+            where = np.searchsorted(union, law.atoms).astype(np.uint8)
+            place[field] = None if np.array_equal(where, np.arange(m)) else where
 
         def codes(draws, lo: int, hi: int) -> tuple:
-            return self._sites(
-                draws, lo, hi,
-                lambda law, field, a, b: place[field].take(draws.codes(law, field, a, b)),
-                lambda am, ap: ((am * m + ap, ap * m + am),))
+            def sample(law, field, a, b):
+                index = draws.codes(law, field, a, b)
+                return index if place[field] is None else place[field].take(index)
+
+            return self._sites(draws, lo, hi, sample,
+                               lambda am, ap: ((am * m + ap, ap * m + am),))
 
         return _pairs_of(union), _RowDraws(seed, self.tag, rows, codes)
 

@@ -26,8 +26,11 @@ each row's state to draw it.
 ``BlockUniforms`` draws walk uniforms ahead in fills that start at 16 steps
 and double up to ``steps_per_refill``, into one (steps x lanes) buffer: a
 walk that stops early draws little, and the buffer never holds more than
-``steps_per_refill`` steps of its lanes.  ``BlockExponentials`` turns each
-fill into Exp(1) draws in place.
+``steps_per_refill`` steps of its lanes.  A fill draws each replica block's
+stream ``FIRST_FILL`` steps at a time into one reused scratch, so drawing
+costs no more memory than the buffer plus one such piece.  A walk reads its
+uniforms a block of steps at a time, as one slice of a fill (``rows``).
+``BlockExponentials`` turns each fill into Exp(1) draws in place.
 """
 
 from __future__ import annotations
@@ -222,8 +225,12 @@ class RowStreams:
         # (seed high, seed low, increment high, increment low) per row
         self._words = np.concatenate(groups) if groups else np.empty((0, 4), np.uint64)
 
-    def uniforms(self, start: int, out: np.ndarray, first: int = 0) -> None:
-        """Fill row i of out with draws start, start+1, ... of row first+i."""
+    def uniforms(self, start: int, out: np.ndarray,
+                 first: int = 0) -> np.random.Generator:
+        """Fill row i of out with draws start, start+1, ... of row first+i.
+
+        Returns this thread's scratch generator, which then draws on along
+        the last row's stream, until the next fill sets it elsewhere."""
         if start < 0:
             raise ValueError("stream counter must be nonnegative")
         # PCG64 seeded with (seed, inc) starts at state (i + seed) * MULT + i,
@@ -243,6 +250,7 @@ class RowStreams:
             key["inc"] = inc
             bit_gen.state = value
             gen.random(out=row)
+        return gen
 
     def site_uniforms(self, lo: int, out: np.ndarray, first: int = 0) -> None:
         """Fill row i of out with one uniform per site from lo on."""
@@ -263,13 +271,14 @@ class BlockUniforms:
     yet reproducibly.
 
     Steps are drawn ahead into one (steps x lanes) buffer, all blocks side by
-    side, and ``step`` returns a row of it.  A step outside the buffer starts a
-    fill there, drawn one block at a time: the first covers ``FIRST_FILL``
-    steps, each later one twice the last, up to ``steps_per_refill``, and no
-    fill crosses a multiple of ``steps_per_refill``.  So the buffer holds at
-    most ``steps_per_refill`` steps of the range's lanes, and a walk of s
-    steps draws fewer than ``2 s + FIRST_FILL`` steps.  Any step may be asked for in any order;
-    the returned row is overwritten by later fills.
+    side, and ``rows`` returns a slice of it.  A step outside the buffer
+    starts a fill there, drawn one block at a time and ``FIRST_FILL`` steps
+    of a block at a time: the first covers ``FIRST_FILL`` steps, each later
+    one twice the last, up to ``steps_per_refill``, and no fill crosses a
+    multiple of ``steps_per_refill``.  So the buffer holds at most
+    ``steps_per_refill`` steps of the range's lanes, and a walk of s steps
+    draws fewer than ``2 s + FIRST_FILL`` steps.  Any step may be asked for
+    in any order; the returned rows are overwritten by later fills.
     """
 
     def __init__(self, root_seed: int, tags: tuple[str | int, ...],
@@ -291,21 +300,36 @@ class BlockUniforms:
         self._next = min(2 * self._next, self._cap)
         self._buf = None  # release the old rows before drawing new ones
         buf = np.empty((steps, self._count))
-        draws = np.empty((1, steps * REPLICA_BLOCK))   # one block's, reused
+        # one block's draws for up to FIRST_FILL steps, reused
+        draws = np.empty((1, min(steps, FIRST_FILL) * REPLICA_BLOCK))
         col = 0
         for k, (a, z) in enumerate(self._spans):
-            self._streams.uniforms(step0 * REPLICA_BLOCK, draws, first=k)
-            buf[:, col:col + z - a] = draws.reshape(steps, REPLICA_BLOCK)[:, a:z]
+            gen = None
+            for s in range(0, steps, FIRST_FILL):
+                piece = draws[:, :min(FIRST_FILL, steps - s) * REPLICA_BLOCK]
+                if gen is None:
+                    gen = self._streams.uniforms(step0 * REPLICA_BLOCK, piece,
+                                                 first=k)
+                else:   # the block's stream goes on where the last piece ended
+                    gen.random(out=piece[0])
+                buf[s:s + FIRST_FILL, col:col + z - a] = (
+                    piece.reshape(-1, REPLICA_BLOCK)[:, a:z])
             col += z - a
         self._buf, self._buf_step0 = buf, step0
 
-    def step(self, t: int) -> np.ndarray:
-        """Uniforms for all replicas of this range at step t."""
+    def rows(self, t: int, stop: int) -> np.ndarray:
+        """Uniforms for all replicas of this range at steps t, t+1, ...,
+        one row per step: up to step stop - 1, or fewer where the fill that
+        holds step t ends."""
         j = t - self._buf_step0
         if self._buf is None or not 0 <= j < self._buf.shape[0]:
             self._fill(t)
             j = 0
-        return self._buf[j]
+        return self._buf[j:j + stop - t]
+
+    def step(self, t: int) -> np.ndarray:
+        """Uniforms for all replicas of this range at step t."""
+        return self.rows(t, t + 1)[0]
 
 
 class BlockExponentials(BlockUniforms):

@@ -11,10 +11,20 @@ drift at every site it leaves, times the time it holds there (one step, or
 the holding time cut at the horizon).  Ensembles step per-replica
 environments (annealed) or one shared environment (quenched);
 ``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
-one-lane runs over a shared environment, i.e. replica 0 of that ensemble.
-Every uniform is counter-addressed by (root seed, stream, replica block,
-step), one ``RowStreams`` row per replica block (``BlockUniforms``), so
-results are independent of the window's moves and of worker count.
+one-lane runs over a shared environment, i.e. replica 0 of that ensemble,
+whose paths are read off each block's rows.  Every uniform is
+counter-addressed by (root seed, stream, replica block, step), one
+``RowStreams`` row per replica block (``BlockUniforms``), so results are
+independent of the window's moves and of worker count.
+
+Lanes step one block at a time (``_Lanes``): up to the next sweep, or to
+the end of the current fill of uniforms, whose rows a block reads as one
+slice.  A step writes the lanes' table indices to a row of the block's
+buffer; after the block, each lane's stop (horizon, target) is resolved from
+the rows, and the block checks that no lane left its own row of the tables.
+A continuous step runs only the jump chain; holding times, clocks and the
+compensator sums are settled once per block, adding in the order of one add
+per jump, so the results are those of stepping one jump at a time.
 
 A table build takes blocks of rows from one source of the model's fields
 (``field_source``), the entry point that serves every model, held for the
@@ -35,7 +45,6 @@ signal, never silently truncated.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,71 +202,203 @@ class _Tables:
         return [f.ravel() for f in table], lut, np.arange(m, dtype=np.int64) * width
 
 
-class _DiscreteLanes:
-    """Discrete-time step rule: one uniform per step, right iff it is <=
-    omega+(lam) at the lane's site, for a fixed number of steps.  Lanes are
-    held as flat table indices (position = gidx - offsets + lo), and read
-    omega+(lam) through the table's code if it has a LUT; psum adds up, per
-    lane, the omega+(lam) of every site it steps from."""
+_STEP = np.array([-1, 1])   # a lane's move, by whether it steps right
 
-    def __init__(self, seed, rows: range, steps: int):
+
+def _column_sums(stack: np.ndarray) -> np.ndarray:
+    """Each column's sum, added down the rows in order as one add per row
+    would.  add.reduce adds a 2-D array's rows in order, one row at a time,
+    but a lone column pairwise; cumsum adds in order, but column by column,
+    several times slower on many columns."""
+    if stack.shape[1] > 1:
+        return np.add.reduce(stack, axis=0)
+    return np.add.accumulate(stack, axis=0)[-1]
+
+
+class _Lanes:
+    """Replica lanes stepped one block at a time: what both rules share.
+
+    A lane is held as its flat index into the site tables (position = index
+    - the offset of its row + lo).  A block runs the steps from k0 to k1 (the
+    next sweep, or the jump budget), or fewer where the rule's current fill
+    of uniforms ends, and writes them to the rows of G: row 0 holds the
+    lanes at its start, row j their indices after j steps; lanes stopped
+    before the block do not move.  After the block each lane's final row is
+    resolved: the first that reaches the target, if any (a target run stops
+    stepping once every lane has), or a row the rule sets (continuous time:
+    before the first jump past the horizon).  The lane takes the state of
+    that row, and stops unless it is the block's last and no target was
+    reached.  Rows past a lane's final one are discarded.
+
+    Gathers within a block may clip their indices, so once per block every
+    lane at every step must have stayed inside its own row of the tables, or
+    the block raises; that is stronger than mode="raise", which sees only
+    the ends of the flat table.  (Discrete lanes stepped in place gather with
+    mode="raise", and are checked at the block's end.)
+    """
+
+    steps = None
+
+    def __init__(self, rows: range, target: int | None, keep_rows: bool):
         m = len(rows)
-        self.steps = steps
-        self.uni = BlockUniforms(seed, ("walk",), rows.start, m,
-                                 steps_per_refill=max(1, min(1024, steps)))
+        self.target = target
+        self.values = None if target is None else np.full(m, np.nan)
         self.active = np.ones(m, dtype=bool)
         self.all_moving = True
-        self.bbuf = np.empty(m, dtype=bool)
-        self.sbuf = np.empty(m, dtype=np.int64)
-        self.psum = np.zeros(m)
-
-    def running(self, k: int) -> bool:
-        return k < self.steps and (self.all_moving or bool(self.active.any()))
+        # written row by row, so a block touches only the rows it uses; its
+        # row views are made once, as indexing per step costs more
+        self.keep_rows = keep_rows
+        self.G = np.empty((_CHECK_EVERY + 1, m), dtype=np.int64) if keep_rows else None
+        self._G_rows = list(self.G) if keep_rows else None
+        self.final = np.zeros(m, dtype=np.int64)
+        self._lanes = np.arange(m) if keep_rows else None
+        self._bbuf = np.empty(m, dtype=bool)
+        self._pending = None
 
     def stop(self, lanes: np.ndarray) -> None:
         if lanes.any():
             self.active &= ~lanes
             self.all_moving = False
 
-    def rebase(self, table, lut, offsets, lo, pos) -> None:
-        self.codes, (self.wplus,) = (None, table) if lut is None else (table[0], lut)
-        self.offsets, self.lo, self.gidx = offsets, lo, offsets - lo + pos
+    def rebase(self, table, lut, offsets, lo, hi, pos) -> None:
+        self.codes, self.fields = (None, table) if lut is None else (table[0], lut)
+        self.offsets, self.lo, self.span = offsets, lo, hi - lo
+        self.gidx = offsets - lo + pos
+        if self.target is not None:
+            self.goal = offsets - lo + self.target
 
     def positions(self) -> np.ndarray:
         return self.gidx - self.offsets + self.lo
 
+    def _begin(self) -> None:
+        self.G[0] = self.gidx
+        if self.target is not None:
+            self._pending = self.active.copy()
+
+    def _all_arrived(self, j: int) -> bool:
+        """Whether every lane of a target run has reached it by row j."""
+        if self._pending is None:
+            return False
+        self._pending &= self._G_rows[j] != self.goal
+        return not self._pending.any()
+
+    def _check(self, rows: np.ndarray) -> None:
+        """Raise unless each lane's indices in rows are within its own row of
+        the tables."""
+        if ((rows.min(axis=0) < self.offsets).any()
+                or (rows.max(axis=0) > self.offsets + self.span).any()):
+            raise IndexError("a lane left its row of the site tables")
+
+    def _resolve(self, K: int, final: np.ndarray | None = None):
+        """Settle the block's K rows: final (per lane, default K) cut at the
+        target; returns the lanes that reached it (None without a target)."""
+        G = self.G
+        final = np.full(len(self.gidx), K) if final is None else final
+        stopped = final < K
+        arrived = None
+        if self.target is not None:
+            hit = G[1:K + 1] == self.goal
+            arrived = hit.any(axis=0)
+            arrived &= self.active
+            np.copyto(final, hit.argmax(axis=0) + 1, where=arrived)
+            stopped |= arrived
+        final *= self.active    # lanes stopped before the block keep row 0
+        self.gidx = G[final, self._lanes]
+        self.final = final
+        self.stop(stopped)
+        return arrived
+
+    def trail(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lane 0's positions and clocks after each step it took in the
+        last block (the path of a one-lane run)."""
+        n = int(self.final[0])
+        return self.G[1:n + 1, 0] - self.offsets[0] + self.lo, self._clocks(n)
+
+
+class _DiscreteLanes(_Lanes):
+    """Discrete-time step rule: one uniform per step, right iff it is <=
+    omega+(lam) at the lane's site, for a fixed number of steps.  A step
+    reads omega+(lam) through the table's code if it has a LUT; psum adds
+    up, per lane, the omega+(lam) of every site it steps from.  A block
+    keeps its steps in the rows of G only where they are read, for a
+    target's arrivals or a recorded path; otherwise the lanes step in place,
+    so an ensemble of many lanes holds one row of them, not a block."""
+
+    def __init__(self, seed, rows: range, steps: int, target: int | None,
+                 record: bool):
+        super().__init__(rows, target, record or target is not None)
+        m = len(rows)
+        self.steps = steps
+        self.uni = BlockUniforms(seed, ("walk",), rows.start, m,
+                                 steps_per_refill=max(1, min(1024, steps)))
+        self.sbuf = np.empty(m, dtype=np.int64)
+        self.psum = np.zeros(m)
+        self.k0 = 0
+
+    def running(self, k: int) -> bool:
+        return k < self.steps and (self.all_moving or bool(self.active.any()))
+
     def clock(self, k: int) -> np.ndarray:
         return np.full(len(self.gidx), float(k))
 
-    def compensator(self, k: int) -> tuple[np.ndarray, float]:
+    def _clocks(self, n: int) -> np.ndarray:
+        return np.arange(self.k0 + 1, self.k0 + n + 1, dtype=float)
+
+    def compensator(self) -> tuple[np.ndarray, float]:
         """D_n = 2 psum - n per lane, and the bound 2 n^2 eps on the rounding
         of a sum of n values <= 1 (it holds for lanes that ran all n steps)."""
         n = self.steps
         return 2.0 * self.psum - n, 2.0 * n * n * _EPS
 
-    def step(self, k: int) -> None:
-        gidx, bbuf = self.gidx, self.bbuf
-        # take() without out=: with out= and mode="raise" NumPy buffers
-        p = self.wplus.take(gidx if self.codes is None else self.codes.take(gidx))
-        np.less_equal(self.uni.step(k), p, out=bbuf)
-        if self.all_moving:
-            self.psum += p
-            np.add(gidx, bbuf, out=gidx, casting="unsafe")
-            np.add(gidx, bbuf, out=gidx, casting="unsafe")
-            gidx -= 1
-        else:
-            np.add(self.psum, p, out=self.psum, where=self.active)
-            np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
-            self.sbuf *= self.active
-            gidx += self.sbuf
+    def block(self, k0: int, k1: int) -> int:
+        U = self.uni.rows(k0, min(k1, self.steps))
+        bbuf, (wplus,) = self._bbuf, self.fields
+        K = len(U)
+        if self.keep_rows:
+            self._begin()
+        Gs = self._G_rows if self.keep_rows else [self.gidx] * (K + 1)
+        for j, u in enumerate(U):
+            gidx, nxt = Gs[j], Gs[j + 1]
+            # take() without out=: with out= and mode="raise" NumPy buffers
+            p = wplus.take(gidx if self.codes is None else self.codes.take(gidx))
+            np.less_equal(u, p, out=bbuf)
+            if self.all_moving:
+                self.psum += p
+                np.add(gidx, bbuf, out=nxt, casting="unsafe")
+                np.add(nxt, bbuf, out=nxt, casting="unsafe")
+                nxt -= 1
+            else:
+                np.add(self.psum, p, out=self.psum, where=self.active)
+                np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
+                self.sbuf *= self.active
+                np.add(gidx, self.sbuf, out=nxt)
+            if self._all_arrived(j + 1):
+                K = j + 1
+                break
+        if not self.keep_rows:
+            self._check(self.gidx[None])
+            return K
+        self._check(self.G[1:K + 1])
+        self.k0 = k0
+        arrived = self._resolve(K)
+        if arrived is not None:
+            np.copyto(self.values, k0 + self.final, where=arrived)
+        return K
 
 
-class _ContinuousLanes:
+class _ContinuousLanes(_Lanes):
     """Continuous-time step rule: an Exp(total rate) holding time E/rate, E
     an Exp(1) draw, then right iff the direction uniform is <= p+ at the
     lane's site.  A lane stops at its first jump time beyond the horizon
-    (never if the horizon is None).  Lanes are held as flat table indices,
-    and read the fields through the table's code, as in _DiscreteLanes.
+    (never if the horizon is None).
+
+    A step of a block runs only the jump chain: a code gather, a p+ gather
+    (both clipped), a compare against the direction uniform and the move.
+    Once per block, from its rows: the holding times E/total, each lane's
+    clock and first jump past the horizon (the lane keeps its state from
+    before that jump), and the sums below.  Rows past a lane's final one are
+    zeroed, and sums down the rows (``_column_sums``) add in the order of
+    one add per jump, so every value is that of stepping one jump at a time.
 
     With a horizon, e_sum and pe_sum add up, per lane, E and p+ E over the
     holding times that end within it: each adds (r+ - r-) E/(r- + r+) =
@@ -266,50 +407,46 @@ class _ContinuousLanes:
     within the horizon, so it made at most seen + _CHECK_EVERY jumps.
     """
 
-    steps = None
-
-    def __init__(self, seed, rows: range, horizon: float | None):
+    def __init__(self, seed, rows: range, horizon: float | None,
+                 target: int | None, record: bool):
+        super().__init__(rows, target, True)   # its clocks come from the rows
         m = len(rows)
         self.horizon = horizon
         self.u_hold = BlockExponentials(seed, ("hold",), rows.start, m)
         self.u_dir = BlockUniforms(seed, ("dir",), rows.start, m)
         self.t = np.zeros(m)
-        self.active = np.ones(m, dtype=bool)
-        self.bbuf = np.empty(m, dtype=bool)
-        self.fbuf = np.empty(m)
-        self.e_sum = np.zeros(m)
-        self.pe_sum = np.zeros(m)
-        self.seen = np.zeros(m)
+        self.P = np.empty((_CHECK_EVERY, m))       # p+ at each step's site
+        # row 0 the lanes' clocks, row j + 1 the holding time of step j
+        self.times = np.empty((_CHECK_EVERY + 1, m))
+        self.C = np.empty((_CHECK_EVERY, m), dtype=np.uint8)   # codes
+        self._rows = list(self.P), list(self.C)
+        if horizon is not None:
+            self.e_sum = np.zeros(m)
+            self.pe_sum = np.zeros(m)
+            self.seen = np.zeros(m)
+            self._sums = np.empty((_CHECK_EVERY + 1, m))
 
     def running(self, k: int) -> bool:
         return np.count_nonzero(self.active) > 0   # a third of any()'s cost
 
-    def stop(self, lanes: np.ndarray) -> None:
-        self.active &= ~lanes
-
-    def rebase(self, table, lut, offsets, lo, pos) -> None:
-        self.codes, (self.total, self.wplus) = ((None, table) if lut is None
-                                                else (table[0], lut))
-        self.offsets, self.lo, self.gidx = offsets, lo, offsets - lo + pos
-
-    def _index(self) -> np.ndarray:
-        """Each lane's index into the fields: its code, or its site."""
-        return self.gidx if self.codes is None else self.codes.take(self.gidx)
-
-    def positions(self) -> np.ndarray:
-        return self.gidx - self.offsets + self.lo
+    def rebase(self, table, lut, offsets, lo, hi, pos) -> None:
+        super().rebase(table, lut, offsets, lo, hi, pos)
+        self.total, self.wplus = self.fields
 
     def clock(self, k: int) -> np.ndarray:
         return self.t
 
-    def compensator(self, k: int) -> tuple[np.ndarray, float]:
+    def _clocks(self, n: int) -> np.ndarray:
+        return np.cumsum(self.times[:n + 1, 0])[1:]
+
+    def compensator(self) -> tuple[np.ndarray, float]:
         """D_t per lane: the complete holding times' 2 pe_sum - e_sum, plus
         the last one cut at the horizon, (r+ - r-)(Y_t) (t - T_N).  The bound
         (N + 8) eps (2 e_sum + rate(Y_t) t), N a lane's jump count, covers
         the rounding of both sums and of T_N, and of the tables' p+; with
         N <= seen + _CHECK_EVERY it does not depend on how the replicas are
         split across workers."""
-        idx = self._index()
+        idx = self.gidx if self.codes is None else self.codes.take(self.gidx)
         total = self.total.take(idx)
         drift = total * (2.0 * self.wplus.take(idx) - 1.0)
         comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
@@ -317,31 +454,60 @@ class _ContinuousLanes:
         bound = (jumps + 8.0) * (2.0 * self.e_sum + total * self.horizon)
         return comp, _EPS * float(bound.max())
 
-    def step(self, k: int) -> None:
-        active, gidx, bbuf = self.active, self.gidx, self.bbuf
-        e = self.u_hold.step(k)
-        idx = self._index()
-        p = self.wplus.take(idx)
-        # dt = E/rate and t + dt, in place in the fresh gathered array
-        t_new = self.total.take(idx)
-        np.divide(e, t_new, out=t_new)
-        t_new += self.t
+    def block(self, k0: int, k1: int) -> int:
+        E = self.u_hold.rows(k0, k1)
+        U = self.u_dir.rows(k0, k0 + len(E))   # the same fills as E's
+        codes, wplus, right = self.codes, self.wplus, self._bbuf
+        Gs, (Ps, Cs) = self._G_rows, self._rows
+        self._begin()
+        still = None if self.all_moving else ~self.active
+        K = len(E)
+        for j, u in enumerate(U):
+            g, p = Gs[j], Ps[j]
+            wplus.take(g if codes is None else codes.take(g, out=Cs[j], mode="clip"),
+                       out=p, mode="clip")
+            np.less_equal(u, p, out=right)
+            np.add(g, _STEP.take(right), out=Gs[j + 1])
+            if still is not None:
+                np.copyto(Gs[j + 1], g, where=still)
+            if self._all_arrived(j + 1):
+                K = j + 1
+                break
+        self._check(self.G[1:K + 1])
+        E, P, stack = E[:K], self.P[:K], self.times[:K + 1]
+        stack[0] = self.t
+        self.total.take(self.G[:K] if codes is None else self.C[:K],
+                        out=stack[1:], mode="clip")
+        np.divide(E, stack[1:], out=stack[1:])
+        final = t = None
         if self.horizon is not None:
-            np.less_equal(t_new, self.horizon, out=bbuf)
-            active &= bbuf
-            if k % _CHECK_EVERY == 0:
-                self.seen[active] = k
-            np.add(self.e_sum, e, out=self.e_sum, where=active)
-            np.multiply(p, e, out=self.fbuf)
-            np.add(self.pe_sum, self.fbuf, out=self.pe_sum, where=active)
-        right = np.less_equal(self.u_dir.step(k), p, out=bbuf)
-        right &= active
-        # gidx += 2 right - active; one bool-to-int conversion, not three
-        s = right.astype(np.int64)
-        gidx += s
-        gidx += s
-        np.subtract(gidx, active, out=gidx)
-        np.copyto(self.t, t_new, where=active)
+            t = _column_sums(stack)
+            if (self.active & ~(t <= self.horizon)).any():   # a lane gets past it
+                within = np.cumsum(stack, axis=0)[1:] <= self.horizon
+                final = np.where(within.all(axis=0), K, within.argmin(axis=0))
+        arrived = self._resolve(K, final)
+        ended = True   # which steps' holding times each lane completes
+        if self.final.min() < K:
+            ended = np.arange(K)[:, None] < self.final
+            stack[1:] *= ended
+            t = None
+        self.t = _column_sums(stack) if t is None else t
+        if arrived is not None:
+            np.copyto(self.values, self.t, where=arrived)
+        if self.horizon is not None:
+            self._add_holds(k0, E, P, ended)
+        return K
+
+    def _add_holds(self, k0: int, E: np.ndarray, P: np.ndarray, ended) -> None:
+        """Add E and p+ E of the block's holding times that end within the
+        horizon (where ended holds) to e_sum and pe_sum."""
+        stack = self._sums[:len(E) + 1]
+        for total, terms in ((self.e_sum, E), (self.pe_sum, P * E)):
+            stack[0] = total
+            np.multiply(terms, ended, out=stack[1:])
+            total[:] = _column_sums(stack)
+        if k0 % _CHECK_EVERY == 0:
+            np.copyto(self.seen, k0, where=self.final > 0)
 
 
 def _ahead(x: int, clock: float, end: float | None) -> int:
@@ -361,9 +527,10 @@ def _ahead(x: int, clock: float, end: float | None) -> int:
 def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
           range_cap: int, elapsed: float, *, jump_budget=math.inf,
           target: int | None = None, observe=None) -> EnsembleResult:
-    """Step the replicas of tables.rows as lanes rule(seed, rows, limit)
-    (limit: step count or horizon) over one window of site tables, starting
-    at `window`, that follows the lanes.
+    """Step the replicas of tables.rows as lanes rule(seed, rows, limit,
+    target) (limit: step count or horizon) over one window of site tables,
+    starting at `window`, that follows the lanes; a block at a time, each
+    ending at the next multiple of _CHECK_EVERY steps or sooner.
 
     After every _CHECK_EVERY-th step (and a discrete rule's last) lanes within
     _CHECK_EVERY sites of +-range_cap are aborted, and if a lane still
@@ -374,27 +541,23 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
     aborted.  With a target, lanes stop on reaching it and `values` holds
     the arrival times; without one, the lanes' compensators go to
     `compensator`, and the largest of their rounding bounds to
-    `compensator_rounding`.  observe(k, lanes) follows step k.
+    `compensator_rounding`.  observe(lanes) follows every block.
     """
     rows = tables.rows
-    replicas = len(rows)
-    aborted = np.zeros(replicas, dtype=bool)
-    values = np.full(replicas, np.nan) if target is not None else None
+    aborted = np.zeros(len(rows), dtype=bool)
     end = None if target is not None else limit
     lo, hi = window
     table, lut, offsets = tables.build(lo, hi)
-    lanes = rule(tables.seed, rows, limit)
-    lanes.rebase(table, lut, offsets, lo, 0)
+    lanes = rule(tables.seed, rows, limit, target, observe is not None)
+    lanes.rebase(table, lut, offsets, lo, hi, 0)
     k = 0
     while lanes.running(k):
-        lanes.step(k)
-        k += 1
-        if target is not None:
-            arrived = lanes.active & (lanes.positions() == target)
-            np.copyto(values, lanes.clock(k), where=arrived)
-            lanes.stop(arrived)
+        # a block ends at the next sweep or at the jump budget (at least one
+        # step, as for a budget of 0)
+        stop = min(k - k % _CHECK_EVERY + _CHECK_EVERY, max(jump_budget, k + 1))
+        k += lanes.block(k, int(stop))
         if observe is not None:
-            observe(k, lanes)
+            observe(lanes)
         if k >= jump_budget:
             aborted |= lanes.active
             break
@@ -418,10 +581,10 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
             if new_lo < lo or new_hi > hi:   # not when held at the range cap
                 table, lut, offsets = tables.build(new_lo, new_hi, (table, lo, hi))
                 lo, hi = new_lo, new_hi
-                lanes.rebase(table, lut, offsets, lo, pos)
-    comp, rounding = lanes.compensator(k) if target is None else (None, 0.0)
-    return EnsembleResult(lanes.positions(), aborted, replicas, elapsed,
-                          values, comp, rounding)
+                lanes.rebase(table, lut, offsets, lo, hi, pos)
+    comp, rounding = lanes.compensator() if target is None else (None, 0.0)
+    return EnsembleResult(lanes.positions(), aborted, len(rows), elapsed,
+                          lanes.values, comp, rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -473,38 +636,31 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
 # single runs: replica 0 of a shared-environment ensemble, path recorded
 # ---------------------------------------------------------------------------
 
-class _Path:
-    """Position and clock of lane 0 after every step of a one-lane run."""
-
-    def __init__(self):
-        self.x, self.t = array("q", [0]), array("d", [0.0])
-
-    def __call__(self, k, lanes) -> None:
-        self.x.append(int(lanes.positions()[0]))
-        self.t.append(float(lanes.clock(k)[0]))
-
-    def trajectory(self, elapsed: float, seed: int, record_path: bool,
-                   hitting_levels, times: bool) -> Trajectory:
-        x, t = np.array(self.x, dtype=np.int64), np.array(self.t)
-        keep = np.concatenate([[True], x[1:] != x[:-1]])  # not the jump past a horizon
-        x, t = x[keep], t[keep]
-        hits = {lv: float(t[1 + np.argmax(x[1:] == lv)])
-                for lv in set(map(int, hitting_levels)) if (x[1:] == lv).any()}
-        return Trajectory(int(x[-1]), elapsed, len(x) - 1, seed, int(x.min()),
-                          int(x.max()), hits, x if record_path else None,
-                          t if record_path and times else None)
-
-
 def _single(env, lam: float, seed: int, limit, range_cap: int, **core):
     """One recorded lane over env with the ensemble's streams at replica 0;
-    returns (aborted, path)."""
+    returns (aborted, positions, clocks), the last two from step 0 on."""
     rates = isinstance(env, RateEnv)
-    path = _Path()
+    xs, ts = [np.zeros(1, dtype=np.int64)], [np.zeros(1)]
+
+    def record(lanes) -> None:
+        x, t = lanes.trail()
+        xs.append(x)
+        ts.append(t)
+
     res = _walk(_ContinuousLanes if rates else _DiscreteLanes, limit,
                 _Tables(None, seed, env, lam, rates, range(1)),
                 (-4 * _CHECK_EVERY, 4 * _CHECK_EVERY), range_cap, 0.0,
-                observe=path, **core)
-    return bool(res.aborted[0]), path
+                observe=record, **core)
+    return bool(res.aborted[0]), np.concatenate(xs), np.concatenate(ts)
+
+
+def _trajectory(x, t, elapsed: float, seed: int, record_path: bool,
+                hitting_levels, times: bool) -> Trajectory:
+    hits = {lv: float(t[1 + np.argmax(x[1:] == lv)])
+            for lv in set(map(int, hitting_levels)) if (x[1:] == lv).any()}
+    return Trajectory(int(x[-1]), elapsed, len(x) - 1, seed, int(x.min()),
+                      int(x.max()), hits, x if record_path else None,
+                      t if record_path and times else None)
 
 
 def run_discrete(env: DiscreteEnv, lam: float, n: int, seed: int, *,
@@ -515,11 +671,11 @@ def run_discrete(env: DiscreteEnv, lam: float, n: int, seed: int, *,
     with the same seed; bit-exact replay from (env, lam, n, seed)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    aborted, path = _single(env, lam, seed, n, range_cap)
+    aborted, x, t = _single(env, lam, seed, n, range_cap)
     if aborted:
         raise RangeCapExceeded(f"|position| came within {_CHECK_EVERY} of "
-                               f"{range_cap} by step {len(path.x) - 1}")
-    return path.trajectory(float(n), seed, record_path, hitting_levels, False)
+                               f"{range_cap} by step {len(x) - 1}")
+    return _trajectory(x, t, float(n), seed, record_path, hitting_levels, False)
 
 
 def run_continuous(env: RateEnv, lam: float, horizon: float, seed: int, *,
@@ -532,14 +688,14 @@ def run_continuous(env: RateEnv, lam: float, horizon: float, seed: int, *,
     ensemble_continuous(..., shared_env=env) with the same seed."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    aborted, path = _single(env, lam, seed, horizon, range_cap,
+    aborted, x, t = _single(env, lam, seed, horizon, range_cap,
                             jump_budget=jump_budget)
-    if aborted and len(path.x) - 1 >= jump_budget:
+    if aborted and len(x) - 1 >= jump_budget:
         raise JumpBudgetExceeded(f"{jump_budget} jumps before the horizon")
     if aborted:
         raise RangeCapExceeded(f"|position| came within {_CHECK_EVERY} of "
-                               f"{range_cap} by t={path.t[-1]:.6g}")
-    return path.trajectory(float(horizon), seed, record_path, hitting_levels, True)
+                               f"{range_cap} by t={t[-1]:.6g}")
+    return _trajectory(x, t, float(horizon), seed, record_path, hitting_levels, True)
 
 
 def first_passage(env, lam: float, level: int, seed: int,
@@ -550,11 +706,10 @@ def first_passage(env, lam: float, level: int, seed: int,
     if level < 1:
         raise ValueError("level must be >= 1")
     limit = None if isinstance(env, RateEnv) else budget
-    _, path = _single(env, lam, seed, limit, DEFAULT_RANGE_CAP,
+    _, x, t = _single(env, lam, seed, limit, DEFAULT_RANGE_CAP,
                       jump_budget=budget, target=level)
-    x, t = np.array(path.x, dtype=np.int64), np.array(path.t)
     best = int(x.max())
     reached = t[np.searchsorted(np.maximum.accumulate(x), np.arange(1, best + 1))]
     increments = np.diff(np.concatenate([[0.0], reached]))
     return FirstPassage(level, reached, increments, best >= level,
-                        len(path.x) - 1, seed)
+                        len(x) - 1, seed)

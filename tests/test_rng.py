@@ -245,3 +245,21 @@ def test_short_walk_holds_one_small_buffer(monkeypatch):
     blocks = -(-lanes // REPLICA_BLOCK)
     assert drawn == [FIRST_FILL * REPLICA_BLOCK] * blocks
     assert peak <= 8 * FIRST_FILL * (lanes + REPLICA_BLOCK) + 65536
+    # a long fill over a partial block: 1024 steps of 400 of the block's
+    # 1024 lanes hold the buffer plus one scratch of FIRST_FILL steps of the
+    # block, not 1024 steps of it (8 MB)
+    lanes, steps = 400, 1024
+    uni = BlockUniforms(8, ("dir",), 0, lanes)
+    for t in range(0, steps, FIRST_FILL):   # fills of 16, 32, ... to step 1024
+        uni.step(t)
+    drawn.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert uni.step(steps).shape == (lanes,)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert drawn == [FIRST_FILL * REPLICA_BLOCK]
+    assert peak <= 8 * (steps * lanes + FIRST_FILL * REPLICA_BLOCK) + 65536

@@ -9,9 +9,12 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
                      ensemble_continuous, ensemble_discrete, first_passage,
                      materialize, run_continuous, run_discrete)
 from rwrelab.environments import bias_omega, bias_rates
+from rwrelab.rng import BlockExponentials, BlockUniforms
+from rwrelab.walks import DEFAULT_RANGE_CAP, EnsembleResult
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
+C_TWO_POINT = IIDConductance(TWO_POINT, time_flavor="continuous")
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +404,158 @@ def test_reflection_equivariance_in_distribution():
 
 
 # ---------------------------------------------------------------------------
+# the block engine against the per-jump continuous rule it replaced
+# ---------------------------------------------------------------------------
+
+class _PerJumpLanes:
+    """The continuous rule one jump of every lane at a time: holding time
+    E/total, horizon check, the sums of E and p+ E over the holding times
+    that end within the horizon, direction, move.  The reference that the
+    block engine must match bit for bit."""
+
+    def __init__(self, seed, rows, horizon):
+        m = len(rows)
+        self.horizon = horizon
+        self.u_hold = BlockExponentials(seed, ("hold",), rows.start, m)
+        self.u_dir = BlockUniforms(seed, ("dir",), rows.start, m)
+        self.t, self.e_sum, self.pe_sum, self.seen = (np.zeros(m) for _ in range(4))
+        self.active = np.ones(m, dtype=bool)
+
+    def rebase(self, table, lut, offsets, lo, pos):
+        self.codes, (self.total, self.wplus) = ((None, table) if lut is None
+                                                else (table[0], lut))
+        self.offsets, self.lo, self.gidx = offsets, lo, offsets - lo + pos
+
+    def index(self):
+        return self.gidx if self.codes is None else self.codes.take(self.gidx)
+
+    def positions(self):
+        return self.gidx - self.offsets + self.lo
+
+    def step(self, k):
+        active, e = self.active, self.u_hold.step(k)
+        p = self.wplus.take(self.index())
+        t_new = e / self.total.take(self.index()) + self.t
+        if self.horizon is not None:
+            active &= t_new <= self.horizon
+            if k % 64 == 0:
+                self.seen[active] = k
+            np.add(self.e_sum, e, out=self.e_sum, where=active)
+            np.add(self.pe_sum, p * e, out=self.pe_sum, where=active)
+        right = (self.u_dir.step(k) <= p) & active
+        self.gidx += 2 * right.astype(np.int64) - active
+        np.copyto(self.t, t_new, where=active)
+
+    def compensator(self):
+        total = self.total.take(self.index())
+        drift = total * (2.0 * self.wplus.take(self.index()) - 1.0)
+        comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
+        bound = (self.seen + 64 + 8.0) * (2.0 * self.e_sum + total * self.horizon)
+        return comp, np.finfo(float).eps * float(bound.max())
+
+
+def _per_jump_ensemble(model, lam, horizon, replicas, seed, *, shared_env=None,
+                       range_cap=DEFAULT_RANGE_CAP, jump_budget=10**8,
+                       target_level=None):
+    """ensemble_continuous stepped one jump at a time, with the sweep, the
+    window moves and the stops of the engine before blocks."""
+    from rwrelab.walks import _ahead, _Tables
+    tables = _Tables(model, seed, shared_env, lam, True, range(replicas))
+    aborted = np.zeros(replicas, dtype=bool)
+    values = np.full(replicas, np.nan) if target_level is not None else None
+    end = None if target_level is not None else horizon
+    lo, hi = -256, 256 if target_level is None else max(target_level, 0) + 64
+    table, lut, offsets = tables.build(lo, hi)
+    lanes = _PerJumpLanes(seed, range(replicas), end)
+    lanes.rebase(table, lut, offsets, lo, 0)
+    k = 0
+    while lanes.active.any():
+        lanes.step(k)
+        k += 1
+        if target_level is not None:
+            arrived = lanes.active & (lanes.positions() == target_level)
+            np.copyto(values, lanes.t, where=arrived)
+            lanes.active &= ~arrived
+        if k >= jump_budget:
+            aborted |= lanes.active
+            break
+        if k % 64:
+            continue
+        pos = lanes.positions()
+        mn, mx = int(pos.min()), int(pos.max())
+        newly = lanes.active & (np.abs(pos) >= range_cap - 64)
+        aborted |= newly
+        lanes.active &= ~newly
+        left, right = mn - 64 < lo, mx + 64 > hi
+        if (left or right) and lanes.active.any():
+            new_lo = (mn - _ahead(-mn, float(lanes.t[pos.argmin()]), end) if left
+                      else max(lo, mn - 256))
+            new_hi = (mx + _ahead(mx, float(lanes.t[pos.argmax()]), end) if right
+                      else min(hi, mx + 256))
+            new_lo, new_hi = max(new_lo, -range_cap - 1), min(new_hi, range_cap + 1)
+            if new_lo < lo or new_hi > hi:
+                table, lut, offsets = tables.build(new_lo, new_hi, (table, lo, hi))
+                lo, hi = new_lo, new_hi
+                lanes.rebase(table, lut, offsets, lo, pos)
+    comp, rounding = (lanes.compensator() if target_level is None
+                      else (None, 0.0))
+    return EnsembleResult(lanes.positions(), aborted, replicas, float(horizon),
+                          values, comp, rounding)
+
+
+PER_JUMP_CASES = {
+    # lanes cross the horizon at every row of a block
+    "horizon": (CoinFlip(TWO_POINT, TWO_POINT), 0.8, 37.3, 300, 91, {}),
+    # lanes frozen at the cap stand still while the others step on
+    "range-capped": (C_TWO_POINT, 0.0, 2000.0, 60, 92, {"range_cap": 150}),
+    # the window reaches the cap and is held there, next to frozen lanes
+    "range-cap-held": (C_TWO_POINT, 1.0, 2000.0, 60, 92, {"range_cap": 300}),
+    # 1000 jumps: the budget ends the run 40 steps into a block
+    "jump-budget": (CoinFlip(TWO_POINT, TWO_POINT), 0.0, 1e6, 40, 93,
+                    {"jump_budget": 1000}),
+    # one lane: NumPy would sum a lone column pairwise, not in jump order
+    "one-lane": (CoinFlip(TWO_POINT, TWO_POINT), 0.8, 300.0, 1, 97, {}),
+    "target": (C_TWO_POINT, 0.5, math.inf, 300, 94, {"target_level": 3}),
+    "shared-env": (None, 0.6, 200.0, 100, 95,
+                   {"shared_env": materialize(C_TWO_POINT, 3, (-40, 40))}),
+    "float64-table": (IIDConductance(ScalarDist.uniform(0.5, 2.0),
+                                     time_flavor="continuous"),
+                      0.7, 150.0, 100, 96, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_JUMP_CASES))
+def test_block_engine_is_the_per_jump_rule(case):
+    model, lam, horizon, replicas, seed, kw = PER_JUMP_CASES[case]
+    want = _per_jump_ensemble(model, lam, horizon, replicas, seed, **kw)
+    got = ensemble_continuous(model, lam, horizon, replicas, seed, **kw)
+    for name in ("final_positions", "aborted", "values", "compensator"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+    assert got.compensator_rounding == want.compensator_rounding
+    if case == "range-capped":
+        assert 0 < got.aborted.sum() < replicas
+    if case in ("range-cap-held", "jump-budget"):
+        assert got.aborted.all()
+    if case == "target":
+        assert np.isfinite(got.values).all()
+
+
+def test_a_lane_leaving_its_row_raises():
+    # a window narrower than the run's reach: four steps left take the
+    # strongly biased lanes off their rows of 5 sites, into the row before
+    # or (row 0) to a negative index that take() would wrap; the block
+    # raises rather than read those sites
+    from rwrelab.walks import _ContinuousLanes, _DiscreteLanes, _Tables, _walk
+    for rule, model, limit in ((_ContinuousLanes, C_TWO_POINT, 100.0),
+                               (_DiscreteLanes, IIDConductance(TWO_POINT), 4)):
+        tables = _Tables(model, 7, None, -3.0, rule is _ContinuousLanes, range(3))
+        with pytest.raises(IndexError):
+            _walk(rule, limit, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
+                  jump_budget=4)
+
+
+# ---------------------------------------------------------------------------
 # golden ensemble outputs (BLAKE2b digests recorded from the engines with
 # fixed 1024-step uniform refills and tuple-seeded streams; the range-capped
 # and budget cases from the two separate ensemble loops before the merge)
@@ -419,8 +574,6 @@ def _negated(res):
     res.final_positions = -res.final_positions
     return res
 
-
-C_TWO_POINT = IIDConductance(TWO_POINT, time_flavor="continuous")
 
 GOLDEN_ENSEMBLES = {
     "discrete-annealed": (
