@@ -126,11 +126,10 @@ def sigma2_of_model(model, lam: float) -> float | None:
 
 def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
                   workers=1, target_level=None, jump_budget=10**8,
-                  range_cap=None) -> EnsembleResult:
+                  range_cap=DEFAULT_RANGE_CAP) -> EnsembleResult:
     if (n is None) == (horizon is None):
         raise ValueError("give exactly one of n (discrete) or horizon (continuous)")
-    cap = DEFAULT_RANGE_CAP if range_cap is None else range_cap
-    job = (model, lam, seed, n, horizon, target_level, jump_budget, cap)
+    job = (model, lam, seed, n, horizon, target_level, jump_budget, range_cap)
     if workers <= 1:
         return _ensemble_part(job + (0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
@@ -166,7 +165,7 @@ def _ensemble_part(args) -> EnsembleResult:
 def annealed_velocity(model, lam: float, *, n: int | None = None,
                       horizon: float | None = None, replicas: int, seed: int,
                       workers: int = 1,
-                      range_cap: int | None = None) -> Estimate:
+                      range_cap: int = DEFAULT_RANGE_CAP) -> Estimate:
     """Mean of D_n/n (discrete time) or D_t/t (continuous time) over fresh
     environments, with standard error.
 
@@ -249,9 +248,9 @@ class EinsteinRow:
     h: float
     analytic_slope: float
     bias_term: float
-    mc_slope: float | None
-    mc_slope_se: float | None
-    mc_corrected: float | None
+    mc_slope: float
+    mc_slope_se: float
+    mc_corrected: float
     noise_dominated: bool
 
 
@@ -262,8 +261,7 @@ class EinsteinTable:
 
 
 def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
-                   seed: int, *, mc: bool = True,
-                   workers: int = 1) -> EinsteinTable:
+                   seed: int, *, workers: int = 1) -> EinsteinTable:
     """One-sided difference quotients v(h)/h against their limit sigma2(0).
 
     Limits: 1/(E[c] E[1/c]) in discrete time, 2/E[1/c] in continuous time.
@@ -282,18 +280,13 @@ def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
     for i, h in enumerate(h_grid):
         vres = velocity_of_model(model, h)
         bias = vres.v / h - limit
-        mc_slope = mc_se = corrected = None
-        noisy = False
-        if mc:
-            est = annealed_velocity(
-                model, h, replicas=replicas, seed=derive_seed(seed, "einstein", i),
-                workers=workers, **({"n": n} if discrete else {"horizon": float(n)}))
-            mc_slope = est.mean / h
-            mc_se = est.std_error / h
-            corrected = mc_slope - bias
-            noisy = vres.v < 3.0 * est.std_error
-        rows.append(EinsteinRow(float(h), vres.v / h, bias, mc_slope, mc_se,
-                                corrected, noisy))
+        est = annealed_velocity(
+            model, h, replicas=replicas, seed=derive_seed(seed, "einstein", i),
+            workers=workers, **({"n": n} if discrete else {"horizon": float(n)}))
+        mc_slope = est.mean / h
+        rows.append(EinsteinRow(float(h), vres.v / h, bias, mc_slope,
+                                est.std_error / h, mc_slope - bias,
+                                vres.v < 3.0 * est.std_error))
     return EinsteinTable(limit, tuple(rows))
 
 

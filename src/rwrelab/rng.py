@@ -23,14 +23,10 @@ PCG64's seeding and jump-ahead run in 128-bit integer arithmetic (O'Neill
 Algorithms for Random Number Generation"), and one reused PCG64 is set to
 each row's state to draw it.
 
-``BlockUniforms`` draws walk uniforms ahead in fills that start at 16 steps
-and double up to ``steps_per_refill``, into one (steps x lanes) buffer: a
-walk that stops early draws little, and the buffer never holds more than
-``steps_per_refill`` steps of its lanes.  A fill draws each replica block's
-stream ``FIRST_FILL`` steps at a time into one reused scratch, so drawing
-costs no more memory than the buffer plus one such piece.  A walk reads its
-uniforms a block of steps at a time, as one slice of a fill (``rows``).
-``BlockExponentials`` turns each fill into Exp(1) draws in place.
+``BlockUniforms`` draws the walk uniforms of a block of steps for every
+lane of a replica range, exactly the steps it is asked for, and holds none
+of them between calls: the walk engine decides which blocks it asks for.
+``BlockExponentials`` turns each block into Exp(1) draws in place.
 """
 
 from __future__ import annotations
@@ -47,9 +43,6 @@ SITE_ORIGIN = -(2**40)
 # Replica-block width for per-step walk uniforms.  Part of the seeding
 # contract: changing it changes every trajectory, so it is frozen here.
 REPLICA_BLOCK = 1024
-
-# Steps drawn by the first fill of a BlockUniforms; later fills double.
-FIRST_FILL = 16
 
 
 def tag_int(tag: str | int) -> int:
@@ -225,12 +218,8 @@ class RowStreams:
         # (seed high, seed low, increment high, increment low) per row
         self._words = np.concatenate(groups) if groups else np.empty((0, 4), np.uint64)
 
-    def uniforms(self, start: int, out: np.ndarray,
-                 first: int = 0) -> np.random.Generator:
-        """Fill row i of out with draws start, start+1, ... of row first+i.
-
-        Returns this thread's scratch generator, which then draws on along
-        the last row's stream, until the next fill sets it elsewhere."""
+    def uniforms(self, start: int, out: np.ndarray, first: int = 0) -> None:
+        """Fill row i of out with draws start, start+1, ... of row first+i."""
         if start < 0:
             raise ValueError("stream counter must be nonnegative")
         # PCG64 seeded with (seed, inc) starts at state (i + seed) * MULT + i,
@@ -250,7 +239,6 @@ class RowStreams:
             key["inc"] = inc
             bit_gen.state = value
             gen.random(out=row)
-        return gen
 
     def site_uniforms(self, lo: int, out: np.ndarray, first: int = 0) -> None:
         """Fill row i of out with one uniform per site from lo on."""
@@ -270,19 +258,14 @@ class BlockUniforms:
     replicas are split, so any slice of replicas can be stepped independently
     yet reproducibly.
 
-    Steps are drawn ahead into one (steps x lanes) buffer, all blocks side by
-    side, and ``rows`` returns a slice of it.  A step outside the buffer
-    starts a fill there, drawn one block at a time and ``FIRST_FILL`` steps
-    of a block at a time: the first covers ``FIRST_FILL`` steps, each later
-    one twice the last, up to ``steps_per_refill``, and no fill crosses a
-    multiple of ``steps_per_refill``.  So the buffer holds at most
-    ``steps_per_refill`` steps of the range's lanes, and a walk of s steps
-    draws fewer than ``2 s + FIRST_FILL`` steps.  Any step may be asked for
-    in any order; the returned rows are overwritten by later fills.
+    ``rows(t, stop)`` draws steps t..stop - 1 afresh, in any order, and
+    nothing is kept between calls: each replica block's steps are one run of
+    its stream, drawn into one scratch and copied to the block's lanes.  So a
+    call of K steps holds K x (lanes + ``REPLICA_BLOCK``) uniforms.
     """
 
     def __init__(self, root_seed: int, tags: tuple[str | int, ...],
-                 first_replica: int, count: int, steps_per_refill: int = 1024):
+                 first_replica: int, count: int):
         lo, hi = first_replica, first_replica + count  # [lo, hi)
         blocks = range(lo // REPLICA_BLOCK, (hi - 1) // REPLICA_BLOCK + 1)
         self._streams = RowStreams(root_seed, tuple(tags), blocks, ())
@@ -290,42 +273,18 @@ class BlockUniforms:
         self._spans = [(max(lo - b * REPLICA_BLOCK, 0),
                         min(hi - b * REPLICA_BLOCK, REPLICA_BLOCK)) for b in blocks]
         self._count = count
-        self._cap = steps_per_refill
-        self._next = min(FIRST_FILL, steps_per_refill)
-        self._buf: np.ndarray | None = None
-        self._buf_step0 = 0
-
-    def _fill(self, step0: int) -> None:
-        steps = min(self._next, self._cap - step0 % self._cap)
-        self._next = min(2 * self._next, self._cap)
-        self._buf = None  # release the old rows before drawing new ones
-        buf = np.empty((steps, self._count))
-        # one block's draws for up to FIRST_FILL steps, reused
-        draws = np.empty((1, min(steps, FIRST_FILL) * REPLICA_BLOCK))
-        col = 0
-        for k, (a, z) in enumerate(self._spans):
-            gen = None
-            for s in range(0, steps, FIRST_FILL):
-                piece = draws[:, :min(FIRST_FILL, steps - s) * REPLICA_BLOCK]
-                if gen is None:
-                    gen = self._streams.uniforms(step0 * REPLICA_BLOCK, piece,
-                                                 first=k)
-                else:   # the block's stream goes on where the last piece ended
-                    gen.random(out=piece[0])
-                buf[s:s + FIRST_FILL, col:col + z - a] = (
-                    piece.reshape(-1, REPLICA_BLOCK)[:, a:z])
-            col += z - a
-        self._buf, self._buf_step0 = buf, step0
 
     def rows(self, t: int, stop: int) -> np.ndarray:
         """Uniforms for all replicas of this range at steps t, t+1, ...,
-        one row per step: up to step stop - 1, or fewer where the fill that
-        holds step t ends."""
-        j = t - self._buf_step0
-        if self._buf is None or not 0 <= j < self._buf.shape[0]:
-            self._fill(t)
-            j = 0
-        return self._buf[j:j + stop - t]
+        stop - 1, one row per step."""
+        out = np.empty((stop - t, self._count))
+        draws = np.empty((1, (stop - t) * REPLICA_BLOCK))
+        col = 0
+        for k, (a, z) in enumerate(self._spans):
+            self._streams.uniforms(t * REPLICA_BLOCK, draws, first=k)
+            out[:, col:col + z - a] = draws.reshape(-1, REPLICA_BLOCK)[:, a:z]
+            col += z - a
+        return out
 
     def step(self, t: int) -> np.ndarray:
         """Uniforms for all replicas of this range at step t."""
@@ -334,12 +293,12 @@ class BlockUniforms:
 
 class BlockExponentials(BlockUniforms):
     """``BlockUniforms`` whose rows hold the Exp(1) draws -log1p(-u) of its
-    uniforms u: the transform runs once per fill, in place, so a step costs
-    no extra array and the values are those of the per-row expression."""
+    uniforms u: the transform runs on each fresh block, in place, so a step
+    costs no extra array and the values are those of the per-row expression."""
 
-    def _fill(self, step0: int) -> None:
-        super()._fill(step0)
-        buf = self._buf
-        np.negative(buf, out=buf)
-        np.log1p(buf, out=buf)
-        np.negative(buf, out=buf)
+    def rows(self, t: int, stop: int) -> np.ndarray:
+        out = super().rows(t, stop)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        return out

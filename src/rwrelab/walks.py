@@ -17,9 +17,12 @@ counter-addressed by (root seed, stream, replica block, step), one
 ``RowStreams`` row per replica block (``BlockUniforms``), so results are
 independent of the window's moves and of worker count.
 
-Lanes step one block at a time (``_Lanes``): up to the next sweep, or to
-the end of the current fill of uniforms, whose rows a block reads as one
-slice.  A step writes the lanes' table indices to a row of the block's
+Lanes step one block at a time (``_Lanes``), and ``_walk`` alone sets the
+blocks: the first is ``_FIRST_BLOCK`` steps, and each later one ends at the
+next sweep, at step 2 k + ``_FIRST_BLOCK`` after k steps, or at the jump
+budget.  So a run that stops early draws few uniforms, and every block
+after the first sweep is one sweep.  A block reads each stream's uniforms
+as one call (``BlockUniforms.rows``).  A step writes the lanes' table indices to a row of the block's
 buffer; after the block, each lane's stop (horizon, target) is resolved from
 the rows, and the block checks that no lane left its own row of the tables.
 A continuous step runs only the jump chain; holding times, clocks and the
@@ -56,6 +59,7 @@ from .rng import BlockExponentials, BlockUniforms
 DEFAULT_RANGE_CAP = 10**7
 
 _CHECK_EVERY = 64   # steps between bound/abort sweeps (also the safety margin)
+_FIRST_BLOCK = 16   # steps of a walk's first block; after k steps one ends by 2 k + this
 _SLIDE = 8192       # most sites a window extends past its lead lane
 _EPS = float(np.finfo(float).eps)
 
@@ -219,9 +223,8 @@ class _Lanes:
     """Replica lanes stepped one block at a time: what both rules share.
 
     A lane is held as its flat index into the site tables (position = index
-    - the offset of its row + lo).  A block runs the steps from k0 to k1 (the
-    next sweep, or the jump budget), or fewer where the rule's current fill
-    of uniforms ends, and writes them to the rows of G: row 0 holds the
+    - the offset of its row + lo).  A block runs the steps from k0 to k1, as
+    ``_walk`` sets them, and writes them to the rows of G: row 0 holds the
     lanes at its start, row j their indices after j steps; lanes stopped
     before the block do not move.  After the block each lane's final row is
     resolved: the first that reaches the target, if any (a target run stops
@@ -237,7 +240,7 @@ class _Lanes:
     mode="raise", and are checked at the block's end.)
     """
 
-    steps = None
+    steps = math.inf
 
     def __init__(self, rows: range, target: int | None, keep_rows: bool):
         m = len(rows)
@@ -329,8 +332,7 @@ class _DiscreteLanes(_Lanes):
         super().__init__(rows, target, record or target is not None)
         m = len(rows)
         self.steps = steps
-        self.uni = BlockUniforms(seed, ("walk",), rows.start, m,
-                                 steps_per_refill=max(1, min(1024, steps)))
+        self.uni = BlockUniforms(seed, ("walk",), rows.start, m)
         self.sbuf = np.empty(m, dtype=np.int64)
         self.psum = np.zeros(m)
         self.k0 = 0
@@ -351,7 +353,7 @@ class _DiscreteLanes(_Lanes):
         return 2.0 * self.psum - n, 2.0 * n * n * _EPS
 
     def block(self, k0: int, k1: int) -> int:
-        U = self.uni.rows(k0, min(k1, self.steps))
+        U = self.uni.rows(k0, k1)
         bbuf, (wplus,) = self._bbuf, self.fields
         K = len(U)
         if self.keep_rows:
@@ -456,7 +458,7 @@ class _ContinuousLanes(_Lanes):
 
     def block(self, k0: int, k1: int) -> int:
         E = self.u_hold.rows(k0, k1)
-        U = self.u_dir.rows(k0, k0 + len(E))   # the same fills as E's
+        U = self.u_dir.rows(k0, k1)
         codes, wplus, right = self.codes, self.wplus, self._bbuf
         Gs, (Ps, Cs) = self._G_rows, self._rows
         self._begin()
@@ -529,8 +531,10 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
           target: int | None = None, observe=None) -> EnsembleResult:
     """Step the replicas of tables.rows as lanes rule(seed, rows, limit,
     target) (limit: step count or horizon) over one window of site tables,
-    starting at `window`, that follows the lanes; a block at a time, each
-    ending at the next multiple of _CHECK_EVERY steps or sooner.
+    starting at `window`, that follows the lanes; a block at a time.  After
+    k steps a block ends at the earliest of the next multiple of
+    _CHECK_EVERY, step 2 k + _FIRST_BLOCK, the jump budget (at least one
+    step, as for a budget of 0) and a discrete rule's last step.
 
     After every _CHECK_EVERY-th step (and a discrete rule's last) lanes within
     _CHECK_EVERY sites of +-range_cap are aborted, and if a lane still
@@ -552,9 +556,8 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
     lanes.rebase(table, lut, offsets, lo, hi, 0)
     k = 0
     while lanes.running(k):
-        # a block ends at the next sweep or at the jump budget (at least one
-        # step, as for a budget of 0)
-        stop = min(k - k % _CHECK_EVERY + _CHECK_EVERY, max(jump_budget, k + 1))
+        stop = min(k - k % _CHECK_EVERY + _CHECK_EVERY, 2 * k + _FIRST_BLOCK,
+                   max(jump_budget, k + 1), lanes.steps)
         k += lanes.block(k, int(stop))
         if observe is not None:
             observe(lanes)

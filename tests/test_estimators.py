@@ -243,8 +243,8 @@ def test_import_leaves_scipy_stats_out():
 
 def test_einstein_analytic_rows_converge_to_limit():
     model = IIDConductance(TWO_POINT)
-    table = einstein_slope(model, [0.2, 0.1, 0.01, 0.001], n=0, replicas=0,
-                           seed=1, mc=False)
+    table = einstein_slope(model, [0.2, 0.1, 0.01, 0.001], n=100, replicas=16,
+                           seed=1)
     assert table.limit == pytest.approx(1 / 1.125)
     a1 = rcm_discrete_taylor(1.5, 0.75)[1]
     errs = [abs(r.analytic_slope - a1 * r.h - table.limit) for r in table.rows]
@@ -252,11 +252,12 @@ def test_einstein_analytic_rows_converge_to_limit():
     assert errs[-1] < 1e-5
     for r in table.rows:
         assert r.bias_term == r.analytic_slope - table.limit
+        assert r.mc_corrected == r.mc_slope - r.bias_term
 
 
 def test_einstein_continuous_flavor():
     model = IIDConductance(TWO_POINT, time_flavor="continuous")
-    table = einstein_slope(model, [0.05], n=0, replicas=0, seed=1, mc=False)
+    table = einstein_slope(model, [0.05], n=100, replicas=16, seed=1)
     assert table.limit == pytest.approx(2 / 0.75)
     # the exact v(h)/h - limit = (2/E[1/c]) (sinh(h)/h - 1) = O(h^2)
     assert table.rows[0].bias_term == pytest.approx(

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rwrelab import rng
-from rwrelab.rng import (FIRST_FILL, REPLICA_BLOCK, SITE_ORIGIN,
-                         BlockExponentials, BlockUniforms, RowStreams,
+from rwrelab.rng import (REPLICA_BLOCK, SITE_ORIGIN, BlockExponentials, BlockUniforms, RowStreams,
                          derive_seed, generator, seed_sequence, tag_int)
 
 
@@ -71,13 +70,6 @@ def test_block_uniforms_slice_independence():
         u = full.step(t)
         assert np.array_equal(u[:800], left.step(t))
         assert np.array_equal(u[800:], right.step(t))
-
-
-def test_block_uniforms_independent_of_refill():
-    a = BlockUniforms(3, ("walk",), 0, 100, steps_per_refill=16)
-    b = BlockUniforms(3, ("walk",), 0, 100, steps_per_refill=512)
-    for t in (0, 15, 16, 17, 200):
-        assert np.array_equal(a.step(t), b.step(t))
 
 
 def test_generator_is_sequential_and_seeded():
@@ -191,39 +183,65 @@ STEP_ORDER = [0, 15, 16, 1030, 3, 47, 48, 2047, 2048, 1007, 1008, 1023, 1024,
               5000, 16, 0, 111, 112, 1100]
 
 
-@pytest.mark.parametrize("refill", [1, 7, 30, 1024])
-def test_block_uniforms_random_access_matches_streams(refill):
+@pytest.mark.parametrize("block", [1, 7, 16, 30, 64])
+def test_block_uniforms_random_access_matches_streams(block):
+    # a block of rows read as one call from each step, in any order
     lo, hi = 700, 3200
-    uni = BlockUniforms(4, ("dir",), lo, hi - lo, steps_per_refill=refill)
+    uni = BlockUniforms(4, ("dir",), lo, hi - lo)
     for t in STEP_ORDER + STEP_ORDER[::-1]:
-        assert np.array_equal(uni.step(t), _reference_step(4, ("dir",), lo, hi, t))
+        rows = uni.rows(t, t + block)
+        assert rows.shape == (block, hi - lo)
+        for j in sorted({0, block // 2, block - 1}):
+            assert np.array_equal(rows[j], _reference_step(4, ("dir",), lo, hi, t + j))
+
+
+PARTITIONS = [[(0, 200)], [(0, 16), (16, 48), (48, 64), (64, 128), (128, 200)],
+              [(0, 1)] + [(t, t + 7) for t in range(1, 197, 7)] + [(197, 200)],
+              [(130, 200), (0, 64), (64, 130)]]
+
+
+def test_block_uniforms_independent_of_partition():
+    # however steps 0..199 are cut into blocks, and in whatever order the
+    # blocks are read, each step's row is the same
+    for lo, hi in ((0, 100), (1000, 1050)):
+        uni = BlockUniforms(3, ("walk",), lo, hi - lo)
+        want = np.array([_reference_step(3, ("walk",), lo, hi, t)
+                         for t in range(200)])
+        for blocks in PARTITIONS:
+            got = np.empty_like(want)
+            for t, stop in blocks:
+                got[t:stop] = uni.rows(t, stop)
+            assert np.array_equal(got, want), (lo, blocks)
 
 
 def test_block_exponentials_are_the_uniforms_transformed():
-    # the in-place transform of whole fills gives each row's -log1p(-u),
-    # bit for bit, in every fill
+    # the in-place transform of whole blocks gives each row's -log1p(-u),
+    # bit for bit, in every block
     lo, hi = 700, 3200
     uni = BlockUniforms(4, ("hold",), lo, hi - lo)
     exp = BlockExponentials(4, ("hold",), lo, hi - lo)
     for t in STEP_ORDER:
         assert np.array_equal(exp.step(t), -np.log1p(-uni.step(t)))
+        assert np.array_equal(exp.rows(t, t + 20), -np.log1p(-uni.rows(t, t + 20)))
 
 
 def test_block_uniforms_split_ranges_agree():
     lo, hi = 700, 3200
     full = BlockUniforms(4, ("hold",), lo, hi - lo)
     cuts = [lo, 1024, 1025, 2100, hi]
-    parts = [BlockUniforms(4, ("hold",), a, b - a, steps_per_refill=refill)
-             for (a, b), refill in zip(zip(cuts, cuts[1:]), (1024, 5, 64, 30))]
+    parts = [BlockUniforms(4, ("hold",), a, b - a) for a, b in zip(cuts, cuts[1:])]
     for t in STEP_ORDER:
         row = full.step(t)
         assert np.array_equal(row, np.concatenate([p.step(t) for p in parts]))
+        rows = full.rows(t, t + 9)
+        assert np.array_equal(rows, np.hstack([p.rows(t, t + 9) for p in parts]))
 
 
 def test_short_walk_holds_one_small_buffer(monkeypatch):
-    # 11 steps on 1e4 lanes: one fill of FIRST_FILL steps, and never more
-    # than FIRST_FILL x lanes uniforms held at once (plus one block's draws)
+    # one block of K steps on 1e4 lanes draws K steps of each replica block
+    # and holds the K x lanes rows plus one replica block's K steps of draws
     lanes = 10_000
+    blocks = -(-lanes // REPLICA_BLOCK)
     drawn = []
     uniforms = RowStreams.uniforms
 
@@ -232,34 +250,17 @@ def test_short_walk_holds_one_small_buffer(monkeypatch):
         return uniforms(self, start, out, first)
 
     monkeypatch.setattr(RowStreams, "uniforms", counted)
-    tracemalloc.start()
-    try:
-        uni = BlockUniforms(8, ("hold",), 0, lanes)
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        for t in range(11):
-            assert uni.step(t).shape == (lanes,)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    blocks = -(-lanes // REPLICA_BLOCK)
-    assert drawn == [FIRST_FILL * REPLICA_BLOCK] * blocks
-    assert peak <= 8 * FIRST_FILL * (lanes + REPLICA_BLOCK) + 65536
-    # a long fill over a partial block: 1024 steps of 400 of the block's
-    # 1024 lanes hold the buffer plus one scratch of FIRST_FILL steps of the
-    # block, not 1024 steps of it (8 MB)
-    lanes, steps = 400, 1024
-    uni = BlockUniforms(8, ("dir",), 0, lanes)
-    for t in range(0, steps, FIRST_FILL):   # fills of 16, 32, ... to step 1024
-        uni.step(t)
-    drawn.clear()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert uni.step(steps).shape == (lanes,)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert drawn == [FIRST_FILL * REPLICA_BLOCK]
-    assert peak <= 8 * (steps * lanes + FIRST_FILL * REPLICA_BLOCK) + 65536
+    uni = BlockUniforms(8, ("hold",), 0, lanes)
+    for steps in (1, 16, 64):
+        drawn.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = uni.rows(5, 5 + steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (steps, lanes)
+        assert drawn == [steps * REPLICA_BLOCK] * blocks
+        assert peak <= 8 * steps * (lanes + REPLICA_BLOCK) + 65536

@@ -555,6 +555,44 @@ def test_a_lane_leaving_its_row_raises():
                   jump_budget=4)
 
 
+def test_block_schedule(monkeypatch):
+    # the engine reads each stream's uniforms as one rows(t, stop) call per
+    # block: 0-16, then 16-48, then up to each sweep, cut at the jump budget
+    # and at a discrete walk's last step
+    calls = []
+    rows = BlockUniforms.rows
+
+    def recorded(self, t, stop):
+        calls.append((t, stop))
+        return rows(self, t, stop)
+
+    monkeypatch.setattr(BlockUniforms, "rows", recorded)
+    runs = {
+        "discrete": lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.5,
+                                              200, 300, 75),
+        "target": lambda: ensemble_continuous(C_TWO_POINT, 0.2, math.inf,
+                                              10_000, 74, target_level=3),
+        "budget": lambda: ensemble_continuous(CoinFlip(TWO_POINT, TWO_POINT),
+                                              0.0, 1e6, 40, 93, jump_budget=100),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        blocks = calls if name == "discrete" else calls[::2]
+        if name != "discrete":   # holding times and directions: the same blocks
+            assert calls[1::2] == blocks
+        assert blocks[:2] == [(0, 16), (16, 48)]
+        assert [t for t, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]]
+        for t, stop in blocks:
+            assert 0 < stop - t <= 64 and (stop - 1) // 64 == t // 64
+        if name == "discrete":
+            assert blocks[2:] == [(48, 64), (64, 128), (128, 192), (192, 200)]
+        if name == "target":   # runs past the first sweep
+            assert blocks[2:4] == [(48, 64), (64, 128)]
+        if name == "budget":
+            assert blocks[-1] == (64, 100)
+
+
 # ---------------------------------------------------------------------------
 # golden ensemble outputs (BLAKE2b digests recorded from the engines with
 # fixed 1024-step uniform refills and tuple-seeded streams; the range-capped
