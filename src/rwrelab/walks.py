@@ -22,9 +22,10 @@ blocks: the first is ``_FIRST_BLOCK`` steps, and each later one ends at the
 next sweep, at step 2 k + ``_FIRST_BLOCK`` after k steps, or at the jump
 budget.  So a run that stops early draws few uniforms, and every block
 after the first sweep is one sweep.  A block reads each stream's uniforms
-as one call (``BlockUniforms.rows``).  A step writes the lanes' table indices to a row of the block's
-buffer; after the block, each lane's stop (horizon, target) is resolved from
-the rows, and the block checks that no lane left its own row of the tables.
+in one call (``BlockUniforms.rows``).  A step writes the lanes' table
+indices to a row of the block's buffer; after the block, each lane's stop
+(horizon, target) is resolved from the rows, and the block checks that no
+lane left its own row of the tables.
 A continuous step runs only the jump chain; holding times, clocks and the
 compensator sums are settled once per block, adding in the order of one add
 per jump, so the results are those of stepping one jump at a time.
@@ -59,7 +60,7 @@ from .rng import BlockExponentials, BlockUniforms
 DEFAULT_RANGE_CAP = 10**7
 
 _CHECK_EVERY = 64   # steps between bound/abort sweeps (also the safety margin)
-_FIRST_BLOCK = 16   # steps of a walk's first block; after k steps one ends by 2 k + this
+_FIRST_BLOCK = 16   # steps of a walk's first block; a block from k ends by 2k + 16
 _SLIDE = 8192       # most sites a window extends past its lead lane
 _EPS = float(np.finfo(float).eps)
 

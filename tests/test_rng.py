@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rwrelab import rng
-from rwrelab.rng import (REPLICA_BLOCK, SITE_ORIGIN, BlockExponentials, BlockUniforms, RowStreams,
-                         derive_seed, generator, seed_sequence, tag_int)
+from rwrelab.rng import (REPLICA_BLOCK, SITE_ORIGIN, BlockExponentials,
+                         BlockUniforms, RowStreams, derive_seed, generator,
+                         seed_sequence, tag_int)
 
 
 def _numpy_stream(seed, *tags, start=0):
@@ -192,7 +193,8 @@ def test_block_uniforms_random_access_matches_streams(block):
         rows = uni.rows(t, t + block)
         assert rows.shape == (block, hi - lo)
         for j in sorted({0, block // 2, block - 1}):
-            assert np.array_equal(rows[j], _reference_step(4, ("dir",), lo, hi, t + j))
+            want = _reference_step(4, ("dir",), lo, hi, t + j)
+            assert np.array_equal(rows[j], want)
 
 
 PARTITIONS = [[(0, 200)], [(0, 16), (16, 48), (48, 64), (64, 128), (128, 200)],
