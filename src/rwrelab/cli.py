@@ -178,12 +178,14 @@ def cmd_simulate(args) -> int:
             res = annealed_diffusion(model, lam, args.n, args.replicas,
                                      args.seed, workers=args.workers)
             rows.append([lam, res.variance.mean, res.variance.std_error,
+                         res.sample_variance.mean, res.sample_variance.std_error,
                          res.sigma2_ref, res.ks_distance, res.v_used,
                          res.variance.count, res.variance.excluded])
             aborted += res.variance.excluded
         _emit(args.out, header,
-              ["lambda", "variance", "std_error", "sigma2_closed_form",
-               "ks_distance", "v_used", "count", "excluded"], rows)
+              ["lambda", "variance", "std_error", "variance_plain",
+               "std_error_plain", "sigma2_closed_form", "ks_distance", "v_used",
+               "count", "excluded"], rows)
     elif args.kind == "einstein":
         if not isinstance(model, IIDConductance):
             raise ValidationError("einstein runs need a conductance model")

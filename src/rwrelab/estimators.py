@@ -29,6 +29,8 @@ from .rng import derive_seed, generator
 from .walks import (DEFAULT_RANGE_CAP, EnsembleResult, ensemble_continuous,
                     ensemble_discrete)
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -126,10 +128,11 @@ def sigma2_of_model(model, lam: float) -> float | None:
 
 def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
                   workers=1, target_level=None, jump_budget=10**8,
-                  range_cap=DEFAULT_RANGE_CAP) -> EnsembleResult:
+                  range_cap=DEFAULT_RANGE_CAP, variation=False) -> EnsembleResult:
     if (n is None) == (horizon is None):
         raise ValueError("give exactly one of n (discrete) or horizon (continuous)")
-    job = (model, lam, seed, n, horizon, target_level, jump_budget, range_cap)
+    job = (model, lam, seed, n, horizon, target_level, jump_budget, range_cap,
+           variation)
     if workers <= 1:
         return _ensemble_part(job + (0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
@@ -138,20 +141,20 @@ def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
         parts = list(pool.map(_ensemble_part, [job + r for r in ranges]))
     finals = np.concatenate([p.final_positions for p in parts])
     aborted = np.concatenate([p.aborted for p in parts])
-    values, comp = (None if getattr(parts[0], f) is None
-                    else np.concatenate([getattr(p, f) for p in parts])
-                    for f in ("values", "compensator"))
+    values, comp, var = (None if getattr(parts[0], f) is None
+                         else np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("values", "compensator", "variation"))
     return EnsembleResult(finals, aborted, replicas, parts[0].elapsed, values,
-                          comp, max(p.compensator_rounding for p in parts))
+                          comp, max(p.compensator_rounding for p in parts), var)
 
 
 def _ensemble_part(args) -> EnsembleResult:
     """One replica range of an ensemble, run inline or in a pool worker."""
     (model, lam, seed, n, horizon, target_level, jump_budget, cap,
-     offset, count) = args
+     variation, offset, count) = args
     if n is not None:
         return ensemble_discrete(model, lam, n, count, seed, range_cap=cap,
-                                 replica_offset=offset)
+                                 replica_offset=offset, variation=variation)
     return ensemble_continuous(model, lam, horizon, count, seed, range_cap=cap,
                                jump_budget=jump_budget,
                                target_level=target_level,
@@ -192,25 +195,69 @@ def annealed_velocity(model, lam: float, *, n: int | None = None,
                          "the range cap; nothing left to estimate")
     est = Estimate.from_samples(res.compensator[ok] / res.elapsed,
                                 excluded=excluded)
-    se = math.hypot(est.std_error, res.compensator_rounding / res.elapsed)
-    return Estimate(est.mean, se, est.count,
-                    (est.mean - 1.96 * se, est.mean + 1.96 * se), excluded)
+    return _with_rounding(est, res.compensator_rounding / res.elapsed)
 
 
 @dataclass(frozen=True)
 class DiffusionResult:
-    """Sample variance of the recentered rescaled displacement, with a
-    Kolmogorov-Smirnov distance to the standard Gaussian."""
+    """Diffusivity of the recentered rescaled displacement
+    Z = (X_n - v n)/sqrt(n), with a Kolmogorov-Smirnov distance of Z to the
+    standard Gaussian.
+
+    variance is the compensator split's estimate of E[Z^2], centred at v n;
+    sample_variance is the plain sample variance of Z, centred at its sample
+    mean, so the walk's own spread stays visible.  Their means differ by
+    (E[X_n] - v n)^2/n (about 4e-8 at n = 1e4 on two-point {1, 2}
+    conductances at lam = 1), far below either error bar."""
 
     variance: Estimate
+    sample_variance: Estimate
     ks_distance: float
     v_used: float
     sigma2_ref: float | None
 
 
+def _with_rounding(est: Estimate, rounding: float) -> Estimate:
+    """est with a rounding bound added, in quadrature, to its std_error."""
+    se = math.hypot(est.std_error, rounding)
+    return Estimate(est.mean, se, est.count,
+                    (est.mean - 1.96 * se, est.mean + 1.96 * se), est.excluded)
+
+
+def _split_samples(res: EnsembleResult, centre: float) -> tuple[np.ndarray, float]:
+    """Per lane not aborted, Y = (Q_n + d^2 + 2 M_n d)/n with d = D_n - centre
+    and M_n = X_n - D_n (`EnsembleResult`), and a bound on the rounding of
+    every Y.  E[M_n^2] = E[Q_n], so E[Y] = E[(X_n - centre)^2]/n.
+
+    The bound adds up Q's rounding (4 r, r the compensator's bound), D's
+    carried through M (2 |M| r) and 4 eps of each term and of the centre's
+    weight 2 |X_n - centre| |centre|."""
+    ok = ~res.aborted
+    n, r = res.elapsed, res.compensator_rounding
+    x, comp, q = res.final_positions[ok], res.compensator[ok], res.variation[ok]
+    m = x - comp
+    d = comp - centre
+    y = (q + d * d + 2.0 * m * d) / n
+    slack = 4.0 * r + 2.0 * np.abs(m) * r + 4.0 * _EPS * (
+        q + d * d + 2.0 * np.abs(m * d) + 2.0 * np.abs(x - centre) * abs(centre))
+    return y, float(slack.max()) / n
+
+
 def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
                        v: float | None = None, workers: int = 1) -> DiffusionResult:
-    """Variance of Z = (X_n - v n)/sqrt(n) over fresh environments.
+    """E[Z^2], Z = (X_n - v n)/sqrt(n), over fresh environments, split into
+    the walk's compensator and martingale parts.
+
+    X_n = M_n + D_n, D_n the compensator (`annealed_velocity`), and M_n a
+    martingale with predictable quadratic variation
+    Q_n = sum_{k<n} 4 omega+ omega-_lam(X_k), so E[M_n^2] = E[Q_n] (Hall &
+    Heyde 1980, Martingale Limit Theory and Its Application).  The variance
+    is the mean of Y = (Q_n + d^2 + 2 M_n d)/n with d = D_n - v n: Z^2 with
+    M_n^2 replaced by its compensator, the noisiest part of Z^2 (conditional
+    Monte Carlo, as in annealed_velocity).  It centres at v n; its std_error
+    adds, in quadrature, a bound on the rounding of every lane's Y.  On a
+    deterministic law it is exact up to rounding.  sample_variance is Z's
+    plain sample variance, centred at the sample mean.
 
     v defaults to the model's closed-form velocity.  The KS diagnostic
     standardizes Z by the closed-form diffusivity when available (otherwise
@@ -218,18 +265,21 @@ def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
     """
     if v is None:
         v = velocity_of_model(model, lam).v
-    res = _run_ensemble(model, lam, replicas, seed, n=n, workers=workers)
-    ok = ~res.aborted
-    z = (res.final_positions[ok] - v * n) / math.sqrt(n)
+    res = _run_ensemble(model, lam, replicas, seed, n=n, workers=workers,
+                        variation=True)
+    excluded = int(res.aborted.sum())
+    y, rounding = _split_samples(res, v * n)
+    split = _with_rounding(Estimate.from_samples(y, excluded=excluded), rounding)
+    z = (res.final_positions[~res.aborted] - v * n) / math.sqrt(n)
     m = z.size
     s2 = float(z.var(ddof=1))
     m4 = float(np.mean((z - z.mean()) ** 4))
     se = math.sqrt(max(m4 - (m - 3) / (m - 1) * s2 * s2, 0.0) / m)
-    var_est = Estimate(s2, se, m, (s2 - 1.96 * se, s2 + 1.96 * se),
-                       excluded=int(res.aborted.sum()))
+    plain = Estimate(s2, se, m, (s2 - 1.96 * se, s2 + 1.96 * se), excluded)
     sigma2_ref = sigma2_of_model(model, lam)
     scale = math.sqrt(sigma2_ref) if sigma2_ref else float(z.std(ddof=1))
-    return DiffusionResult(var_est, _ks_to_normal(z / scale), float(v), sigma2_ref)
+    return DiffusionResult(split, plain, _ks_to_normal(z / scale), float(v),
+                           sigma2_ref)
 
 
 def _ks_to_normal(x: np.ndarray) -> float:
@@ -476,7 +526,7 @@ def renewal_product_moment(gamma: float, n_grid, replicas: int,
     # one contiguous row per n, so the means are pairwise sums
     sampled = np.concatenate(parts, axis=1)
     means = exact_part + sampled.mean(axis=1)
-    rounding = (grid + 1.0) * np.finfo(float).eps * means
+    rounding = (grid + 1.0) * _EPS * means
     ses = np.hypot(sampled.std(axis=1, ddof=1) / math.sqrt(replicas), rounding)
     estimates = tuple(
         Estimate(float(mu), float(se), replicas,

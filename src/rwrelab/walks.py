@@ -8,7 +8,10 @@ assembly.  Two step rules plug into it: one uniform per step
 (``_DiscreteLanes``), or an exponential holding time and a direction uniform
 per jump (``_ContinuousLanes``).  Both add up each lane's compensator: the
 drift at every site it leaves, times the time it holds there (one step, or
-the holding time cut at the horizon).  Ensembles step per-replica
+the holding time cut at the horizon).  Asked for it, the discrete rule
+also adds up the predictable quadratic variation of the position minus
+the compensator, 4 omega+ omega- at every site left, for the diffusivity's
+split estimate; other ensembles do not pay for it.  Ensembles step per-replica
 environments (annealed) or one shared environment (quenched);
 ``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
 one-lane runs over a shared environment, i.e. replica 0 of that ensemble,
@@ -48,6 +51,7 @@ signal, never silently truncated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,6 +132,11 @@ class EnsembleResult:
     compensator: np.ndarray | None = None
     # a bound on the rounding error of every lane's compensator
     compensator_rounding: float = 0.0
+    # per lane not aborted, when asked for (discrete time only), the
+    # predictable quadratic variation of X - D, Q_n = sum_{k<n} 4 omega+
+    # omega-_lam(X_k) = 4 (psum - p2sum), p2sum the sum of omega+^2; its
+    # rounding is within 4 compensator_rounding.  E[(X_n - D_n)^2] = E[Q_n].
+    variation: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +321,9 @@ class _Lanes:
         self.stop(stopped)
         return arrived
 
+    def variation(self) -> np.ndarray | None:
+        return None
+
     def trail(self) -> tuple[np.ndarray, np.ndarray]:
         """Lane 0's positions and clocks after each step it took in the
         last block (the path of a one-lane run)."""
@@ -323,19 +335,23 @@ class _DiscreteLanes(_Lanes):
     """Discrete-time step rule: one uniform per step, right iff it is <=
     omega+(lam) at the lane's site, for a fixed number of steps.  A step
     reads omega+(lam) through the table's code if it has a LUT; psum adds
-    up, per lane, the omega+(lam) of every site it steps from.  A block
-    keeps its steps in the rows of G only where they are read, for a
-    target's arrivals or a recorded path; otherwise the lanes step in place,
-    so an ensemble of many lanes holds one row of them, not a block."""
+    up, per lane, the omega+(lam) of every site it steps from, and with
+    `variation` p2sum their squares (two more array operations per step,
+    so only where asked for).  A block keeps its steps in the rows of G
+    only where they are read, for a target's arrivals or a recorded path;
+    otherwise the lanes step in place, so an ensemble of many lanes holds
+    one row of them, not a block."""
 
     def __init__(self, seed, rows: range, steps: int, target: int | None,
-                 record: bool):
+                 record: bool, variation: bool = False):
         super().__init__(rows, target, record or target is not None)
         m = len(rows)
         self.steps = steps
         self.uni = BlockUniforms(seed, ("walk",), rows.start, m)
         self.sbuf = np.empty(m, dtype=np.int64)
         self.psum = np.zeros(m)
+        self.p2sum = np.zeros(m) if variation else None
+        self._p2 = np.empty(m) if variation else None
         self.k0 = 0
 
     def running(self, k: int) -> bool:
@@ -353,9 +369,17 @@ class _DiscreteLanes(_Lanes):
         n = self.steps
         return 2.0 * self.psum - n, 2.0 * n * n * _EPS
 
+    def variation(self) -> np.ndarray | None:
+        """Q_n = 4 (psum - p2sum) per lane, if p2sum was kept.  Its rounding,
+        n^2 eps / 2 in each sum and n eps / 2 in the squares and the
+        difference, times 4, is within 4 (n^2 + n) eps <= 4 times the
+        compensator's bound."""
+        return None if self.p2sum is None else 4.0 * (self.psum - self.p2sum)
+
     def block(self, k0: int, k1: int) -> int:
         U = self.uni.rows(k0, k1)
         bbuf, (wplus,) = self._bbuf, self.fields
+        p2sum, p2 = self.p2sum, self._p2
         K = len(U)
         if self.keep_rows:
             self._begin()
@@ -367,11 +391,17 @@ class _DiscreteLanes(_Lanes):
             np.less_equal(u, p, out=bbuf)
             if self.all_moving:
                 self.psum += p
+                if p2sum is not None:
+                    np.multiply(p, p, out=p2)
+                    p2sum += p2
                 np.add(gidx, bbuf, out=nxt, casting="unsafe")
                 np.add(nxt, bbuf, out=nxt, casting="unsafe")
                 nxt -= 1
             else:
                 np.add(self.psum, p, out=self.psum, where=self.active)
+                if p2sum is not None:
+                    np.multiply(p, p, out=p2)
+                    np.add(p2sum, p2, out=p2sum, where=self.active)
                 np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
                 self.sbuf *= self.active
                 np.add(gidx, self.sbuf, out=nxt)
@@ -545,8 +575,9 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
     its trailing lane.  Lanes still running after jump_budget steps are
     aborted.  With a target, lanes stop on reaching it and `values` holds
     the arrival times; without one, the lanes' compensators go to
-    `compensator`, and the largest of their rounding bounds to
-    `compensator_rounding`.  observe(lanes) follows every block.
+    `compensator`, the largest of their rounding bounds to
+    `compensator_rounding`, and a rule's quadratic variations, if it kept
+    them, to `variation`.  observe(lanes) follows every block.
     """
     rows = tables.rows
     aborted = np.zeros(len(rows), dtype=bool)
@@ -588,7 +619,7 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
                 lanes.rebase(table, lut, offsets, lo, hi, pos)
     comp, rounding = lanes.compensator() if target is None else (None, 0.0)
     return EnsembleResult(lanes.positions(), aborted, len(rows), elapsed,
-                          lanes.values, comp, rounding)
+                          lanes.values, comp, rounding, lanes.variation())
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +629,12 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
 def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
                       shared_env: DiscreteEnv | None = None,
                       range_cap: int = DEFAULT_RANGE_CAP,
-                      replica_offset: int = 0) -> EnsembleResult:
+                      replica_offset: int = 0,
+                      variation: bool = False) -> EnsembleResult:
     """Final positions of `replicas` discrete walks of n steps, and per walk
-    the compensator D_n = sum_{k<n} (2 omega+_lam(X_k) - 1) (`compensator`).
+    the compensator D_n = sum_{k<n} (2 omega+_lam(X_k) - 1) (`compensator`)
+    and, with variation=True, the quadratic variation
+    Q_n = sum_{k<n} 4 omega+ omega-_lam(X_k) of X - D (`variation`).
 
     Annealed mode (default) materializes a fresh environment per replica from
     (seed, replica); pass shared_env for the quenched mode (many walks, one
@@ -608,7 +642,8 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
     """
     margin = int(4.0 * math.sqrt(max(n, 1))) + 2 * _CHECK_EVERY
     rows = range(replica_offset, replica_offset + replicas)
-    return _walk(_DiscreteLanes, n, _Tables(model, seed, shared_env, lam, False, rows),
+    rule = functools.partial(_DiscreteLanes, variation=True) if variation else _DiscreteLanes
+    return _walk(rule, n, _Tables(model, seed, shared_env, lam, False, rows),
                  (-margin, margin), range_cap, float(n))
 
 

@@ -77,6 +77,26 @@ def test_simulate_velocity_and_idempotence(tmp_path, capsys):
     assert "# seed: 9" in text and "constant:1" in text
 
 
+def test_simulate_diffusion_split_and_plain(tmp_path, capsys):
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    args = ["simulate", "--kind", "diffusion", "--model", "rcm-discrete",
+            "--dist", "constant:1", "--lambda", "1", "--n", "1000",
+            "--replicas", "200", "--seed", "9"]
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    header, rows = parse_table(out1.read_text())
+    for col in ("variance", "std_error", "variance_plain", "std_error_plain"):
+        assert col in header
+    # a constant law: the split is exact up to rounding, the plain variance
+    # keeps the walk's own spread
+    assert 0 < float(rows[0][header.index("std_error")]) <= 1e-9
+    assert float(rows[0][header.index("std_error_plain")]) > 1e-4
+    assert float(rows[0][header.index("variance")]) == pytest.approx(
+        4 / (math.e + 1 / math.e) ** 2, rel=1e-9)
+
+
 def test_simulate_abort_rate_exit_code(tmp_path, capsys):
     out = tmp_path / "c.csv"
     code = main(["simulate", "--kind", "velocity", "--model", "rcm-discrete",

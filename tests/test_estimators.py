@@ -204,6 +204,48 @@ def test_iid_omega_diffusivity_matches_closed_form():
         assert abs(res.variance.mean - ref) <= 3 * res.variance.std_error
 
 
+def test_split_second_moment_matches_exact_law():
+    # E[M_n^2] = E[Q_n] holds quenched: on one environment the mean of the
+    # split samples is the exact law's E[(X_n - c)^2]/n for any centre c
+    model = IIDConductance(TWO_POINT)
+    n = 30
+    env = materialize(model, 31, (-n, n))
+    res = ensemble_discrete(model, 1.0, n, 100_000, 32, shared_env=env,
+                            variation=True)
+    dist = exact_walk_distribution(env, 1.0, n)
+    v = velocity_of_model(model, 1.0).v
+    for c in (0.0, v * n):
+        y, rounding = estimators._split_samples(res, c)
+        est = Estimate.from_samples(y)
+        want = float(np.dot((dist.support - c) ** 2, dist.pmf)) / n
+        assert abs(est.mean - want) <= 4 * est.std_error
+        assert rounding < 1e-12
+
+
+def test_diffusion_workers_do_not_change_results():
+    model = IIDConductance(TWO_POINT)
+    one = annealed_diffusion(model, 0.7, n=400, replicas=250, seed=17, workers=1)
+    two = annealed_diffusion(model, 0.7, n=400, replicas=250, seed=17, workers=2)
+    assert one.variance == two.variance
+    assert one.sample_variance == two.sample_variance
+    assert one.ks_distance == two.ks_distance
+
+
+def test_diffusion_split_within_three_se_in_most_batches():
+    # the split estimate's s.e. is about a tenth of the plain one's here, so
+    # a bias the plain s.e. hides would show as |z| > 3
+    model = IIDConductance(TWO_POINT)
+    target = sigma2_of_model(model, 1.0)
+    zs = []
+    for k in range(20):
+        res = annealed_diffusion(model, 1.0, n=1000, replicas=1000, seed=7000 + k)
+        assert res.variance.std_error < 0.2 * res.sample_variance.std_error
+        zs.append((res.variance.mean - target) / res.variance.std_error)
+    zs = np.array(zs)
+    assert (np.abs(zs) > 3).sum() <= 1
+    assert abs(zs.mean()) <= 1
+
+
 def test_ks_distance_shrinks_with_replicas():
     model = IIDConductance(CONST)
     small = annealed_diffusion(model, 0.0, n=2500, replicas=300, seed=4)

@@ -340,6 +340,50 @@ def test_compensator_stops_with_range_capped_lanes():
     assert np.abs(res.compensator - want_comp).max() <= 4 * n * np.finfo(float).eps
 
 
+def test_variation_is_the_path_sum_and_leaves_the_walk_alone():
+    # replica 0's Q is 4 (running sum of omega+ - running sum of omega+^2)
+    # along the recorded path; asking for Q changes nothing else
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 8, (-4, 4))
+    for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42)):
+        traj = run_discrete(env, lam, n, seed, record_path=True)
+        res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env,
+                                variation=True)
+        path = traj.positions[:-1]
+        lo = int(path.min())
+        p = bias_omega(env.omega_plus_window(lo, int(path.max())), lam)[1][path - lo]
+        want = 4.0 * (np.add.accumulate(p)[-1] - np.add.accumulate(p * p)[-1])
+        assert res.variation[0] == want
+    plain = ensemble_discrete(model, 0.5, 1000, 300, 12)
+    assert plain.variation is None
+    split = ensemble_discrete(model, 0.5, 1000, 300, 12, variation=True)
+    for name in ("final_positions", "aborted", "compensator"):
+        assert np.array_equal(getattr(plain, name), getattr(split, name))
+    assert plain.compensator_rounding == split.compensator_rounding
+    assert ensemble_continuous(C_TWO_POINT, 0.5, 20.0, 30, 12).variation is None
+
+
+def test_variation_stops_with_range_capped_lanes():
+    # a lane frozen at the cap after step k keeps the Q of its first k steps
+    # (the masked path); oracle: uncapped runs of k steps
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 9, (-4, 4))
+    lam, n, lanes, seed, cap = 0.0, 1280, 64, 45, 100
+    res = ensemble_discrete(model, lam, n, lanes, seed, shared_env=env,
+                            range_cap=cap, variation=True)
+    assert 0 < res.aborted.sum() < lanes
+    frozen = np.zeros(lanes, dtype=bool)
+    want = np.empty(lanes)
+    for k in range(64, n + 1, 64):
+        pre = ensemble_discrete(model, lam, k, lanes, seed, shared_env=env,
+                                variation=True)
+        newly = ~frozen & (np.abs(pre.final_positions) >= cap - 64)
+        last = ~frozen if k == n else newly
+        want[last] = pre.variation[last]
+        frozen |= newly
+    assert np.array_equal(res.variation, want)
+
+
 def test_seed_decorrelation_across_replicas():
     # lag-1 autocorrelation of final positions across replica index ~ 0
     model = IIDConductance(TWO_POINT)
