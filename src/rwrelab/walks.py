@@ -8,10 +8,10 @@ assembly.  Two step rules plug into it: one uniform per step
 (``_DiscreteLanes``), or an exponential holding time and a direction uniform
 per jump (``_ContinuousLanes``).  Both add up each lane's compensator: the
 drift at every site it leaves, times the time it holds there (one step, or
-the holding time cut at the horizon).  Asked for it, the discrete rule
-also adds up the predictable quadratic variation of the position minus
-the compensator, 4 omega+ omega- at every site left, for the diffusivity's
-split estimate; other ensembles do not pay for it.  Ensembles step per-replica
+the holding time cut at the horizon).  Asked for it, the discrete rule also
+adds up the predictable quadratic variation of the position minus the
+compensator, 4 omega+ omega- at every site it leaves, for the diffusivity's
+split estimate; other ensembles step without it.  Ensembles step per-replica
 environments (annealed) or one shared environment (quenched);
 ``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
 one-lane runs over a shared environment, i.e. replica 0 of that ensemble,
@@ -642,7 +642,8 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
     """
     margin = int(4.0 * math.sqrt(max(n, 1))) + 2 * _CHECK_EVERY
     rows = range(replica_offset, replica_offset + replicas)
-    rule = functools.partial(_DiscreteLanes, variation=True) if variation else _DiscreteLanes
+    rule = (functools.partial(_DiscreteLanes, variation=True) if variation
+            else _DiscreteLanes)
     return _walk(rule, n, _Tables(model, seed, shared_env, lam, False, rows),
                  (-margin, margin), range_cap, float(n))
 

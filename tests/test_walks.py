@@ -126,18 +126,23 @@ def test_first_passage_discrete_ballistic_limit():
 
 def test_run_discrete_is_replica_zero_of_the_ensemble():
     # replica 0's compensator is 2 (running sum of omega+(lam) along the
-    # path) - n
+    # path) - n, and its quadratic variation 4 (that sum - the running sum
+    # of omega+(lam)^2)
     model = IIDConductance(TWO_POINT)
     env = materialize(model, 8, (-4, 4))
     for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42), (-1.5, 64, 43)):
         traj = run_discrete(env, lam, n, seed, record_path=True)
-        res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env)
+        res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env,
+                                variation=True)
         assert traj.final_position == res.final_positions[0]
         assert traj.elapsed == res.elapsed
         path = traj.positions[:-1]
         lo = int(path.min())
         plus = bias_omega(env.omega_plus_window(lo, int(path.max())), lam)[1]
-        assert res.compensator[0] == 2.0 * np.add.accumulate(plus[path - lo])[-1] - n
+        p = plus[path - lo]
+        assert res.compensator[0] == 2.0 * np.add.accumulate(p)[-1] - n
+        assert res.variation[0] == 4.0 * (np.add.accumulate(p)[-1]
+                                          - np.add.accumulate(p * p)[-1])
 
 
 def test_run_continuous_is_replica_zero_of_the_ensemble():
@@ -316,56 +321,10 @@ def test_ensemble_range_cap_marks_aborted():
 
 def test_compensator_stops_with_range_capped_lanes():
     # a lane frozen at the cap after step k keeps the omega+ sum of its first
-    # k steps, so its compensator is that of k steps less n - k (to rounding),
-    # and the lanes still running go on adding (the masked path); oracle:
-    # uncapped runs of k steps, which draw the same uniforms
-    model = IIDConductance(TWO_POINT)
-    env = materialize(model, 9, (-4, 4))
-    lam, n, lanes, seed, cap = 0.0, 1280, 64, 45, 100
-    res = ensemble_discrete(model, lam, n, lanes, seed, shared_env=env,
-                            range_cap=cap)
-    assert 0 < res.aborted.sum() < lanes
-    frozen = np.zeros(lanes, dtype=bool)
-    want_comp, want_finals = np.empty(lanes), np.empty(lanes, dtype=np.int64)
-    for k in range(64, n + 1, 64):
-        pre = ensemble_discrete(model, lam, k, lanes, seed, shared_env=env)
-        newly = ~frozen & (np.abs(pre.final_positions) >= cap - 64)
-        last = ~frozen if k == n else newly
-        want_comp[last] = pre.compensator[last] - (n - k)
-        want_finals[last] = pre.final_positions[last]
-        frozen |= newly
-    assert np.array_equal(res.aborted, frozen)
-    assert np.array_equal(res.final_positions, want_finals)
-    assert np.array_equal(res.compensator[~frozen], want_comp[~frozen])
-    assert np.abs(res.compensator - want_comp).max() <= 4 * n * np.finfo(float).eps
-
-
-def test_variation_is_the_path_sum_and_leaves_the_walk_alone():
-    # replica 0's Q is 4 (running sum of omega+ - running sum of omega+^2)
-    # along the recorded path; asking for Q changes nothing else
-    model = IIDConductance(TWO_POINT)
-    env = materialize(model, 8, (-4, 4))
-    for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42)):
-        traj = run_discrete(env, lam, n, seed, record_path=True)
-        res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env,
-                                variation=True)
-        path = traj.positions[:-1]
-        lo = int(path.min())
-        p = bias_omega(env.omega_plus_window(lo, int(path.max())), lam)[1][path - lo]
-        want = 4.0 * (np.add.accumulate(p)[-1] - np.add.accumulate(p * p)[-1])
-        assert res.variation[0] == want
-    plain = ensemble_discrete(model, 0.5, 1000, 300, 12)
-    assert plain.variation is None
-    split = ensemble_discrete(model, 0.5, 1000, 300, 12, variation=True)
-    for name in ("final_positions", "aborted", "compensator"):
-        assert np.array_equal(getattr(plain, name), getattr(split, name))
-    assert plain.compensator_rounding == split.compensator_rounding
-    assert ensemble_continuous(C_TWO_POINT, 0.5, 20.0, 30, 12).variation is None
-
-
-def test_variation_stops_with_range_capped_lanes():
-    # a lane frozen at the cap after step k keeps the Q of its first k steps
-    # (the masked path); oracle: uncapped runs of k steps
+    # k steps, so its compensator is that of k steps less n - k (to rounding)
+    # and its quadratic variation that of k steps, and the lanes still
+    # running go on adding (the masked path); oracle: uncapped runs of k
+    # steps, which draw the same uniforms
     model = IIDConductance(TWO_POINT)
     env = materialize(model, 9, (-4, 4))
     lam, n, lanes, seed, cap = 0.0, 1280, 64, 45, 100
@@ -373,15 +332,39 @@ def test_variation_stops_with_range_capped_lanes():
                             range_cap=cap, variation=True)
     assert 0 < res.aborted.sum() < lanes
     frozen = np.zeros(lanes, dtype=bool)
-    want = np.empty(lanes)
+    want_comp, want_finals = np.empty(lanes), np.empty(lanes, dtype=np.int64)
+    want_var = np.empty(lanes)
     for k in range(64, n + 1, 64):
         pre = ensemble_discrete(model, lam, k, lanes, seed, shared_env=env,
                                 variation=True)
         newly = ~frozen & (np.abs(pre.final_positions) >= cap - 64)
         last = ~frozen if k == n else newly
-        want[last] = pre.variation[last]
+        want_comp[last] = pre.compensator[last] - (n - k)
+        want_finals[last] = pre.final_positions[last]
+        want_var[last] = pre.variation[last]
         frozen |= newly
-    assert np.array_equal(res.variation, want)
+    assert np.array_equal(res.aborted, frozen)
+    assert np.array_equal(res.final_positions, want_finals)
+    assert np.array_equal(res.compensator[~frozen], want_comp[~frozen])
+    assert np.array_equal(res.variation, want_var)
+    plain = ensemble_discrete(model, lam, n, lanes, seed, shared_env=env,
+                              range_cap=cap)
+    for name in ("final_positions", "aborted", "compensator"):
+        assert np.array_equal(getattr(plain, name), getattr(res, name))
+    assert np.abs(res.compensator - want_comp).max() <= 4 * n * np.finfo(float).eps
+
+
+def test_variation_leaves_the_walk_alone():
+    # asking for Q changes no other output; without it, and in continuous
+    # time, there is none
+    model = IIDConductance(TWO_POINT)
+    plain = ensemble_discrete(model, 0.5, 1000, 300, 12)
+    assert plain.variation is None
+    split = ensemble_discrete(model, 0.5, 1000, 300, 12, variation=True)
+    for name in ("final_positions", "aborted", "compensator"):
+        assert np.array_equal(getattr(plain, name), getattr(split, name))
+    assert plain.compensator_rounding == split.compensator_rounding
+    assert ensemble_continuous(C_TWO_POINT, 0.5, 20.0, 30, 12).variation is None
 
 
 def test_seed_decorrelation_across_replicas():
