@@ -106,9 +106,12 @@ def _tau1_cdf_table(gamma: float, size: int = 1_000_000) -> np.ndarray:
 
 
 def _gap_from_uniform(u: np.ndarray, gamma: float) -> np.ndarray:
-    """Exact inverse CDF of the gap law P(gap >= j) = j^-gamma, j >= 1."""
-    v = 1.0 - np.asarray(u)  # in (0,1], avoids u == 0
-    return np.floor(v ** (-1.0 / gamma)).astype(np.int64)
+    """Exact inverse CDF of the gap law P(gap >= j) = j^-gamma, j >= 1,
+    written C-ordered whatever the layout of u; the float steps share one
+    array."""
+    v = np.subtract(1.0, u, order="C")  # in (0,1], avoids u == 0
+    v **= -1.0 / gamma
+    return np.floor(v, out=v).astype(np.int64)
 
 
 def _tau1_from_uniform(u: float, gamma: float) -> int:

@@ -379,9 +379,9 @@ _MOMENT_CHUNK = 8192
 
 
 def _moment_tables(gamma: float, n_max: int):
-    """Gap pmf p and the tables C, D = p*C and prefix Q of
-    renewal_product_moment, indexed by y = 0..n_max.  All vanish at y = 0,
-    so clipping a negative argument to 0 reads the right value."""
+    """Gap pmf p and the kernel C of renewal_product_moment, indexed by
+    y = 0..n_max.  Both vanish at y = 0, so clipping a negative argument to 0
+    reads the right value."""
     y = np.arange(n_max + 1, dtype=float)
     ge = np.zeros(n_max + 1)
     ge[1:] = y[1:] ** (-gamma)                    # P(G >= y)
@@ -390,21 +390,25 @@ def _moment_tables(gamma: float, n_max: int):
     w = np.zeros(n_max + 1)
     w[1:] = (ge[1:] - 0.5 * p[1:]) / float(_hurwitz_zeta(gamma, 1.0))
     c = np.convolve(w, (y + 1.0) ** (-gamma))[:n_max + 1]
-    return (p, c) + _kernel_tables(p, c)
+    return p, c
 
 
 def _kernel_tables(p, c):
-    """D = p*C and the prefix Q[M] = sum_{g<=M} p(g) C(. - g) of a kernel C
-    that vanishes at 0, so that sum_{g>M} p(g) C(y-g) = D(y) - Q[M, y]."""
-    n_max = c.size - 1
-    d = np.convolve(p, c)[:n_max + 1]
-    q = np.zeros((_PREFIX_MAX + 1, n_max + 1))
+    """The tables of the kernels C, the rows of c (K, n_max + 1), each
+    vanishing at 0: c itself, D = p*C and the prefix
+    Q[M] = sum_{g<=M} p(g) C(. - g), so that sum_{g>M} p(g) C(y-g) =
+    D(y) - Q[M, y].  Kernel-major, Q shaped (K, _PREFIX_MAX + 1, n_max + 1)."""
+    n_max = c.shape[1] - 1
+    d = np.empty_like(c)
+    for k, ck in enumerate(c):
+        d[k] = np.convolve(p, ck)[:n_max + 1]
+    q = np.zeros((c.shape[0], _PREFIX_MAX + 1, n_max + 1))
     top = min(_PREFIX_MAX, n_max)     # gaps beyond n_max add nothing
     for g in range(1, top + 1):
-        q[g] = q[g - 1]
-        q[g, g:] += p[g] * c[:n_max + 1 - g]
-    q[top + 1:] = q[top]
-    return d, q
+        q[:, g] = q[:, g - 1]
+        q[:, g, g:] += p[g] * c[:, :n_max + 1 - g]
+    q[:, top + 1:] = q[:, top:top + 1]
+    return c, d, q
 
 
 def _exact_part(gamma: float, grid: np.ndarray, c) -> np.ndarray:
@@ -415,11 +419,13 @@ def _exact_part(gamma: float, grid: np.ndarray, c) -> np.ndarray:
 
 def _gap_blocks(gamma: float, replicas: int, seed: int):
     """The renewal sampler: blocks of up to _MOMENT_CHUNK replicas, each a
-    row of _MOMENT_TERMS - 2 i.i.d. gaps."""
+    row of _MOMENT_TERMS - 2 i.i.d. gaps.  A block of m replicas draws its
+    (m, _MOMENT_TERMS - 2) uniforms row by row and is returned as the
+    transpose of a C-ordered gap array, so each gap column is contiguous."""
     rng = generator(seed, "renewal-moment")
     for done in range(0, replicas, _MOMENT_CHUNK):
         m = min(_MOMENT_CHUNK, replicas - done)
-        yield _gap_from_uniform(rng.random((m, _MOMENT_TERMS - 2)), gamma)
+        yield _gap_from_uniform(rng.random((m, _MOMENT_TERMS - 2)).T, gamma).T
 
 
 def _running_gaps(gaps: np.ndarray):
@@ -439,63 +445,75 @@ def _running_gaps(gaps: np.ndarray):
         yield j, s, big, ties
 
 
-def _big_jump_terms(gaps: np.ndarray, grid: np.ndarray, p, c, d, q) -> np.ndarray:
-    """Per grid n and replica, sum_{k>=2} 2^-k Z_k with
+def _sweep(gaps: np.ndarray, grid: np.ndarray, p, tables, sum_kernel=None):
+    """One pass over the running gap states of a block of gaps (one row per
+    replica), for two results; each accumulator adds once per state, in order.
+
+    terms (K, grid.size, replicas): for each kernel C of tables
+    (_kernel_tables) and n in grid, sum_{k>=2} 2^-k Z_k with
     Z_k = j [sum_{g>M} p(g) C(y-g) + p(M) C(y-M)/(t+1)], j = k-1,
-    y = n - S', where S', M and t come from _running_gaps (one row of gaps
-    per replica) and d, q from _kernel_tables(p, c)."""
-    n_max = c.size - 1
-    out = np.zeros((gaps.shape[0], grid.size))
-    for j, s, big, ties in _running_gaps(gaps):
-        y = grid[None, :] - s[:, None]
-        yc = np.maximum(y, 0)
-        above = d[yc] - q[np.minimum(big, _PREFIX_MAX)[:, None], yc]
-        for r in np.flatnonzero(big > _PREFIX_MAX):
-            for i, yy in enumerate(y[r]):
-                span = yy - big[r] - 1
-                above[r, i] = np.dot(p[big[r] + 1:yy], c[span:0:-1]) if span > 0 else 0.0
-        tie = (p[np.minimum(big, n_max)] / (ties + 1))[:, None] \
-            * c[np.maximum(y - big[:, None], 0)]
-        out += (j * 0.5 ** (j + 1)) * (above + tie)
-    return np.ascontiguousarray(out.T)
+    y = n - S', and S', M, t from _running_gaps.  The K kernels share the
+    index arithmetic; a maximum past _PREFIX_MAX takes its sum directly.
 
-
-def _big_jump_sums(gaps: np.ndarray, p, c) -> np.ndarray:
-    """Replica sums of _big_jump_terms at every n = 0..n_max, n_max =
-    c.size - 1, from weighted histograms instead of per-replica lookups.
-
-    Summed over replicas, the terms sum_{g>M} p(g) C(n-S'-g) are
-    sum_x C(n-x) F(x) with F(x) = sum_g p(g) H(g-1, x-g), H(M, s) the weight
-    of the running states with maximum <= M and sum s; a state whose
-    maximum passes _PREFIX_MAX adds its part of F directly.  The tie terms
-    are a histogram of S'+M.  Sums past n_max reach no n."""
-    n_max = c.size - 1
-    width = n_max + 2
-    f = np.zeros(width)
-    h = np.zeros((_PREFIX_MAX + 1) * width)
+    sums (None without sum_kernel): the replica sums of sum_kernel's terms at
+    every n = 0..n_max, from weighted histograms.  Summed over replicas, the
+    terms sum_{g>M} p(g) C(n-S'-g) are sum_x C(n-x) F(x) with
+    F(x) = sum_g p(g) H(g-1, x-g), H(M, s) the weight of the states with
+    maximum <= M and sum s; a maximum past _PREFIX_MAX adds its part of F
+    directly.  The tie terms are a histogram of S'+M.  Sums past n_max go
+    to a last bin that reaches no n."""
+    n_max = p.size - 1
+    width = n_max + 1
+    cs, ds, qs = tables
+    qs = qs.reshape(len(cs), (_PREFIX_MAX + 1) * width)
+    terms = np.zeros((cs.shape[0], grid.size, gaps.shape[0]))
+    if sum_kernel is not None:
+        f = np.zeros(width + 1)
+        h = np.zeros((_PREFIX_MAX + 1) * (width + 1))
     for j, s, big, ties in _running_gaps(gaps):
         coef = j * 0.5 ** (j + 1)
-        rare = big > _PREFIX_MAX
-        h += coef * np.bincount(np.minimum(big, _PREFIX_MAX) * width
-                                + np.minimum(s, n_max + 1), ~rare, minlength=h.size)
-        f += coef * np.bincount(np.minimum(s + big, n_max + 1),
-                                p[np.minimum(big, n_max)] / (ties + 1), minlength=width)
-        for r in np.flatnonzero(rare & (s + big < n_max)):
-            f[s[r] + big[r] + 1:n_max + 1] += coef * p[big[r] + 1:n_max + 1 - s[r]]
-    h = h.reshape(_PREFIX_MAX + 1, width)[:, :n_max + 1].cumsum(axis=0)
-    f = f[:n_max + 1]
+        top = np.minimum(big, _PREFIX_MAX)
+        rare = np.flatnonzero(big > _PREFIX_MAX)
+        tie = p.take(np.minimum(big, n_max)) / (ties + 1)
+        y = grid[:, None] - s
+        yc = np.maximum(y, 0)
+        above = ds.take(yc, axis=1)
+        above -= qs.take(top * width + yc, axis=1)
+        for r in rare:
+            for i, yy in enumerate(y[:, r]):
+                span = yy - big[r] - 1
+                for k, ck in enumerate(cs):
+                    above[k, i, r] = np.dot(p[big[r] + 1:yy], ck[span:0:-1]) \
+                        if span > 0 else 0.0
+        part = cs.take(np.maximum(y - big, 0), axis=1)
+        part *= tie
+        part += above
+        part *= coef
+        terms += part
+        if sum_kernel is None:
+            continue
+        h += coef * np.bincount(top * (width + 1) + np.minimum(s, width),
+                                big <= _PREFIX_MAX, minlength=h.size)
+        f += coef * np.bincount(np.minimum(s + big, width), tie,
+                                minlength=width + 1)
+        for r in rare[s[rare] + big[rare] < n_max]:
+            f[s[r] + big[r] + 1:width] += coef * p[big[r] + 1:width - s[r]]
+    if sum_kernel is None:
+        return terms, None
+    h = h.reshape(_PREFIX_MAX + 1, width + 1)[:, :width].cumsum(axis=0)
+    f = f[:width]
     top = min(_PREFIX_MAX, n_max)
     for g in range(1, top + 1):
-        f[g:] += p[g] * h[g - 1, :n_max + 1 - g]
-    f += np.convolve(np.where(np.arange(n_max + 1) > top, p, 0.0), h[-1])[:n_max + 1]
-    return np.convolve(f, c)[:n_max + 1]
+        f[g:] += p[g] * h[g - 1, :width - g]
+    f += np.convolve(np.where(np.arange(width) > top, p, 0.0), h[-1])[:width]
+    return terms, np.convolve(f, sum_kernel)[:width]
 
 
 def renewal_product_moment(gamma: float, n_grid, replicas: int,
                            seed: int) -> RenewalScaling:
     """Estimate E[Z_0...Z_n] = E[2^-N_n], N_n = #(renewal points in [0,n]),
-    on a grid of n over fresh stationary renewal environments, fit the
-    log-log slope, and attach the exact pointwise lower bound.
+    on a grid of distinct n >= 0 over fresh stationary renewal environments,
+    fit the log-log slope, and attach the exact pointwise lower bound.
 
     The moment is dominated by {tau_1 > n} (probability ~ n^(1-gamma)), which
     plain sampling almost never sees, so the estimator integrates the rare
@@ -511,20 +529,26 @@ def renewal_product_moment(gamma: float, n_grid, replicas: int,
     two terms are exact.  Each sampled term integrates its largest gap out
     (uniform tie-break, unbiased by exchangeability), since a sum of
     heavy-tailed gaps lands near n mostly through one big gap; terms k > 64
-    are dropped (truncation_bound = 2^-64).  Each std_error adds, in
-    quadrature, the worst-case rounding (n+1) eps |mean| of the length-n
-    sums behind the exact part: it is the whole error bar at n <= 2, where
-    nothing sampled reaches.
+    are dropped (truncation_bound = 2^-64).  The sampled terms of each block
+    of replicas come from one _sweep of its running gap states, with C as
+    its one kernel.  Each std_error adds, in quadrature, the worst-case
+    rounding (n+1) eps |mean| of the length-n sums behind the exact part: it
+    is the whole error bar at n <= 2, where nothing sampled reaches.
     """
     if not gamma > 2:
         raise ValueError("gamma must exceed 2")
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     grid = np.asarray(sorted(int(v) for v in n_grid), dtype=np.int64)
-    p, c, d, q = _moment_tables(gamma, int(grid.max()))
+    if grid.size == 0 or grid[0] < 0 or (np.diff(grid) == 0).any():
+        raise ValueError("the grid needs one or more distinct n >= 0")
+    p, c = _moment_tables(gamma, int(grid[-1]))
     exact_part = _exact_part(gamma, grid, c)
-    parts = [_big_jump_terms(gaps, grid, p, c, d, q)
-             for gaps in _gap_blocks(gamma, replicas, seed)]
+    tables = _kernel_tables(p, c[None])
     # one contiguous row per n, so the means are pairwise sums
-    sampled = np.concatenate(parts, axis=1)
+    sampled = np.concatenate([_sweep(gaps, grid, p, tables)[0][0]
+                              for gaps in _gap_blocks(gamma, replicas, seed)],
+                             axis=1)
     means = exact_part + sampled.mean(axis=1)
     rounding = (grid + 1.0) * _EPS * means
     ses = np.hypot(sampled.std(axis=1, ddof=1) / math.sqrt(replicas), rounding)
@@ -572,27 +596,34 @@ def velocity_jump_probe(a: float, gamma: float, lam_grid, replicas: int,
     Since sum_i w^{i+1} C(i - x) = K_w(i_max - x) with K_w the convolution
     of C with the reversed weights, a replica's weighted sum of sampled
     terms is its sampled term at n = i_max with K_w in place of C: two
-    table lookups per term.  The moment means of the fit are replica sums
-    taken from histograms of the same running gap states (_big_jump_sums).
+    table lookups per term.  One _sweep per block of replicas walks the
+    running gap states once for every K_w at once and for the moment means
+    of the fit, replica sums taken from histograms of the same states.
     """
     if not (a > 0 and gamma > 2):
         raise ValueError("need a > 0 and gamma > 2")
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
+    if i_max < 0:
+        raise ValueError("i_max must be >= 0")
     lam_grid = [float(v) for v in lam_grid]
     factors = np.array([a * math.exp(-2.0 * lam) for lam in lam_grid])
     full = np.arange(i_max + 1)
-    p, c, _, _ = _moment_tables(gamma, i_max)
+    p, c = _moment_tables(gamma, i_max)
     exact = _exact_part(gamma, full, c)
-    kernels = []
+    kernels, t_exact = [], []
     for g in factors[factors <= 1.0]:
         weights = g ** (full + 1.0)
-        kern = np.convolve(c, weights[::-1])[:i_max + 1]
-        kernels.append((float(np.dot(weights, exact)), kern) + _kernel_tables(p, kern))
+        kernels.append(np.convolve(c, weights[::-1])[:i_max + 1])
+        t_exact.append(float(np.dot(weights, exact)))
+    tables = _kernel_tables(p, np.reshape(kernels, (-1, i_max + 1)))
     sums = np.zeros(i_max + 1)
-    sampled = [[] for _ in kernels]
+    parts = []
     for gaps in _gap_blocks(gamma, replicas, seed):
-        sums += _big_jump_sums(gaps, p, c)
-        for (t_exact, kern, d, q), part in zip(kernels, sampled):
-            part.append(t_exact + _big_jump_terms(gaps, full[-1:], p, kern, d, q)[0])
+        terms, block_sums = _sweep(gaps, full[-1:], p, tables, c)
+        sums += block_sums
+        parts.append(terms[:, 0])
+    sampled = np.concatenate(parts, axis=1)
     means = exact + sums / replicas
     igrid = np.unique(np.geomspace(16, max(i_max, 16), 24).astype(np.int64))
     igrid = igrid[igrid <= i_max]
@@ -616,7 +647,7 @@ def velocity_jump_probe(a: float, gamma: float, lam_grid, replicas: int,
             cls = "converging"
         v_est = None
         if g <= 1.0:
-            t = Estimate.from_samples(np.concatenate(sampled[k]))
+            t = Estimate.from_samples(t_exact[k] + sampled[k])
             k += 1
             if cls == "converging":
                 denom = 1.0 + 2.0 * t.mean

@@ -215,6 +215,17 @@ def test_simulate_renewal_moments(capsys):
     assert means == sorted(means, reverse=True)
 
 
+def test_simulate_renewal_moments_rejects_one_replica(capsys):
+    # one replica has no standard error; the run must fail, not print nan
+    code, out, err = run_cli(["simulate", "--kind", "renewal-moments", "--model",
+                              "renewal", "--a", "2", "--gamma", "3",
+                              "--lambda", "0", "--n", "100", "--replicas", "1"],
+                             capsys)
+    assert code != 0
+    assert "replicas" in err
+    assert "nan" not in out
+
+
 def test_workers_env_var_sets_default(monkeypatch):
     from rwrelab.cli import build_parser
     monkeypatch.setenv("RWRELAB_WORKERS", "4")

@@ -16,6 +16,7 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      velocity_of_model, velocity_rcm_discrete)
 from rwrelab import estimators
 from rwrelab.estimators import Estimate, ScalingFit, _run_ensemble
+from rwrelab.rng import generator
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
@@ -448,6 +449,19 @@ def test_probe_rejects_bad_parameters():
         velocity_jump_probe(-1.0, 3.0, [0.1], replicas=10, seed=1)
     with pytest.raises(ValueError):
         renewal_product_moment(1.5, [1, 2, 3], replicas=10, seed=1)
+    for replicas in (0, 1):
+        with pytest.raises(ValueError, match="replicas"):
+            velocity_jump_probe(2.0, 3.0, [0.5], replicas=replicas, seed=1)
+        with pytest.raises(ValueError, match="replicas"):
+            renewal_product_moment(3.0, [1, 2, 3], replicas=replicas, seed=1)
+    with pytest.raises(ValueError, match="i_max"):
+        velocity_jump_probe(2.0, 3.0, [0.5], replicas=10, seed=1, i_max=-1)
+    for grid in ([], [10, -5, 20], [10, 5, 10]):
+        with pytest.raises(ValueError, match="grid"):
+            renewal_product_moment(3.0, grid, replicas=10, seed=1)
+    # the smallest valid inputs still run
+    assert len(velocity_jump_probe(2.0, 3.0, [0.5], replicas=2, seed=1, i_max=0)) == 1
+    assert renewal_product_moment(3.0, [0], replicas=2, seed=1).fit is None
 
 
 def test_renewal_walks_agree_with_series_probe():
@@ -496,18 +510,64 @@ def test_velocity_jump_probe_golden():
     assert digest == GOLDEN_PROBE
 
 
+def _gaps_with_rare_rows(m=1000):
+    """C-ordered (m, 62) gap rows whose running maximum passes the prefix
+    table (rows 5 and 7, row 7 past every n_max used here) or ties at it
+    (row 9)."""
+    gaps = estimators._gap_from_uniform(
+        np.random.default_rng(1).random((m, estimators._MOMENT_TERMS - 2)), 3.0)
+    gaps[5, 3] = 100
+    gaps[7, 0] = 400
+    gaps[9, [2, 4, 8]] = 70
+    return gaps
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n_max", [40, 300])
 def test_big_jump_sums_match_per_replica_terms(n_max):
     # the probe's histogram route to the moment means against the
     # per-replica terms of renewal_product_moment, on gap rows whose running
     # maximum passes the prefix table, ties at it, and passes n_max
-    p, c, d, q = estimators._moment_tables(3.0, n_max)
-    gaps = estimators._gap_from_uniform(
-        np.random.default_rng(1).random((1000, estimators._MOMENT_TERMS - 2)), 3.0)
-    gaps[5, 3] = 100
-    gaps[7, 0] = 400
-    gaps[9, [2, 4, 8]] = 70
-    want = estimators._big_jump_terms(gaps, np.arange(n_max + 1), p, c, d, q)
-    got = estimators._big_jump_sums(gaps, p, c)
-    np.testing.assert_allclose(got, want.sum(axis=1), rtol=1e-13, atol=0.0)
+    p, c = estimators._moment_tables(3.0, n_max)
+    terms, sums = estimators._sweep(_gaps_with_rare_rows(), np.arange(n_max + 1),
+                                    p, estimators._kernel_tables(p, c[None]), c)
+    np.testing.assert_allclose(sums, terms[0].sum(axis=1), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_of_two_kernels_is_two_sweeps_of_one():
+    # stacking kernels shares the index arithmetic, never the arithmetic
+    # of a term: each kernel's terms are those of its own sweep, bit for bit
+    n_max = 300
+    p, c = estimators._moment_tables(3.0, n_max)
+    kernels = np.array([c, np.convolve(c, 0.9 ** np.arange(n_max + 1.0))[:n_max + 1]])
+    gaps = _gaps_with_rare_rows()
+    grid = np.array([0, 3, 66, 200, n_max])
+    both, sums = estimators._sweep(gaps, grid, p,
+                                   estimators._kernel_tables(p, kernels), c)
+    for k in range(2):
+        one, none = estimators._sweep(gaps, grid, p,
+                                      estimators._kernel_tables(p, kernels[k:k + 1]))
+        assert none is None
+        assert np.array_equal(both[k], one[0])
+    _, alone = estimators._sweep(gaps, grid, p, estimators._kernel_tables(p, kernels[:0]), c)
+    assert np.array_equal(sums, alone)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_does_not_depend_on_the_gap_layout():
+    # _gap_blocks yields the C-ordered rows' values with each gap column
+    # contiguous; the sweep gives the same bits on either layout
+    block = next(estimators._gap_blocks(3.0, 1000, 1))
+    rows = estimators._gap_from_uniform(
+        generator(1, "renewal-moment").random((1000, estimators._MOMENT_TERMS - 2)), 3.0)
+    assert block.flags.f_contiguous and not block.flags.c_contiguous
+    assert rows.flags.c_contiguous and np.array_equal(block, rows)
+    n_max = 300
+    p, c = estimators._moment_tables(3.0, n_max)
+    tables = estimators._kernel_tables(p, c[None])
+    grid = np.arange(n_max + 1)
+    gaps = _gaps_with_rare_rows()
+    want = estimators._sweep(gaps, grid, p, tables, c)
+    got = estimators._sweep(np.asfortranarray(gaps), grid, p, tables, c)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
