@@ -510,12 +510,12 @@ def test_velocity_jump_probe_golden():
     assert digest == GOLDEN_PROBE
 
 
-def _gaps_with_rare_rows(m=1000):
-    """C-ordered (m, 62) gap rows whose running maximum passes the prefix
-    table (rows 5 and 7, row 7 past every n_max used here) or ties at it
-    (row 9)."""
+def _gaps_with_rare_rows():
+    """C-ordered (1000, 62) gap rows, three of whose running maxima pass the
+    prefix table: row 5 (100), row 7 (400, past every n_max used here) and
+    row 9 (70, tied three times)."""
     gaps = estimators._gap_from_uniform(
-        np.random.default_rng(1).random((m, estimators._MOMENT_TERMS - 2)), 3.0)
+        np.random.default_rng(1).random((1000, estimators._MOMENT_TERMS - 2)), 3.0)
     gaps[5, 3] = 100
     gaps[7, 0] = 400
     gaps[9, [2, 4, 8]] = 70
