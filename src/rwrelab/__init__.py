@@ -1,9 +1,9 @@
 """Biased 1d nearest-neighbor random walks in random environment.
 
 A laboratory pairing the closed-form asymptotics of these walks (velocities,
-thresholds, diffusivities, Einstein relation, CLT conditions) with quenched
-trajectory engines, annealed Monte Carlo estimators, and exact small-instance
-oracles that cross-validate one another.
+thresholds, diffusivities, Einstein relation, CLT conditions) with a
+replica-ensemble walk engine, annealed Monte Carlo estimators, and exact
+small-instance oracles that cross-validate one another.
 """
 
 from .closed_forms import (CltCheck, DiffusivityBreakdown, VelocityResult,
@@ -33,9 +33,6 @@ from .exact import (WalkDistribution, exact_fbar_periodic,
 from .series import (SeriesValue, certified_sum, fbar_quenched, fhat_quenched,
                      lambda_factor, sbar_quenched, shat_quenched, u_quenched,
                      v_quenched)
-from .walks import (EnsembleResult, FirstPassage, JumpBudgetExceeded,
-                    RangeCapExceeded, Trajectory, dump_trajectory,
-                    ensemble_continuous, ensemble_discrete, first_passage,
-                    run_continuous, run_discrete)
+from .walks import EnsembleResult, ensemble_continuous, ensemble_discrete
 
 __version__ = "0.1.0"

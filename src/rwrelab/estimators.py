@@ -186,6 +186,9 @@ def annealed_velocity(model, lam: float, *, n: int | None = None,
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
+    for name, length in (("n", n), ("horizon", horizon)):
+        if length is not None and not length > 0:   # D is divided by it
+            raise ValueError(f"{name} must be positive")
     res = _run_ensemble(model, lam, replicas, seed, n=n, horizon=horizon,
                         workers=workers, range_cap=range_cap)
     ok = ~res.aborted
@@ -263,6 +266,8 @@ def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
     standardizes Z by the closed-form diffusivity when available (otherwise
     by the sample standard deviation).
     """
+    if not n > 0:   # Z is divided by sqrt(n)
+        raise ValueError("n must be positive")
     if v is None:
         v = velocity_of_model(model, lam).v
     res = _run_ensemble(model, lam, replicas, seed, n=n, workers=workers,

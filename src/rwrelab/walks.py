@@ -1,4 +1,4 @@
-"""Quenched walk engine: vectorized replica ensembles and single runs.
+"""Quenched walk engine: vectorized replica ensembles.
 
 One stepping core (``_walk``) moves an ensemble's replica lanes over biased
 site tables (``_Tables``: one field in discrete time, two in continuous
@@ -12,26 +12,24 @@ the holding time cut at the horizon).  Asked for it, the discrete rule also
 adds up the predictable quadratic variation of the position minus the
 compensator, 4 omega+ omega- at every site it leaves, for the diffusivity's
 split estimate; other ensembles step without it.  Ensembles step per-replica
-environments (annealed) or one shared environment (quenched);
-``run_discrete``, ``run_continuous`` and ``first_passage`` are recorded
-one-lane runs over a shared environment, i.e. replica 0 of that ensemble,
-whose paths are read off each block's rows.  Every uniform is
-counter-addressed by (root seed, stream, replica block, step), one
-``RowStreams`` row per replica block (``BlockUniforms``), so results are
-independent of the window's moves and of worker count.
+environments (annealed) or one shared environment (quenched).  Every
+uniform is counter-addressed by (root seed, stream, replica block, step),
+one ``RowStreams`` row per replica block (``BlockUniforms``), so results are
+independent of the window's moves and of worker count, and any replica can
+be replayed from its streams alone.
 
 Lanes step one block at a time (``_Lanes``), and ``_walk`` alone sets the
 blocks: the first is ``_FIRST_BLOCK`` steps, and each later one ends at the
 next sweep, at step 2 k + ``_FIRST_BLOCK`` after k steps, or at the jump
 budget.  So a run that stops early draws few uniforms, and every block
 after the first sweep is one sweep.  A block reads each stream's uniforms
-in one call (``BlockUniforms.rows``).  A step writes the lanes' table
-indices to a row of the block's buffer; after the block, each lane's stop
-(horizon, target) is resolved from the rows, and the block checks that no
-lane left its own row of the tables.
-A continuous step runs only the jump chain; holding times, clocks and the
-compensator sums are settled once per block, adding in the order of one add
-per jump, so the results are those of stepping one jump at a time.
+in one call (``BlockUniforms.rows``).  Discrete lanes step in place; a
+continuous step writes the lanes' table indices to a row of the block's
+buffer, and after the block each lane's stop (horizon, target) is resolved
+from the rows.  Each block checks that no lane left its own row of the
+tables.  A continuous step runs only the jump chain; holding times, clocks
+and the compensator sums are settled once per block, adding in the order of
+one add per jump, so the results are those of stepping one jump at a time.
 
 A table build takes blocks of rows from one source of the model's fields
 (``field_source``), the entry point that serves every model, held for the
@@ -51,9 +49,8 @@ signal, never silently truncated.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,52 +64,6 @@ _CHECK_EVERY = 64   # steps between bound/abort sweeps (also the safety margin)
 _FIRST_BLOCK = 16   # steps of a walk's first block; a block from k ends by 2k + 16
 _SLIDE = 8192       # most sites a window extends past its lead lane
 _EPS = float(np.finfo(float).eps)
-
-
-class RangeCapExceeded(Exception):
-    """A walk left the configured site range (likely transient parameters)."""
-
-
-class JumpBudgetExceeded(Exception):
-    """A continuous-time walk exceeded its jump budget before the horizon."""
-
-
-@dataclass
-class Trajectory:
-    """Record of one quenched walk."""
-
-    final_position: int
-    elapsed: float               # step count n, or continuous time t
-    n_steps: int
-    seed: int
-    min_position: int
-    max_position: int
-    hitting_times: dict[int, float] = field(default_factory=dict)
-    positions: np.ndarray | None = None
-    times: np.ndarray | None = None
-
-
-def dump_trajectory(traj: Trajectory, path) -> None:
-    """One record per jump: time,position (requires a recorded path)."""
-    if traj.positions is None:
-        raise ValueError("trajectory was not recorded with record_path=True")
-    times = traj.times if traj.times is not None else np.arange(len(traj.positions))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,position\n")
-        for t, x in zip(times, traj.positions):
-            fh.write(f"{t!r},{int(x)}\n")
-
-
-@dataclass
-class FirstPassage:
-    """First-passage times T_1..T_level of one quenched run."""
-
-    level: int
-    passage_times: np.ndarray    # T_k for k = 1..reached
-    increments: np.ndarray       # tau_k = T_k - T_{k-1}
-    completed: bool
-    n_steps: int
-    seed: int
 
 
 @dataclass
@@ -234,39 +185,22 @@ class _Lanes:
 
     A lane is held as its flat index into the site tables (position = index
     - the offset of its row + lo).  A block runs the steps from k0 to k1, as
-    ``_walk`` sets them, and writes them to the rows of G: row 0 holds the
-    lanes at its start, row j their indices after j steps; lanes stopped
-    before the block do not move.  After the block each lane's final row is
-    resolved: the first that reaches the target, if any (a target run stops
-    stepping once every lane has), or a row the rule sets (continuous time:
-    before the first jump past the horizon).  The lane takes the state of
-    that row, and stops unless it is the block's last and no target was
-    reached.  Rows past a lane's final one are discarded.
+    ``_walk`` sets them; lanes stopped before the block do not move.  `end`
+    is where a rule's run ends: a step count, a horizon, or None for a run
+    to a target.
 
-    Gathers within a block may clip their indices, so once per block every
-    lane at every step must have stayed inside its own row of the tables, or
-    the block raises; that is stronger than mode="raise", which sees only
-    the ends of the flat table.  (Discrete lanes stepped in place gather with
-    mode="raise", and are checked at the block's end.)
+    Once per block every lane at every step must have stayed inside its own
+    row of the tables, or the block raises (``_check``); that is stronger
+    than mode="raise", which sees only the ends of the flat table.
     """
 
     steps = math.inf
 
-    def __init__(self, rows: range, target: int | None, keep_rows: bool):
+    def __init__(self, rows: range):
         m = len(rows)
-        self.target = target
-        self.values = None if target is None else np.full(m, np.nan)
         self.active = np.ones(m, dtype=bool)
         self.all_moving = True
-        # written row by row, so a block touches only the rows it uses; its
-        # row views are made once, as indexing per step costs more
-        self.keep_rows = keep_rows
-        self.G = np.empty((_CHECK_EVERY + 1, m), dtype=np.int64) if keep_rows else None
-        self._G_rows = list(self.G) if keep_rows else None
-        self.final = np.zeros(m, dtype=np.int64)
-        self._lanes = np.arange(m) if keep_rows else None
         self._bbuf = np.empty(m, dtype=bool)
-        self._pending = None
 
     def stop(self, lanes: np.ndarray) -> None:
         if lanes.any():
@@ -277,23 +211,9 @@ class _Lanes:
         self.codes, self.fields = (None, table) if lut is None else (table[0], lut)
         self.offsets, self.lo, self.span = offsets, lo, hi - lo
         self.gidx = offsets - lo + pos
-        if self.target is not None:
-            self.goal = offsets - lo + self.target
 
     def positions(self) -> np.ndarray:
         return self.gidx - self.offsets + self.lo
-
-    def _begin(self) -> None:
-        self.G[0] = self.gidx
-        if self.target is not None:
-            self._pending = self.active.copy()
-
-    def _all_arrived(self, j: int) -> bool:
-        """Whether every lane of a target run has reached it by row j."""
-        if self._pending is None:
-            return False
-        self._pending &= self._G_rows[j] != self.goal
-        return not self._pending.any()
 
     def _check(self, rows: np.ndarray) -> None:
         """Raise unless each lane's indices in rows are within its own row of
@@ -302,7 +222,168 @@ class _Lanes:
                 or (rows.max(axis=0) > self.offsets + self.span).any()):
             raise IndexError("a lane left its row of the site tables")
 
-    def _resolve(self, K: int, final: np.ndarray | None = None):
+
+class _DiscreteLanes(_Lanes):
+    """Discrete-time step rule: one uniform per step, right iff it is <=
+    omega+(lam) at the lane's site, for a fixed number of steps.  A step
+    reads omega+(lam) through the table's code if it has a LUT; psum adds
+    up, per lane, the omega+(lam) of every site it steps from, and with
+    `variation` p2sum their squares (two more array operations per step,
+    so only where asked for).  The lanes step in place, gathering with
+    mode="raise", so an ensemble of many lanes holds one row of them, not a
+    block; the block checks their rows at its end."""
+
+    def __init__(self, seed, rows: range, steps: int, variation: bool = False):
+        super().__init__(rows)
+        m = len(rows)
+        self.steps = self.end = steps
+        self.uni = BlockUniforms(seed, ("walk",), rows.start, m)
+        self.sbuf = np.empty(m, dtype=np.int64)
+        self.psum = np.zeros(m)
+        self.p2sum = np.zeros(m) if variation else None
+        self._p2 = np.empty(m) if variation else None
+
+    def running(self, k: int) -> bool:
+        return k < self.steps and (self.all_moving or bool(self.active.any()))
+
+    def clock(self, k: int) -> np.ndarray:
+        return np.full(len(self.gidx), float(k))
+
+    def outputs(self) -> dict:
+        """The compensator D_n = 2 psum - n per lane, and the bound 2 n^2 eps
+        on the rounding of a sum of n values <= 1 (it holds for lanes that
+        ran all n steps).  If p2sum was kept, the quadratic variation
+        Q_n = 4 (psum - p2sum) per lane: its rounding, n^2 eps / 2 in each
+        sum and n eps / 2 in the squares and the difference, times 4, is
+        within 4 (n^2 + n) eps <= 4 times the compensator's bound."""
+        n = self.steps
+        return {"compensator": 2.0 * self.psum - n,
+                "compensator_rounding": 2.0 * n * n * _EPS,
+                "variation": (None if self.p2sum is None
+                              else 4.0 * (self.psum - self.p2sum))}
+
+    def block(self, k0: int, k1: int) -> int:
+        U = self.uni.rows(k0, k1)
+        gidx, bbuf, (wplus,) = self.gidx, self._bbuf, self.fields
+        p2sum, p2 = self.p2sum, self._p2
+        for u in U:
+            # take() without out=: with out= and mode="raise" NumPy buffers
+            p = wplus.take(gidx if self.codes is None else self.codes.take(gidx))
+            np.less_equal(u, p, out=bbuf)
+            if self.all_moving:
+                self.psum += p
+                if p2sum is not None:
+                    np.multiply(p, p, out=p2)
+                    p2sum += p2
+                np.add(gidx, bbuf, out=gidx, casting="unsafe")
+                np.add(gidx, bbuf, out=gidx, casting="unsafe")
+                gidx -= 1
+            else:
+                np.add(self.psum, p, out=self.psum, where=self.active)
+                if p2sum is not None:
+                    np.multiply(p, p, out=p2)
+                    np.add(p2sum, p2, out=p2sum, where=self.active)
+                np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
+                self.sbuf *= self.active
+                np.add(gidx, self.sbuf, out=gidx)
+        self._check(gidx[None])
+        return len(U)
+
+
+class _ContinuousLanes(_Lanes):
+    """Continuous-time step rule: an Exp(total rate) holding time E/rate, E
+    an Exp(1) draw, then right iff the direction uniform is <= p+ at the
+    lane's site.  A lane stops at its first jump time beyond the horizon
+    (never if the horizon is None), or on reaching the target, if any;
+    `values` holds the arrival times.
+
+    A block writes the lanes' table indices to the rows of G: row 0 holds
+    the lanes at its start, row j their indices after j steps.  A step of a
+    block runs only the jump chain: a code gather, a p+ gather (both
+    clipped, so the block checks its rows), a compare against the direction
+    uniform and the move.  Once per block, from its rows: the holding times
+    E/total, each lane's clock and final row, and the sums below.  A lane's
+    final row is the first that reaches the target (a target run stops
+    stepping once every lane has), or the last before its first jump past
+    the horizon; the lane takes the state of that row, and stops unless it
+    is the block's last and no target was reached.  Rows past a lane's
+    final one are zeroed, and sums down the rows (``_column_sums``) add in
+    the order of one add per jump, so every value is that of stepping one
+    jump at a time.
+
+    With a horizon, e_sum and pe_sum add up, per lane, E and p+ E over the
+    holding times that end within it: each adds (r+ - r-) E/(r- + r+) =
+    (2 p+ - 1) E to the compensator, so the site tables need no drift field.
+    `seen` holds the last step k = 0 mod _CHECK_EVERY that each lane ended
+    within the horizon, so it made at most seen + _CHECK_EVERY jumps.
+    """
+
+    def __init__(self, seed, rows: range, horizon: float | None,
+                 target: int | None):
+        super().__init__(rows)
+        m = len(rows)
+        self.horizon = self.end = horizon
+        self.target = target
+        self.values = None if target is None else np.full(m, np.nan)
+        self.u_hold = BlockExponentials(seed, ("hold",), rows.start, m)
+        self.u_dir = BlockUniforms(seed, ("dir",), rows.start, m)
+        self.t = np.zeros(m)
+        # written row by row, so a block touches only the rows it uses; its
+        # row views are made once, as indexing per step costs more
+        self.G = np.empty((_CHECK_EVERY + 1, m), dtype=np.int64)
+        self.P = np.empty((_CHECK_EVERY, m))       # p+ at each step's site
+        # row 0 the lanes' clocks, row j + 1 the holding time of step j
+        self.times = np.empty((_CHECK_EVERY + 1, m))
+        self.C = np.empty((_CHECK_EVERY, m), dtype=np.uint8)   # codes
+        self._rows = list(self.G), list(self.P), list(self.C)
+        self.final = np.zeros(m, dtype=np.int64)
+        self._lanes = np.arange(m)
+        self._pending = None
+        if horizon is not None:
+            self.e_sum = np.zeros(m)
+            self.pe_sum = np.zeros(m)
+            self.seen = np.zeros(m)
+            self._sums = np.empty((_CHECK_EVERY + 1, m))
+
+    def running(self, k: int) -> bool:
+        return np.count_nonzero(self.active) > 0   # a third of any()'s cost
+
+    def rebase(self, table, lut, offsets, lo, hi, pos) -> None:
+        super().rebase(table, lut, offsets, lo, hi, pos)
+        self.total, self.wplus = self.fields
+        if self.target is not None:
+            self.goal = offsets - lo + self.target
+
+    def clock(self, k: int) -> np.ndarray:
+        return self.t
+
+    def outputs(self) -> dict:
+        """A target run's arrival times, as `values`.  Otherwise D_t per
+        lane: the complete holding times' 2 pe_sum - e_sum, plus the last
+        one cut at the horizon, (r+ - r-)(Y_t) (t - T_N).  The bound
+        (N + 8) eps (2 e_sum + rate(Y_t) t), N a lane's jump count, covers
+        the rounding of both sums and of T_N, and of the tables' p+; with
+        N <= seen + _CHECK_EVERY it does not depend on how the replicas are
+        split across workers."""
+        if self.target is not None:
+            return {"values": self.values}
+        idx = self.gidx if self.codes is None else self.codes.take(self.gidx)
+        total = self.total.take(idx)
+        drift = total * (2.0 * self.wplus.take(idx) - 1.0)
+        comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
+        jumps = self.seen + _CHECK_EVERY
+        bound = (jumps + 8.0) * (2.0 * self.e_sum + total * self.horizon)
+        return {"compensator": comp,
+                "compensator_rounding": _EPS * float(bound.max())}
+
+    def _all_arrived(self, j: int) -> bool:
+        """Whether every lane of a target run has reached it by row j."""
+        if self._pending is None:
+            return False
+        self._pending &= self._rows[0][j] != self.goal
+        return not self._pending.any()
+
+    def _resolve(self, K: int, final: np.ndarray | None):
         """Settle the block's K rows: final (per lane, default K) cut at the
         target; returns the lanes that reached it (None without a target)."""
         G = self.G
@@ -321,178 +402,14 @@ class _Lanes:
         self.stop(stopped)
         return arrived
 
-    def variation(self) -> np.ndarray | None:
-        return None
-
-    def trail(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lane 0's positions and clocks after each step it took in the
-        last block (the path of a one-lane run)."""
-        n = int(self.final[0])
-        return self.G[1:n + 1, 0] - self.offsets[0] + self.lo, self._clocks(n)
-
-
-class _DiscreteLanes(_Lanes):
-    """Discrete-time step rule: one uniform per step, right iff it is <=
-    omega+(lam) at the lane's site, for a fixed number of steps.  A step
-    reads omega+(lam) through the table's code if it has a LUT; psum adds
-    up, per lane, the omega+(lam) of every site it steps from, and with
-    `variation` p2sum their squares (two more array operations per step,
-    so only where asked for).  A block keeps its steps in the rows of G
-    only where they are read, for a target's arrivals or a recorded path;
-    otherwise the lanes step in place, so an ensemble of many lanes holds
-    one row of them, not a block."""
-
-    def __init__(self, seed, rows: range, steps: int, target: int | None,
-                 record: bool, variation: bool = False):
-        super().__init__(rows, target, record or target is not None)
-        m = len(rows)
-        self.steps = steps
-        self.uni = BlockUniforms(seed, ("walk",), rows.start, m)
-        self.sbuf = np.empty(m, dtype=np.int64)
-        self.psum = np.zeros(m)
-        self.p2sum = np.zeros(m) if variation else None
-        self._p2 = np.empty(m) if variation else None
-        self.k0 = 0
-
-    def running(self, k: int) -> bool:
-        return k < self.steps and (self.all_moving or bool(self.active.any()))
-
-    def clock(self, k: int) -> np.ndarray:
-        return np.full(len(self.gidx), float(k))
-
-    def _clocks(self, n: int) -> np.ndarray:
-        return np.arange(self.k0 + 1, self.k0 + n + 1, dtype=float)
-
-    def compensator(self) -> tuple[np.ndarray, float]:
-        """D_n = 2 psum - n per lane, and the bound 2 n^2 eps on the rounding
-        of a sum of n values <= 1 (it holds for lanes that ran all n steps)."""
-        n = self.steps
-        return 2.0 * self.psum - n, 2.0 * n * n * _EPS
-
-    def variation(self) -> np.ndarray | None:
-        """Q_n = 4 (psum - p2sum) per lane, if p2sum was kept.  Its rounding,
-        n^2 eps / 2 in each sum and n eps / 2 in the squares and the
-        difference, times 4, is within 4 (n^2 + n) eps <= 4 times the
-        compensator's bound."""
-        return None if self.p2sum is None else 4.0 * (self.psum - self.p2sum)
-
-    def block(self, k0: int, k1: int) -> int:
-        U = self.uni.rows(k0, k1)
-        bbuf, (wplus,) = self._bbuf, self.fields
-        p2sum, p2 = self.p2sum, self._p2
-        K = len(U)
-        if self.keep_rows:
-            self._begin()
-        Gs = self._G_rows if self.keep_rows else [self.gidx] * (K + 1)
-        for j, u in enumerate(U):
-            gidx, nxt = Gs[j], Gs[j + 1]
-            # take() without out=: with out= and mode="raise" NumPy buffers
-            p = wplus.take(gidx if self.codes is None else self.codes.take(gidx))
-            np.less_equal(u, p, out=bbuf)
-            if self.all_moving:
-                self.psum += p
-                if p2sum is not None:
-                    np.multiply(p, p, out=p2)
-                    p2sum += p2
-                np.add(gidx, bbuf, out=nxt, casting="unsafe")
-                np.add(nxt, bbuf, out=nxt, casting="unsafe")
-                nxt -= 1
-            else:
-                np.add(self.psum, p, out=self.psum, where=self.active)
-                if p2sum is not None:
-                    np.multiply(p, p, out=p2)
-                    np.add(p2sum, p2, out=p2sum, where=self.active)
-                np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
-                self.sbuf *= self.active
-                np.add(gidx, self.sbuf, out=nxt)
-            if self._all_arrived(j + 1):
-                K = j + 1
-                break
-        if not self.keep_rows:
-            self._check(self.gidx[None])
-            return K
-        self._check(self.G[1:K + 1])
-        self.k0 = k0
-        arrived = self._resolve(K)
-        if arrived is not None:
-            np.copyto(self.values, k0 + self.final, where=arrived)
-        return K
-
-
-class _ContinuousLanes(_Lanes):
-    """Continuous-time step rule: an Exp(total rate) holding time E/rate, E
-    an Exp(1) draw, then right iff the direction uniform is <= p+ at the
-    lane's site.  A lane stops at its first jump time beyond the horizon
-    (never if the horizon is None).
-
-    A step of a block runs only the jump chain: a code gather, a p+ gather
-    (both clipped), a compare against the direction uniform and the move.
-    Once per block, from its rows: the holding times E/total, each lane's
-    clock and first jump past the horizon (the lane keeps its state from
-    before that jump), and the sums below.  Rows past a lane's final one are
-    zeroed, and sums down the rows (``_column_sums``) add in the order of
-    one add per jump, so every value is that of stepping one jump at a time.
-
-    With a horizon, e_sum and pe_sum add up, per lane, E and p+ E over the
-    holding times that end within it: each adds (r+ - r-) E/(r- + r+) =
-    (2 p+ - 1) E to the compensator, so the site tables need no drift field.
-    `seen` holds the last step k = 0 mod _CHECK_EVERY that each lane ended
-    within the horizon, so it made at most seen + _CHECK_EVERY jumps.
-    """
-
-    def __init__(self, seed, rows: range, horizon: float | None,
-                 target: int | None, record: bool):
-        super().__init__(rows, target, True)   # its clocks come from the rows
-        m = len(rows)
-        self.horizon = horizon
-        self.u_hold = BlockExponentials(seed, ("hold",), rows.start, m)
-        self.u_dir = BlockUniforms(seed, ("dir",), rows.start, m)
-        self.t = np.zeros(m)
-        self.P = np.empty((_CHECK_EVERY, m))       # p+ at each step's site
-        # row 0 the lanes' clocks, row j + 1 the holding time of step j
-        self.times = np.empty((_CHECK_EVERY + 1, m))
-        self.C = np.empty((_CHECK_EVERY, m), dtype=np.uint8)   # codes
-        self._rows = list(self.P), list(self.C)
-        if horizon is not None:
-            self.e_sum = np.zeros(m)
-            self.pe_sum = np.zeros(m)
-            self.seen = np.zeros(m)
-            self._sums = np.empty((_CHECK_EVERY + 1, m))
-
-    def running(self, k: int) -> bool:
-        return np.count_nonzero(self.active) > 0   # a third of any()'s cost
-
-    def rebase(self, table, lut, offsets, lo, hi, pos) -> None:
-        super().rebase(table, lut, offsets, lo, hi, pos)
-        self.total, self.wplus = self.fields
-
-    def clock(self, k: int) -> np.ndarray:
-        return self.t
-
-    def _clocks(self, n: int) -> np.ndarray:
-        return np.cumsum(self.times[:n + 1, 0])[1:]
-
-    def compensator(self) -> tuple[np.ndarray, float]:
-        """D_t per lane: the complete holding times' 2 pe_sum - e_sum, plus
-        the last one cut at the horizon, (r+ - r-)(Y_t) (t - T_N).  The bound
-        (N + 8) eps (2 e_sum + rate(Y_t) t), N a lane's jump count, covers
-        the rounding of both sums and of T_N, and of the tables' p+; with
-        N <= seen + _CHECK_EVERY it does not depend on how the replicas are
-        split across workers."""
-        idx = self.gidx if self.codes is None else self.codes.take(self.gidx)
-        total = self.total.take(idx)
-        drift = total * (2.0 * self.wplus.take(idx) - 1.0)
-        comp = 2.0 * self.pe_sum - self.e_sum + drift * (self.horizon - self.t)
-        jumps = self.seen + _CHECK_EVERY
-        bound = (jumps + 8.0) * (2.0 * self.e_sum + total * self.horizon)
-        return comp, _EPS * float(bound.max())
-
     def block(self, k0: int, k1: int) -> int:
         E = self.u_hold.rows(k0, k1)
         U = self.u_dir.rows(k0, k1)
         codes, wplus, right = self.codes, self.wplus, self._bbuf
-        Gs, (Ps, Cs) = self._G_rows, self._rows
-        self._begin()
+        Gs, Ps, Cs = self._rows
+        self.G[0] = self.gidx
+        if self.target is not None:
+            self._pending = self.active.copy()
         still = None if self.all_moving else ~self.active
         K = len(E)
         for j, u in enumerate(U):
@@ -557,42 +474,36 @@ def _ahead(x: int, clock: float, end: float | None) -> int:
     return int(min(_SLIDE, max(4 * _CHECK_EVERY, far)))
 
 
-def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
-          range_cap: int, elapsed: float, *, jump_budget=math.inf,
-          target: int | None = None, observe=None) -> EnsembleResult:
-    """Step the replicas of tables.rows as lanes rule(seed, rows, limit,
-    target) (limit: step count or horizon) over one window of site tables,
-    starting at `window`, that follows the lanes; a block at a time.  After
-    k steps a block ends at the earliest of the next multiple of
-    _CHECK_EVERY, step 2 k + _FIRST_BLOCK, the jump budget (at least one
-    step, as for a budget of 0) and a discrete rule's last step.
+def _walk(lanes: _Lanes, tables: _Tables, window: tuple[int, int],
+          range_cap: int, elapsed: float, *,
+          jump_budget=math.inf) -> EnsembleResult:
+    """Step lanes, the replicas of tables.rows under one step rule, over one
+    window of site tables, starting at `window`, that follows the lanes; a
+    block at a time.  After k steps a block ends at the earliest of the next
+    multiple of _CHECK_EVERY, step 2 k + _FIRST_BLOCK, the jump budget (at
+    least one step, as for a budget of 0) and a discrete rule's last step.
 
     After every _CHECK_EVERY-th step (and a discrete rule's last) lanes within
     _CHECK_EVERY sites of +-range_cap are aborted, and if a lane still
     running is within _CHECK_EVERY sites of an edge, the window moves: that
-    side extends by _ahead (towards the end of the run, or doubling for
-    target runs), and a side that needs no room is trimmed to 4 sweeps past
-    its trailing lane.  Lanes still running after jump_budget steps are
-    aborted.  With a target, lanes stop on reaching it and `values` holds
-    the arrival times; without one, the lanes' compensators go to
-    `compensator`, the largest of their rounding bounds to
-    `compensator_rounding`, and a rule's quadratic variations, if it kept
-    them, to `variation`.  observe(lanes) follows every block.
+    side extends by _ahead (towards the rule's end, or doubling for target
+    runs), and a side that needs no room is trimmed to 4 sweeps past its
+    trailing lane.  Lanes still running after jump_budget steps are
+    aborted.  The rule's outputs complete the result: a target run's
+    arrival times (`values`), or else the lanes' compensators, the largest
+    of their rounding bounds and, if the rule kept them, their quadratic
+    variations.
     """
     rows = tables.rows
     aborted = np.zeros(len(rows), dtype=bool)
-    end = None if target is not None else limit
     lo, hi = window
     table, lut, offsets = tables.build(lo, hi)
-    lanes = rule(tables.seed, rows, limit, target, observe is not None)
     lanes.rebase(table, lut, offsets, lo, hi, 0)
     k = 0
     while lanes.running(k):
         stop = min(k - k % _CHECK_EVERY + _CHECK_EVERY, 2 * k + _FIRST_BLOCK,
                    max(jump_budget, k + 1), lanes.steps)
         k += lanes.block(k, int(stop))
-        if observe is not None:
-            observe(lanes)
         if k >= jump_budget:
             aborted |= lanes.active
             break
@@ -608,18 +519,17 @@ def _walk(rule, limit, tables: _Tables, window: tuple[int, int],
         if (left or right) and lanes.running(k):
             clock = lanes.clock(k)
             slack = 4 * _CHECK_EVERY
-            new_lo = (mn - _ahead(-mn, float(clock[pos.argmin()]), end) if left
-                      else max(lo, mn - slack))
-            new_hi = (mx + _ahead(mx, float(clock[pos.argmax()]), end) if right
-                      else min(hi, mx + slack))
+            new_lo = (mn - _ahead(-mn, float(clock[pos.argmin()]), lanes.end)
+                      if left else max(lo, mn - slack))
+            new_hi = (mx + _ahead(mx, float(clock[pos.argmax()]), lanes.end)
+                      if right else min(hi, mx + slack))
             new_lo, new_hi = max(new_lo, -range_cap - 1), min(new_hi, range_cap + 1)
             if new_lo < lo or new_hi > hi:   # not when held at the range cap
                 table, lut, offsets = tables.build(new_lo, new_hi, (table, lo, hi))
                 lo, hi = new_lo, new_hi
                 lanes.rebase(table, lut, offsets, lo, hi, pos)
-    comp, rounding = lanes.compensator() if target is None else (None, 0.0)
     return EnsembleResult(lanes.positions(), aborted, len(rows), elapsed,
-                          lanes.values, comp, rounding, lanes.variation())
+                          **lanes.outputs())
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +550,14 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
     (seed, replica); pass shared_env for the quenched mode (many walks, one
     environment).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
     margin = int(4.0 * math.sqrt(max(n, 1))) + 2 * _CHECK_EVERY
     rows = range(replica_offset, replica_offset + replicas)
-    rule = (functools.partial(_DiscreteLanes, variation=True) if variation
-            else _DiscreteLanes)
-    return _walk(rule, n, _Tables(model, seed, shared_env, lam, False, rows),
+    return _walk(_DiscreteLanes(seed, rows, n, variation),
+                 _Tables(model, seed, shared_env, lam, False, rows),
                  (-margin, margin), range_cap, float(n))
 
 
@@ -658,98 +571,24 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
     the compensator D_t = sum_k (r+ - r-)_lam(Y_{T_k}) (min(T_{k+1}, t) - T_k)
     (`compensator`).
 
-    With target_level set, walks instead stop on first reaching that site and
-    the result's `values` holds the first-passage times (nan if the jump
-    budget ran out first, flagged in `aborted`).
+    With target_level (>= 1) set, walks instead stop on first reaching that
+    site and the result's `values` holds the first-passage times (nan if
+    the jump budget ran out first, flagged in `aborted`), and the horizon
+    sets only the result's `elapsed` (math.inf for a run to the target).
     """
+    if not horizon >= 0:
+        raise ValueError("horizon must be nonnegative")
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
+    if target_level is not None and target_level < 1:
+        raise ValueError("target_level must be >= 1")
     # lanes stop at a target, so they never step on the sites past it
     hi = (4 * _CHECK_EVERY if target_level is None
-          else max(target_level, 0) + _CHECK_EVERY)
+          else target_level + _CHECK_EVERY)
     rows = range(replica_offset, replica_offset + replicas)
-    return _walk(_ContinuousLanes, horizon if target_level is None else None,
+    return _walk(_ContinuousLanes(seed, rows,
+                                  horizon if target_level is None else None,
+                                  target_level),
                  _Tables(model, seed, shared_env, lam, True, rows),
                  (-4 * _CHECK_EVERY, hi), range_cap, float(horizon),
-                 jump_budget=jump_budget, target=target_level)
-
-
-# ---------------------------------------------------------------------------
-# single runs: replica 0 of a shared-environment ensemble, path recorded
-# ---------------------------------------------------------------------------
-
-def _single(env, lam: float, seed: int, limit, range_cap: int, **core):
-    """One recorded lane over env with the ensemble's streams at replica 0;
-    returns (aborted, positions, clocks), the last two from step 0 on."""
-    rates = isinstance(env, RateEnv)
-    xs, ts = [np.zeros(1, dtype=np.int64)], [np.zeros(1)]
-
-    def record(lanes) -> None:
-        x, t = lanes.trail()
-        xs.append(x)
-        ts.append(t)
-
-    res = _walk(_ContinuousLanes if rates else _DiscreteLanes, limit,
-                _Tables(None, seed, env, lam, rates, range(1)),
-                (-4 * _CHECK_EVERY, 4 * _CHECK_EVERY), range_cap, 0.0,
-                observe=record, **core)
-    return bool(res.aborted[0]), np.concatenate(xs), np.concatenate(ts)
-
-
-def _trajectory(x, t, elapsed: float, seed: int, record_path: bool,
-                hitting_levels, times: bool) -> Trajectory:
-    hits = {lv: float(t[1 + np.argmax(x[1:] == lv)])
-            for lv in set(map(int, hitting_levels)) if (x[1:] == lv).any()}
-    return Trajectory(int(x[-1]), elapsed, len(x) - 1, seed, int(x.min()),
-                      int(x.max()), hits, x if record_path else None,
-                      t if record_path and times else None)
-
-
-def run_discrete(env: DiscreteEnv, lam: float, n: int, seed: int, *,
-                 record_path: bool = False, hitting_levels=(),
-                 range_cap: int = DEFAULT_RANGE_CAP) -> Trajectory:
-    """Walk n steps from the origin: step +1 iff the uniform draw is
-    <= omega+_x(lam).  Replica 0 of ensemble_discrete(..., shared_env=env)
-    with the same seed; bit-exact replay from (env, lam, n, seed)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    aborted, x, t = _single(env, lam, seed, n, range_cap)
-    if aborted:
-        raise RangeCapExceeded(f"|position| came within {_CHECK_EVERY} of "
-                               f"{range_cap} by step {len(x) - 1}")
-    return _trajectory(x, t, float(n), seed, record_path, hitting_levels, False)
-
-
-def run_continuous(env: RateEnv, lam: float, horizon: float, seed: int, *,
-                   record_path: bool = False, hitting_levels=(),
-                   jump_budget: int = 10**8,
-                   range_cap: int = DEFAULT_RANGE_CAP) -> Trajectory:
-    """Jump-chain + holding-time construction: wait Exp(r-(lam)+r+(lam)) at
-    the current site, then jump right with probability r+(lam)/(r-+r+)(lam).
-    Stops at the first jump time exceeding the horizon.  Replica 0 of
-    ensemble_continuous(..., shared_env=env) with the same seed."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    aborted, x, t = _single(env, lam, seed, horizon, range_cap,
-                            jump_budget=jump_budget)
-    if aborted and len(x) - 1 >= jump_budget:
-        raise JumpBudgetExceeded(f"{jump_budget} jumps before the horizon")
-    if aborted:
-        raise RangeCapExceeded(f"|position| came within {_CHECK_EVERY} of "
-                               f"{range_cap} by t={t[-1]:.6g}")
-    return _trajectory(x, t, float(horizon), seed, record_path, hitting_levels, True)
-
-
-def first_passage(env, lam: float, level: int, seed: int,
-                  budget: int = 10**7) -> FirstPassage:
-    """Run until the walk first reaches `level`, recording every intermediate
-    first-passage time.  Budget exhaustion (completed=False) signals likely
-    non-ballistic parameters."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    limit = None if isinstance(env, RateEnv) else budget
-    _, x, t = _single(env, lam, seed, limit, DEFAULT_RANGE_CAP,
-                      jump_budget=budget, target=level)
-    best = int(x.max())
-    reached = t[np.searchsorted(np.maximum.accumulate(x), np.arange(1, best + 1))]
-    increments = np.diff(np.concatenate([[0.0], reached]))
-    return FirstPassage(level, reached, increments, best >= level,
-                        len(x) - 1, seed)
+                 jump_budget=jump_budget)

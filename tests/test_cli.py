@@ -226,6 +226,30 @@ def test_simulate_renewal_moments_rejects_one_replica(capsys):
     assert "nan" not in out
 
 
+_DISCRETE = ["--model", "rcm-discrete", "--dist", "two-point:1,2:0.5"]
+_CONTINUOUS = ["--model", "rcm-continuous", "--dist", "two-point:1,2:0.5"]
+
+
+@pytest.mark.parametrize("kind,model,length,name", [
+    ("velocity", _DISCRETE, ["--n", "-5"], "n"),
+    ("velocity", _DISCRETE, ["--n", "0"], "n"),
+    ("velocity", _CONTINUOUS, ["--horizon", "-3"], "horizon"),
+    ("velocity", _CONTINUOUS, ["--horizon", "0"], "horizon"),
+    ("diffusion", _DISCRETE, ["--n", "0"], "n"),
+    ("einstein", _DISCRETE, ["--n", "-10"], "n"),
+], ids=["velocity-n-negative", "velocity-n-zero", "velocity-horizon-negative",
+        "velocity-horizon-zero", "diffusion-n-zero", "einstein-n-negative"])
+def test_simulate_rejects_nonpositive_run_length(capsys, kind, model, length, name):
+    # the estimators divide by the run length; the run must fail, not print
+    # a number or a traceback
+    code, out, err = run_cli(["simulate", "--kind", kind, *model, "--lambda",
+                              "0.5", *length, "--replicas", "10"], capsys)
+    assert code == 1
+    assert err.startswith("rwrelab: ") and name in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_workers_env_var_sets_default(monkeypatch):
     from rwrelab.cli import build_parser
     monkeypatch.setenv("RWRELAB_WORKERS", "4")

@@ -1,8 +1,9 @@
-"""The names perfbench's tracer hooks into must exist in the package.
+"""The names perfbench imports and hooks into must exist in the package.
 
 The tracer (perfbench/tracing.py) wraps public functions by name, the walk
 entry points the estimators module calls, and BlockUniforms.step.  A rename
-in the package would leave a traced run that silently reads 0 on a layer, so
+in the package would leave a traced run that silently reads 0 on a layer,
+and a removed name that the benchmark imports would fail its whole run, so
 the names are checked here without importing the benchmark.
 """
 
@@ -13,7 +14,8 @@ import rwrelab
 import rwrelab.estimators
 import rwrelab.rng
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _api_layers() -> dict:
@@ -36,3 +38,14 @@ def test_traced_walk_and_rng_hooks_exist():
     for name in ("ensemble_discrete", "ensemble_continuous"):
         assert callable(vars(rwrelab.estimators).get(name))
     assert callable(getattr(rwrelab.rng.BlockUniforms, "step", None))
+
+
+def test_perfbench_imports_are_package_attributes():
+    names = [(path.name, alias.name)
+             for path in sorted(PERFBENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "rwrelab"
+             and node.level == 0
+             for alias in node.names]
+    assert ("workloads.py", "velocity_rcm_discrete") in names
+    assert [n for n in names if not hasattr(rwrelab, n[1])] == []

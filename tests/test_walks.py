@@ -1,14 +1,14 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
-                     RangeCapExceeded, Renewal, ScalarDist, dump_trajectory,
-                     ensemble_continuous, ensemble_discrete, first_passage,
-                     materialize, run_continuous, run_discrete)
-from rwrelab.environments import bias_omega, bias_rates
+from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
+                     ScalarDist, ensemble_continuous, ensemble_discrete,
+                     materialize)
+from rwrelab.environments import RateEnv, bias_omega, bias_rates
 from rwrelab.rng import BlockExponentials, BlockUniforms
 from rwrelab.walks import DEFAULT_RANGE_CAP, EnsembleResult
 
@@ -18,125 +18,76 @@ C_TWO_POINT = IIDConductance(TWO_POINT, time_flavor="continuous")
 
 
 # ---------------------------------------------------------------------------
-# single trajectories
+# replica 0 replayed one step at a time from its streams
 # ---------------------------------------------------------------------------
 
-def test_zero_steps_stays_home():
-    env = materialize(IIDConductance(CONST), 0, (-2, 2))
-    traj = run_discrete(env, 0.0, 0, seed=1)
-    assert traj.final_position == 0 and traj.n_steps == 0
+def _draws(stream):
+    """Replica 0's draws of a one-lane stream, step by step, read 256 steps
+    at a time."""
+    for t in itertools.count(0, 256):
+        yield from stream.rows(t, t + 256)[:, 0].tolist()
 
 
-def test_huge_field_forces_straight_line():
-    env = materialize(IIDConductance(TWO_POINT), 2, (-2, 2))
-    traj = run_discrete(env, 40.0, 500, seed=3, record_path=True)
-    assert traj.final_position == 500
-    assert np.array_equal(traj.positions, np.arange(501))
-    assert traj.hitting_times == {}
+def _site_fields(env, lam):
+    """The biased fields of env at a site, by the engine's formulas:
+    omega+(lam) in discrete time, (total rate, p+) in continuous time."""
+    cache = {}
+
+    def at(x):
+        if x not in cache:
+            if isinstance(env, RateEnv):
+                bm, bp = bias_rates(*env.rates_window(x, x), lam)
+                total = bm + bp
+                cache[x] = float(total[0]), float((bp / total)[0])
+            else:
+                cache[x] = float(bias_omega(env.omega_plus_window(x, x), lam)[1][0])
+        return cache[x]
+    return at
 
 
-def test_discrete_replay_is_bit_exact():
-    env = materialize(IIDConductance(TWO_POINT), 5, (-4, 4))
-    a = run_discrete(env, 0.8, 5000, seed=11, record_path=True)
-    b = run_discrete(env, 0.8, 5000, seed=11, record_path=True)
-    assert np.array_equal(a.positions, b.positions)
-    assert np.all(np.abs(np.diff(a.positions)) == 1)   # nearest-neighbor steps
-    c = run_discrete(env, 0.8, 5000, seed=12)
-    assert c.final_position != a.final_position or c.min_position != a.min_position
+def _replay_discrete(env, lam, n, seed):
+    """Replica 0 of ensemble_discrete(..., shared_env=env): n steps, each
+    right iff its uniform is <= omega+(lam).  Returns X_0..X_n."""
+    plus = _site_fields(env, lam)
+    x = [0]
+    for u in itertools.islice(_draws(BlockUniforms(seed, ("walk",), 0, 1)), n):
+        x.append(x[-1] + (1 if u <= plus(x[-1]) else -1))
+    return np.array(x)
 
 
-def test_continuous_zero_horizon():
-    env = materialize(PeriodicEnv(rates=((1.0, 1.0),)), 0, (-2, 2))
-    traj = run_continuous(env, 0.0, 0.0, seed=1)
-    assert traj.final_position == 0 and traj.n_steps == 0
+def _replay_continuous(env, lam, seed, horizon=math.inf, target=None):
+    """Replica 0 of ensemble_continuous(..., shared_env=env): hold an Exp(1)
+    draw over the total rate, then jump right iff the direction uniform is
+    <= p+; stop before the first jump past the horizon, or on reaching the
+    target.  Returns X_0..X_N and the jump times 0, T_1..T_N."""
+    fields = _site_fields(env, lam)
+    x, t = [0], [0.0]
+    for e, u in zip(_draws(BlockExponentials(seed, ("hold",), 0, 1)),
+                    _draws(BlockUniforms(seed, ("dir",), 0, 1))):
+        if x[-1] == target:
+            break
+        total, plus = fields(x[-1])
+        clock = t[-1] + e / total
+        if clock > horizon:
+            break
+        x.append(x[-1] + (1 if u <= plus else -1))
+        t.append(clock)
+    return np.array(x), np.array(t)
 
 
-def test_continuous_hitting_times_increase():
-    env = materialize(IIDConductance(TWO_POINT, time_flavor="continuous"),
-                      4, (-4, 4))
-    traj = run_continuous(env, 1.2, 100.0, seed=7, hitting_levels=[1, 2, 3, 5])
-    ts = [traj.hitting_times[k] for k in (1, 2, 3, 5)]
-    assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
-
-
-def test_range_cap_is_a_distinct_signal():
-    env = materialize(IIDConductance(CONST), 0, (-2, 2))
-    with pytest.raises(RangeCapExceeded):
-        run_discrete(env, 5.0, 2000, seed=1, range_cap=100)
-    renv = materialize(PeriodicEnv(rates=((1.0, 1.0),)), 0, (-2, 2))
-    with pytest.raises(RangeCapExceeded):
-        run_continuous(renv, 5.0, 1e6, seed=1, range_cap=100)
-
-
-def test_jump_budget_guard_is_a_distinct_signal():
-    from rwrelab import JumpBudgetExceeded
-    renv = materialize(PeriodicEnv(rates=((50.0, 50.0),)), 0, (-2, 2))
-    with pytest.raises(JumpBudgetExceeded):
-        run_continuous(renv, 0.0, 1e7, seed=1, jump_budget=500)
-    res = ensemble_continuous(PeriodicEnv(rates=((50.0, 50.0),)), 0.0, 1e7,
-                              32, 5, jump_budget=200)
-    assert res.aborted.all()
-
-
-def test_trajectory_dump(tmp_path):
-    env = materialize(IIDConductance(TWO_POINT, time_flavor="continuous"),
-                      4, (-4, 4))
-    traj = run_continuous(env, 0.5, 10.0, seed=2, record_path=True)
-    path = tmp_path / "traj.csv"
-    dump_trajectory(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time,position"
-    assert len(lines) == len(traj.positions) + 1
-    with pytest.raises(ValueError):
-        dump_trajectory(run_continuous(env, 0.5, 1.0, seed=2), path)
-
-
-# ---------------------------------------------------------------------------
-# first passage
-# ---------------------------------------------------------------------------
-
-def test_first_passage_structure():
-    env = materialize(IIDConductance(TWO_POINT, time_flavor="continuous"),
-                      9, (-4, 4))
-    rec = first_passage(env, 1.0, 6, seed=3)
-    assert rec.completed
-    assert rec.passage_times.shape == (6,)
-    assert np.all(np.diff(rec.passage_times) > 0)
-    assert np.all(rec.increments > 0)
-    assert rec.passage_times[-1] == pytest.approx(rec.increments.sum(), rel=1e-12)
-
-
-def test_first_passage_budget_exhaustion():
-    env = materialize(IIDConductance(CONST), 1, (-4, 4))
-    rec = first_passage(env, -2.0, 3, seed=5, budget=500)   # drifting away
-    assert not rec.completed
-    assert rec.n_steps == 500
-
-
-def test_first_passage_discrete_ballistic_limit():
-    env = materialize(IIDConductance(CONST), 1, (-4, 4))
-    rec = first_passage(env, 6.0, 50, seed=5)
-    assert rec.completed
-    assert rec.passage_times[-1] == pytest.approx(50, rel=0.1)
-
-
-# ---------------------------------------------------------------------------
-# single run = replica 0 of the shared-environment ensemble
-# ---------------------------------------------------------------------------
-
-def test_run_discrete_is_replica_zero_of_the_ensemble():
+def test_discrete_replay_is_replica_zero_of_the_ensemble():
     # replica 0's compensator is 2 (running sum of omega+(lam) along the
     # path) - n, and its quadratic variation 4 (that sum - the running sum
     # of omega+(lam)^2)
     model = IIDConductance(TWO_POINT)
     env = materialize(model, 8, (-4, 4))
     for lam, n, seed in ((0.7, 3000, 41), (0.0, 777, 42), (-1.5, 64, 43)):
-        traj = run_discrete(env, lam, n, seed, record_path=True)
+        x = _replay_discrete(env, lam, n, seed)
         res = ensemble_discrete(model, lam, n, 1, seed, shared_env=env,
                                 variation=True)
-        assert traj.final_position == res.final_positions[0]
-        assert traj.elapsed == res.elapsed
-        path = traj.positions[:-1]
+        assert x[-1] == res.final_positions[0]
+        assert res.elapsed == n
+        path = x[:-1]
         lo = int(path.min())
         plus = bias_omega(env.omega_plus_window(lo, int(path.max())), lam)[1]
         p = plus[path - lo]
@@ -145,20 +96,20 @@ def test_run_discrete_is_replica_zero_of_the_ensemble():
                                           - np.add.accumulate(p * p)[-1])
 
 
-def test_run_continuous_is_replica_zero_of_the_ensemble():
-    # replica 0's compensator is the drift r+ - r- along the recorded path
+def test_continuous_replay_is_replica_zero_of_the_ensemble():
+    # replica 0's compensator is the drift r+ - r- along the replayed path
     # times each holding time, the last one cut at the horizon
     for model in (IIDConductance(TWO_POINT, time_flavor="continuous"),
                   CoinFlip(TWO_POINT, TWO_POINT)):
         env = materialize(model, 8, (-4, 4))
         for lam, horizon, seed in ((0.8, 300.0, 41), (0.0, 150.0, 42)):
-            traj = run_continuous(env, lam, horizon, seed, record_path=True)
+            x, t = _replay_continuous(env, lam, seed, horizon)
             res = ensemble_continuous(model, lam, horizon, 1, seed,
                                       shared_env=env)
-            assert traj.final_position == res.final_positions[0]
-            assert traj.elapsed == res.elapsed
-            assert traj.times[-1] <= horizon
-            x, t = traj.positions, np.append(traj.times, horizon)
+            assert x[-1] == res.final_positions[0]
+            assert res.elapsed == horizon
+            assert t[-1] <= horizon
+            t = np.append(t, horizon)
             lo = int(x.min())
             bm, bp = bias_rates(*env.rates_window(lo, int(x.max())), lam)
             terms = (bp - bm)[x - lo] * np.diff(t)
@@ -169,12 +120,97 @@ def test_first_passage_is_the_target_level_run():
     env = materialize(IIDConductance(TWO_POINT, time_flavor="continuous"), 9,
                       (-4, 4))
     for level, seed in ((1, 51), (7, 52)):
-        rec = first_passage(env, 0.9, level, seed)
+        x, t = _replay_continuous(env, 0.9, seed, target=level)
         res = ensemble_continuous(None, 0.9, math.inf, 1, seed, shared_env=env,
                                   target_level=level)
-        assert rec.completed
-        assert rec.passage_times[-1] == res.values[0]
+        assert x[-1] == level
+        assert t[-1] == res.values[0]
         assert res.final_positions[0] == level
+
+
+def test_discrete_replay_is_bit_exact():
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 5, (-4, 4))
+    a, b, c = (ensemble_discrete(model, 0.8, 5000, 8, seed, shared_env=env)
+               for seed in (11, 11, 12))
+    for name in ("final_positions", "compensator"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert _replay_discrete(env, 0.8, 5000, 11)[-1] == a.final_positions[0]
+    assert not np.array_equal(c.final_positions, a.final_positions)
+
+
+# ---------------------------------------------------------------------------
+# edge cases and stops
+# ---------------------------------------------------------------------------
+
+def test_zero_steps_stays_home():
+    model = IIDConductance(CONST)
+    res = ensemble_discrete(model, 0.0, 0, 5, 1,
+                            shared_env=materialize(model, 0, (-2, 2)))
+    assert (res.final_positions == 0).all() and (res.compensator == 0).all()
+
+
+def test_huge_field_forces_straight_line():
+    model = IIDConductance(TWO_POINT)
+    env = materialize(model, 2, (-2, 2))
+    res = ensemble_discrete(model, 40.0, 500, 8, 3, shared_env=env)
+    assert (res.final_positions == 500).all()
+    assert np.array_equal(_replay_discrete(env, 40.0, 500, 3), np.arange(501))
+
+
+def test_continuous_zero_horizon():
+    model = PeriodicEnv(rates=((1.0, 1.0),))
+    res = ensemble_continuous(model, 0.0, 0.0, 5, 1,
+                              shared_env=materialize(model, 0, (-2, 2)))
+    assert (res.final_positions == 0).all() and (res.compensator == 0).all()
+
+
+def test_continuous_hitting_times_increase():
+    # with one environment and seed, a lane's path to a farther target runs
+    # through the nearer ones, so its first-passage times increase
+    env = materialize(C_TWO_POINT, 4, (-4, 4))
+    ts = [ensemble_continuous(C_TWO_POINT, 1.2, math.inf, 16, 7, shared_env=env,
+                              target_level=k).values for k in (1, 2, 3, 5)]
+    assert all((t2 > t1).all() for t1, t2 in zip(ts, ts[1:]))
+
+
+def test_range_cap_is_a_distinct_signal():
+    model = IIDConductance(CONST)
+    res = ensemble_discrete(model, 5.0, 2000, 4, 1, range_cap=100,
+                            shared_env=materialize(model, 0, (-2, 2)))
+    assert res.aborted.all() and (res.final_positions >= 100 - 64).all()
+    rmodel = PeriodicEnv(rates=((1.0, 1.0),))
+    res = ensemble_continuous(rmodel, 5.0, 1e6, 4, 1, range_cap=100,
+                              shared_env=materialize(rmodel, 0, (-2, 2)))
+    assert res.aborted.all() and (res.final_positions >= 100 - 64).all()
+
+
+def test_jump_budget_guard_is_a_distinct_signal():
+    res = ensemble_continuous(PeriodicEnv(rates=((50.0, 50.0),)), 0.0, 1e7,
+                              32, 5, jump_budget=200)
+    assert res.aborted.all()
+
+
+def test_first_passage_budget_exhaustion():
+    model = IIDConductance(CONST, time_flavor="continuous")
+    res = ensemble_continuous(model, -2.0, math.inf, 16, 5, target_level=3,
+                              jump_budget=500)   # drifting away
+    assert res.aborted.all() and np.isnan(res.values).all()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.5, -5, 10, 1),
+    lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.5, 10, 0, 1),
+    lambda: ensemble_continuous(C_TWO_POINT, 0.5, -3.0, 10, 1),
+    lambda: ensemble_continuous(C_TWO_POINT, 0.5, math.nan, 10, 1),
+    lambda: ensemble_continuous(C_TWO_POINT, 0.5, 10.0, -3, 1),
+    lambda: ensemble_continuous(C_TWO_POINT, 0.5, math.inf, 10, 1,
+                                target_level=0),
+], ids=["negative-n", "no-replicas", "negative-horizon", "nan-horizon",
+        "negative-replicas", "target-level-0"])
+def test_ensembles_reject_bad_inputs(run):
+    with pytest.raises(ValueError):
+        run()
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +415,13 @@ def test_seed_decorrelation_across_replicas():
 
 def test_jump_chain_marginal_matches_biased_probability():
     # empirical right-jump frequency at a pinned site matches omega+(lam)
-    env = materialize(IIDOmega(ScalarDist.two_point(0.5, 2.0, 0.5)), 3, (-3, 3))
+    model = IIDOmega(ScalarDist.two_point(0.5, 2.0, 0.5))
+    env = materialize(model, 3, (-3, 3))
     lam = 0.3
     _, plus = env.omega_biased(0, lam)
-    rights = 0
     trials = 4000
-    for k in range(trials):
-        traj = run_discrete(env, lam, 1, seed=1000 + k)
-        rights += traj.final_position == 1
+    res = ensemble_discrete(model, lam, 1, trials, 1000, shared_env=env)
+    rights = int((res.final_positions == 1).sum())
     p_hat = rights / trials
     se = math.sqrt(plus * (1 - plus) / trials)
     assert abs(p_hat - plus) < 4 * se
@@ -399,9 +434,9 @@ def test_time_change_consistency():
     env = materialize(model, 21, (-200, 200))
     chain = env.jump_chain()
     lam = 0.5
-    traj = run_continuous(env, lam, 2500.0, seed=6, record_path=True)
-    steps = np.diff(traj.positions)
-    sites = traj.positions[:-1]
+    positions, _ = _replay_continuous(env, lam, 6, 2500.0)
+    steps = np.diff(positions)
+    sites = positions[:-1]
     for x in np.unique(sites)[:8]:
         mask = sites == x
         if mask.sum() < 50:
@@ -415,8 +450,8 @@ def test_time_change_consistency():
 def test_continuous_holding_times_have_correct_mean():
     # at unit rates and lam = 0, holding times are Exp(2)
     env = materialize(PeriodicEnv(rates=((1.0, 1.0),)), 0, (-2, 2))
-    traj = run_continuous(env, 0.0, 4000.0, seed=9, record_path=True)
-    holds = np.diff(traj.times)
+    _, times = _replay_continuous(env, 0.0, 9, 4000.0)
+    holds = np.diff(times)
     assert abs(holds.mean() - 0.5) < 4 * holds.std() / math.sqrt(holds.size)
 
 
@@ -574,11 +609,12 @@ def test_a_lane_leaving_its_row_raises():
     # or (row 0) to a negative index that take() would wrap; the block
     # raises rather than read those sites
     from rwrelab.walks import _ContinuousLanes, _DiscreteLanes, _Tables, _walk
-    for rule, model, limit in ((_ContinuousLanes, C_TWO_POINT, 100.0),
-                               (_DiscreteLanes, IIDConductance(TWO_POINT), 4)):
-        tables = _Tables(model, 7, None, -3.0, rule is _ContinuousLanes, range(3))
+    for lanes, model in ((_ContinuousLanes(7, range(3), 100.0, None), C_TWO_POINT),
+                         (_DiscreteLanes(7, range(3), 4), IIDConductance(TWO_POINT))):
+        rates = isinstance(lanes, _ContinuousLanes)
+        tables = _Tables(model, 7, None, -3.0, rates, range(3))
         with pytest.raises(IndexError):
-            _walk(rule, limit, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
+            _walk(lanes, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
                   jump_budget=4)
 
 
