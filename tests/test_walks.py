@@ -608,13 +608,15 @@ def test_a_lane_leaving_its_row_raises():
     # strongly biased lanes off their rows of 5 sites, into the row before
     # or (row 0) to a negative index that take() would wrap; the block
     # raises rather than read those sites
+    from functools import partial
     from rwrelab.walks import _ContinuousLanes, _DiscreteLanes, _Tables, _walk
-    for lanes, model in ((_ContinuousLanes(7, range(3), 100.0, None), C_TWO_POINT),
-                         (_DiscreteLanes(7, range(3), 4), IIDConductance(TWO_POINT))):
-        rates = isinstance(lanes, _ContinuousLanes)
+    for rule, model in ((partial(_ContinuousLanes, horizon=100.0, target=None),
+                         C_TWO_POINT),
+                        (partial(_DiscreteLanes, steps=4), IIDConductance(TWO_POINT))):
+        rates = rule.func is _ContinuousLanes
         tables = _Tables(model, 7, None, -3.0, rates, range(3))
         with pytest.raises(IndexError):
-            _walk(lanes, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
+            _walk(rule, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
                   jump_budget=4)
 
 
