@@ -17,10 +17,9 @@ from .closed_forms import (CltCheck, DiffusivityBreakdown, VelocityResult,
                            velocity_rcm_continuous, velocity_rcm_discrete)
 from .distributions import ScalarDist
 from .environments import (CoinFlip, DiscreteEnv, IIDConductance, IIDOmega,
-                           PeriodicEnv, RateEnv, Renewal, RenewalPoints, bias,
-                           bias_omega, bias_rates, load_environment,
-                           materialize, omega_from_rates,
-                           sample_stationary_renewal, save_environment)
+                           PeriodicEnv, RateEnv, Renewal, RenewalPoints,
+                           bias_omega, bias_rates, materialize,
+                           omega_from_rates)
 from .estimators import (DiffusionResult, EinsteinTable, Estimate, ProbeRow,
                          RenewalScaling, ScalingFit, annealed_diffusion,
                          annealed_tau1, annealed_velocity, einstein_slope,

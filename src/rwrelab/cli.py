@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
         scale = args.horizon if continuous else args.n
         if scale is None:
             raise ValidationError("einstein runs need --n or --horizon")
-        table = einstein_slope(model, grid, int(scale), args.replicas,
+        table = einstein_slope(model, grid, scale, args.replicas,
                                args.seed, workers=args.workers)
         rows = [[r.h, r.analytic_slope, r.bias_term, r.mc_slope, r.mc_slope_se,
                  r.mc_corrected, table.limit, int(r.noise_dominated)]

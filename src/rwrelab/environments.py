@@ -19,8 +19,8 @@ CoinFlip        paired rates built from two i.i.d. sequences and one fair
 PeriodicEnv     explicit per-site values repeated with period L
 
 Each model has one entry point, ``site_source(seed, rows)``, for its
-native fields only: omega+ (IIDOmega, PeriodicEnv(omega=...), discrete
-snapshots) or (r-, r+) (the others).  It returns a source, seeded once, as
+native fields only: omega+ (IIDOmega, PeriodicEnv(omega=...)) or
+(r-, r+) (the others).  It returns a source, seeded once, as
 a pair (values, blocks): called with a site range [lo, hi], blocks yields
 (row slice, per-site arrays) blocks covering the replicas in rows, one
 replica being a range of one row.  A law with finite support yields one
@@ -34,7 +34,8 @@ discrete time takes a rate model's omega+ = omega_from_rates(r-, r+), its
 jump chain, on the per-code values when there are codes.  A realization
 holds one source for its lifetime and decodes the codes to float64, so a
 growing window draws only its new sites from streams seeded once; the
-ensemble engine holds one source per ensemble.
+ensemble engine holds one source per ensemble, and reads a shared
+environment from its model's source too.
 
 Every draw is read through ``RowStreams``, the stream (seed, "env", tag,
 replica, field) of each replica being one row, each field's streams seeded
@@ -44,7 +45,6 @@ streams the same way.  A law with one atom draws no uniforms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,9 +57,8 @@ from .rng import RowStreams
 
 __all__ = [
     "IIDOmega", "IIDConductance", "Renewal", "CoinFlip", "PeriodicEnv",
-    "DiscreteEnv", "RateEnv", "materialize", "bias", "bias_omega",
-    "bias_rates", "omega_from_rates", "RenewalPoints",
-    "sample_stationary_renewal", "save_environment", "load_environment",
+    "DiscreteEnv", "RateEnv", "materialize", "bias_omega", "bias_rates",
+    "omega_from_rates", "RenewalPoints",
 ]
 
 
@@ -230,15 +229,6 @@ class RenewalPoints:
         return (len(pts) > 0) & (pts[idx] == sites)
 
 
-def sample_stationary_renewal(gamma: float, seed: int, window: tuple[int, int],
-                              replica: int = 0) -> np.ndarray:
-    """Points of the stationary renewal set inside the inclusive window."""
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError("window must be nonempty")
-    return RenewalPoints(gamma, seed, replica).points_in(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # environment models
 # ---------------------------------------------------------------------------
@@ -314,25 +304,13 @@ class _RowDraws:
         return index.astype(np.uint8, copy=False)
 
 
-def _fixed(columns: np.ndarray, index):
-    """The source of a model without randomness: for sites [lo, hi], one
-    block that every row shares, columns[:, index(lo, hi)].  With at most 256
-    columns a site's code is its column and the per-code fields are the rows
-    of columns; with more the block holds each field's values."""
-    if _one_byte(columns.shape[1]):
-        return tuple(columns), lambda lo, hi: [
-            (slice(None), (index(lo, hi).astype(np.uint8)[None],))]
-    return None, lambda lo, hi: [
-        (slice(None), tuple(columns.take(index(lo, hi), axis=1)[:, None]))]
-
-
 @dataclass(frozen=True)
 class IIDOmega:
     """i.i.d. jump-probability environment given through the law of rho_0."""
 
     rho: ScalarDist
     tag: str = "iid-omega"
-    time_flavor: str = "discrete"
+    time_flavor = "discrete"   # not a field: the law gives omega+, not rates
 
     def _codes(self, draws, lo: int, hi: int) -> tuple:
         return (draws.codes(self.rho, "rho", lo, hi),)
@@ -433,8 +411,8 @@ class CoinFlip:
 
     a_plus: ScalarDist
     a_minus: ScalarDist
-    time_flavor: str = "continuous"
     tag: str = "coinflip"
+    time_flavor = "continuous"   # not a field: velocity_coinflip is continuous-time
 
     def _sites(self, draws, lo: int, hi: int, sample, members) -> tuple:
         """Per-site arrays at sites [lo, hi] from per-pair ones: with a+ and
@@ -541,11 +519,16 @@ class PeriodicEnv:
         return (1.0 - w) / w
 
     def site_source(self, seed: int, rows: range):
-        """One block for every row, of (omega+,) or (r-, r+); a site's code
-        is x mod L."""
+        """One block that every row shares: a site's code x mod L if L <=
+        256, with the fields (omega+,) or (r-, r+) per code, and otherwise
+        the fields per site."""
         columns = np.array([self.omega]) if self.omega else np.array(self.rates).T
         period = self.period
-        return _fixed(columns, lambda lo, hi: np.arange(lo, hi + 1) % period)
+        if _one_byte(period):
+            return tuple(columns), lambda lo, hi: [(slice(None), (
+                (np.arange(lo, hi + 1) % period).astype(np.uint8)[None],))]
+        return None, lambda lo, hi: [(slice(None), tuple(
+            columns.take(np.arange(lo, hi + 1) % period, axis=1)[:, None]))]
 
     def params(self) -> dict:
         if self.omega:
@@ -577,30 +560,6 @@ class _Reflected:
 
     def params(self) -> dict:
         return {"base": getattr(self.base, "tag", "?"), **self.base.params()}
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    """The fields of a loaded snapshot, (omega+,) or (r-, r+), at sites
-    lo, lo+1, ...; its window cannot grow."""
-
-    lo: int
-    columns: tuple[tuple[float, ...], ...]
-    source: str
-    tag: str
-
-    def site_source(self, seed: int, rows: range):
-        end = self.lo + len(self.columns[0])
-
-        def index(lo: int, hi: int) -> np.ndarray:
-            if lo < self.lo or hi >= end:
-                raise ValueError("snapshot environments cannot extend their window")
-            return np.arange(lo - self.lo, hi - self.lo + 1)
-
-        return _fixed(np.array(self.columns), index)
-
-    def params(self) -> dict:
-        return {"source": self.source}
 
 
 def field_source(model, seed: int, rows: range, rates: bool):
@@ -730,27 +689,10 @@ class RateEnv(_Realization):
         if rm.size and not ((rm > 0.0).all() and (rp > 0.0).all()):
             raise ValueError("materialized rates must be positive")
 
-    def rates(self, x: int) -> tuple[float, float]:
-        self.ensure(x, x)
-        i = x - self.lo
-        return float(self._fields[0][i]), float(self._fields[1][i])
-
     def rates_window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         self.ensure(lo, hi)
         sl = slice(lo - self.lo, hi - self.lo + 1)
         return self._fields[0][sl], self._fields[1][sl]
-
-    def rates_biased(self, x: int, lam: float) -> tuple[float, float]:
-        rm, rp = self.rates(x)
-        return rm * math.exp(-lam), rp * math.exp(lam)
-
-    def rho(self, x: int) -> float:
-        rm, rp = self.rates(x)
-        return rm / rp
-
-    def omega_plus(self, x: int) -> float:
-        rm, rp = self.rates(x)
-        return rp / (rm + rp)
 
     def jump_chain(self) -> DiscreteEnv:
         """The embedded discrete-time chain (same seed and replica)."""
@@ -768,65 +710,3 @@ def materialize(model, seed: int, window: tuple[int, int], replica: int = 0):
     if flavor == "discrete":
         return DiscreteEnv(model, seed, window, replica)
     return RateEnv(model, seed, window, replica)
-
-
-def bias(env, lam: float, x: int):
-    """(omega-(lam), omega+(lam)) for a DiscreteEnv, (r-(lam), r+(lam)) for a
-    RateEnv, at site x."""
-    if isinstance(env, DiscreteEnv):
-        return env.omega_biased(x, lam)
-    return env.rates_biased(x, lam)
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def save_environment(env, path) -> None:
-    """Write a self-describing text snapshot, decimally round-trippable."""
-    lines = ["# rwrelab environment snapshot v1",
-             f"kind: {env.kind}",
-             f"model: {getattr(env.model, 'tag', '?')}",
-             f"params: {json.dumps(env.model.params(), sort_keys=True)}",
-             f"seed: {env.seed}",
-             f"replica: {env.replica}",
-             f"window: {env.lo} {env.hi}"]
-    if env.kind == "discrete":
-        lines.append("columns: site omega_plus")
-        w = env.omega_plus_window(env.lo, env.hi)
-        for x, v in zip(range(env.lo, env.hi + 1), w):
-            lines.append(f"{x} {float(v)!r}")
-    else:
-        lines.append("columns: site r_minus r_plus")
-        rm, rp = env.rates_window(env.lo, env.hi)
-        for x, a, b in zip(range(env.lo, env.hi + 1), rm, rp):
-            lines.append(f"{x} {float(a)!r} {float(b)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_environment(path):
-    """Load a snapshot; the returned environment has a fixed window."""
-    header: dict[str, str] = {}
-    rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" in line and not rows and not line.split(":")[0].lstrip("-").isdigit():
-                key, _, val = line.partition(":")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append(line.split())
-    lo, hi = (int(t) for t in header["window"].split())
-    if len(rows) != hi - lo + 1:
-        raise ValueError("snapshot row count does not match window")
-    source = f"{header.get('model', '?')} {header.get('params', '')}".strip()
-    seed = int(header.get("seed", 0))
-    replica = int(header.get("replica", 0))
-    discrete = header["kind"] == "discrete"
-    columns = tuple(tuple(float(r[j]) for r in rows) for j in range(1, 2 if discrete else 3))
-    model = _Snapshot(lo, columns, source,
-                      "snapshot-discrete" if discrete else "snapshot-rate")
-    return (DiscreteEnv if discrete else RateEnv)(model, seed, (lo, hi), replica)

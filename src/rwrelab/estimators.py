@@ -137,7 +137,8 @@ def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
         return _ensemble_part(job + (0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
     ranges = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # fork starts every worker up front, so open no more than there are ranges
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         parts = list(pool.map(_ensemble_part, [job + r for r in ranges]))
     finals = np.concatenate([p.final_positions for p in parts])
     aborted = np.concatenate([p.aborted for p in parts])
@@ -315,19 +316,25 @@ class EinsteinTable:
     rows: tuple[EinsteinRow, ...]
 
 
-def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
+def einstein_slope(model: IIDConductance, h_grid, n: float, replicas: int,
                    seed: int, *, workers: int = 1) -> EinsteinTable:
-    """One-sided difference quotients v(h)/h against their limit sigma2(0).
+    """One-sided difference quotients v(h)/h against their limit sigma2(0),
+    from walks of n steps (discrete time) or up to horizon n (continuous
+    time).
 
     Limits: 1/(E[c] E[1/c]) in discrete time, 2/E[1/c] in continuous time.
     bias_term is the exact v(h)/h - limit from the closed-form velocity
     ((ab-1)/(ab)^2 h + O(h^2) in discrete time, O(h^2) in continuous time,
     where the quotient is even in h); mc_corrected subtracts it, so it
-    estimates the limit itself.  Rows with replicas too small for the
-    signal are flagged noise_dominated.
+    estimates the limit itself.  mc_slope_se is the velocity's standard
+    error over |h|.  Rows where |v(h)| is within 3 standard errors of 0 are
+    flagged noise_dominated.  Every h must be nonzero.
     """
     if not isinstance(model, IIDConductance):
         raise ValueError("the Einstein check is for conductance models")
+    h_grid = list(h_grid)
+    if any(h == 0 for h in h_grid):
+        raise ValueError("the Einstein check needs nonzero field strengths h")
     a, b = model.c.moment(1), model.c.moment(-1)
     discrete = model.time_flavor == "discrete"
     limit = 1.0 / (a * b) if discrete else 2.0 / b
@@ -337,11 +344,11 @@ def einstein_slope(model: IIDConductance, h_grid, n: int, replicas: int,
         bias = vres.v / h - limit
         est = annealed_velocity(
             model, h, replicas=replicas, seed=derive_seed(seed, "einstein", i),
-            workers=workers, **({"n": n} if discrete else {"horizon": float(n)}))
+            workers=workers, **({"n": n} if discrete else {"horizon": n}))
         mc_slope = est.mean / h
         rows.append(EinsteinRow(float(h), vres.v / h, bias, mc_slope,
-                                est.std_error / h, mc_slope - bias,
-                                vres.v < 3.0 * est.std_error))
+                                est.std_error / abs(h), mc_slope - bias,
+                                abs(vres.v) < 3.0 * est.std_error))
     return EinsteinTable(limit, tuple(rows))
 
 

@@ -185,16 +185,11 @@ def certified_sum(terms: Iterable[float], tol: float, max_terms: int = 10**6,
 # quenched evaluators (blocks of terms from growing environment windows)
 # ---------------------------------------------------------------------------
 
-def _site_windows(env, start: int, step: int, sizes: Iterator[int]):
+def _site_windows(start: int, step: int, sizes: Iterator[int]):
     """(lo, hi) of consecutive blocks of sites from `start` in direction
-    `step`, one per requested size.  A block ends at the edge of the
-    materialized window when that edge lies ahead, so a fixed window (a
-    snapshot) serves every series that stops inside it."""
+    `step`, one per requested size."""
     x = start
     for m in sizes:
-        ahead = env.hi - x + 1 if step > 0 else x - env.lo + 1
-        if ahead > 0:
-            m = min(m, ahead)
         yield (x, x + m - 1) if step > 0 else (x - m + 1, x)
         x += step * m
 
@@ -202,7 +197,7 @@ def _site_windows(env, start: int, step: int, sizes: Iterator[int]):
 def _omega_factors(env: DiscreteEnv, lam: float, start: int, step: int, sizes):
     """Per block, in site order: rho(lam) and (omega-(lam), omega+(lam))."""
     q = math.exp(-2.0 * lam)
-    for lo, hi in _site_windows(env, start, step, sizes):
+    for lo, hi in _site_windows(start, step, sizes):
         w = env.omega_plus_window(lo, hi)[::step]
         yield (1.0 - w) / w * q, bias_omega(w, lam)
 
@@ -210,7 +205,7 @@ def _omega_factors(env: DiscreteEnv, lam: float, start: int, step: int, sizes):
 def _rate_factors(env: RateEnv, lam: float, start: int, step: int, sizes):
     """Per block, in site order: rho(lam) and (r-(lam), r+(lam))."""
     q, down, up = math.exp(-2.0 * lam), math.exp(-lam), math.exp(lam)
-    for lo, hi in _site_windows(env, start, step, sizes):
+    for lo, hi in _site_windows(start, step, sizes):
         rm, rp = env.rates_window(lo, hi)
         rm, rp = rm[::step], rp[::step]
         yield rm / rp * q, (rm * down, rp * up)

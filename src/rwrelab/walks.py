@@ -34,7 +34,10 @@ one add per jump, so the results are those of stepping one jump at a time.
 A table build takes blocks of rows from one source of the model's fields
 (``field_source``), the entry point that serves every model, held for the
 ensemble's lifetime; a build after a move copies the sites the old window
-holds and draws only the new ones.  A finite-support law's table holds one
+holds and draws only the new ones.  A shared environment is read the same
+way, from the source of its realization's model, seed and replica, as one
+row of the tables that every lane reads; the engine never reads or grows
+the realization itself.  A finite-support law's table holds one
 uint8 code per site, and each build a small lookup table (LUT) of the biased
 fields per code, made by the same elementwise formulas, so a step gathers
 the code and then the field(s) from the LUT, bit for bit the values a
@@ -102,12 +105,15 @@ class _Tables:
     The fields are omega+(lam) in discrete time, and the total rate and
     p+ = r+/(r- + r+) at lam in continuous time.  Row k is the environment
     of replica rows[k], from one source of the model's fields held for the
-    ensemble's lifetime, or shared_env for every row.  A finite-support
-    law's table holds one uint8 code per site, and each build a lookup table
-    (LUT) of the fields per code, made by the same formulas from the law's
-    per-code values, so lut[codes] is the fields bit for bit.  Other laws
-    (``uniform:`` ones, those with more than 256 codes) and shared_env keep
-    the fields per site, and a LUT of None.
+    ensemble's lifetime.  A shared environment (shared_env, a DiscreteEnv
+    in discrete time and a RateEnv in continuous time) is read the same way,
+    from the source of its own model, seed and replica: the tables then have
+    one row, which every lane reads, and the realization itself is neither
+    read nor grown.  A finite-support law's table holds one uint8 code per
+    site, and each build a lookup table (LUT) of the fields per code, made
+    by the same formulas from the law's per-code values, so lut[codes] is
+    the fields bit for bit.  Other laws (``uniform:`` ones, those with more
+    than 256 codes) keep the fields per site, and a LUT of None.
     """
 
     model: object
@@ -118,8 +124,15 @@ class _Tables:
     rows: range
 
     def __post_init__(self):
-        self._source = (None if self.shared_env is not None else
-                        field_source(self.model, self.seed, self.rows, self.rates))
+        env, model, seed, rows = self.shared_env, self.model, self.seed, self.rows
+        if env is not None:
+            kind = RateEnv if self.rates else DiscreteEnv
+            if not isinstance(env, kind):
+                raise ValueError(f"shared_env must be a {kind.__name__}, "
+                                 f"not {type(env).__name__}")
+            model, seed, rows = env.model, env.seed, range(env.replica, env.replica + 1)
+        self._source = field_source(model, seed, rows, self.rates)
+        self._height = len(rows)
 
     @property
     def fields(self) -> int:
@@ -135,17 +148,11 @@ class _Tables:
     def build(self, lo: int, hi: int, old=None):
         """(table, lut, offsets): the window's flat per-site arrays (the
         codes, or the fields if lut is None), the fields per code, and the
-        offset of each row in the table.
+        offset of each lane's row in the table.
 
         old, the (table, lo, hi) of an earlier build, lends the sites it
         holds; only the others are drawn."""
-        m = len(self.rows)
-        env = self.shared_env
-        if env is not None:
-            sites = (env.rates_window(lo, hi) if self.rates
-                     else (env.omega_plus_window(lo, hi),))
-            return ([f.ravel() for f in self._biased(sites)], None,
-                    np.zeros(m, dtype=np.int64))
+        m = self._height
         values, blocks = self._source
         lut = None if values is None else self._biased(values)
         width = hi - lo + 1
@@ -165,7 +172,9 @@ class _Tables:
             for blk, sites in blocks(plo, phi):
                 for f, v in zip(table, sites if lut is not None else self._biased(sites)):
                     f[blk, plo - lo:phi - lo + 1] = v
-        return [f.ravel() for f in table], lut, np.arange(m, dtype=np.int64) * width
+        # lane k reads row k, or the one row of a shared environment
+        offsets = np.arange(len(self.rows), dtype=np.int64) % m * width
+        return [f.ravel() for f in table], lut, offsets
 
 
 _STEP = np.array([-1, 1])   # a lane's move, by whether it steps right
@@ -551,8 +560,8 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
     Q_n = sum_{k<n} 4 omega+ omega-_lam(X_k) of X - D (`variation`).
 
     Annealed mode (default) materializes a fresh environment per replica from
-    (seed, replica); pass shared_env for the quenched mode (many walks, one
-    environment).
+    (seed, replica); pass a DiscreteEnv as shared_env for the quenched mode
+    (many walks, one environment; model is then ignored).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -579,6 +588,8 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
     site and the result's `values` holds the first-passage times (nan if
     the jump budget ran out first, flagged in `aborted`), and the horizon
     sets only the result's `elapsed` (math.inf for a run to the target).
+    A RateEnv passed as shared_env is the one environment of every walk
+    (model is then ignored).
     """
     if not horizon >= 0:
         raise ValueError("horizon must be nonnegative")

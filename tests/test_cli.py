@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rwrelab import checks
+from rwrelab import IIDConductance, ScalarDist, checks, einstein_slope
 from rwrelab.checks import CheckResult
 from rwrelab.cli import main, _parse_lambda_grid
 
@@ -248,6 +248,40 @@ def test_simulate_rejects_nonpositive_run_length(capsys, kind, model, length, na
     assert err.startswith("rwrelab: ") and name in err
     assert "Traceback" not in err
     assert out == ""
+
+
+EINSTEIN_EDGES = {
+    # h = 0 has no difference quotient: exit 1 with a message
+    "zero-field": (_DISCRETE, ["--lambda", "0,0.1", "--n", "50"]),
+    # below h = 0 the standard error stays positive, and noise is judged by |v|
+    "negative-field": (_DISCRETE, ["--lambda=-0.1", "--n", "400"]),
+    # a continuous horizon runs as given, not cut to an integer
+    "fractional-horizon": (_CONTINUOUS, ["--lambda", "0.2", "--horizon", "100.9"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EINSTEIN_EDGES))
+def test_simulate_einstein_edge_cases(capsys, case):
+    model, rest = EINSTEIN_EDGES[case]
+    code, out, err = run_cli(["simulate", "--kind", "einstein", *model, *rest,
+                              "--replicas", "40", "--seed", "2"], capsys)
+    if case == "zero-field":
+        assert code == 1 and err.startswith("rwrelab: ") and "nonzero" in err
+        assert out == ""
+        return
+    assert code == 0
+    header, rows = parse_table(out)
+    row = dict(zip(header, map(float, rows[0])))
+    h, se = row["h"], row["mc_slope_se"]
+    assert se > 0
+    assert row["noise_dominated"] == float(abs(row["analytic_slope"] * h)
+                                           < 3 * se * abs(h))
+    if case == "fractional-horizon":
+        conductance = IIDConductance(ScalarDist.two_point(1.0, 2.0, 0.5),
+                                     time_flavor="continuous")
+        slope = {t: einstein_slope(conductance, [h], t, 40, 2).rows[0].mc_slope
+                 for t in (100.9, 100)}
+        assert row["mc_slope"] == slope[100.9] != slope[100]
 
 
 def test_workers_env_var_sets_default(monkeypatch):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, RateEnv,
-                     Renewal, RenewalPoints, ScalarDist, bias, load_environment,
-                     materialize, sample_stationary_renewal, save_environment,
+                     Renewal, RenewalPoints, ScalarDist, bias_rates, materialize,
                      sbar_quenched)
 from rwrelab.environments import _GROW, _tau1_cdf_table
 from rwrelab.rng import generator
@@ -69,11 +68,12 @@ def test_window_extension_never_changes_sites():
             assert np.array_equal(env_small.omega_plus_window(-200, 300),
                                   env_big.omega_plus_window(-200, 300))
         else:
-            before = [env_small.rates(x) for x in range(-5, 6)]
+            before = [f.copy() for f in env_small.rates_window(-5, 5)]
             env_small.ensure(-200, 300)
             env_big = materialize(model, 17, (-200, 300))
-            assert before == [env_small.rates(x) for x in range(-5, 6)]
-            assert before == [env_big.rates(x) for x in range(-5, 6)]
+            for env in (env_small, env_big):
+                for was, now in zip(before, env.rates_window(-5, 5)):
+                    assert np.array_equal(was, now)
             for grown, fresh in zip(env_small.rates_window(-200, 300),
                                     env_big.rates_window(-200, 300)):
                 assert np.array_equal(grown, fresh)
@@ -199,7 +199,7 @@ def test_discrete_conductance_is_the_jump_chain_of_its_rates(law):
 
 
 def test_discrete_only_models_have_no_rates():
-    for model in (IIDOmega(TWO_POINT, time_flavor="continuous"),
+    for model in (IIDOmega(TWO_POINT),
                   PeriodicEnv(omega=(0.3, 0.6))):
         with pytest.raises(ValueError, match="no rates"):
             RateEnv(model, 1, (-5, 5))
@@ -224,13 +224,13 @@ def test_invalid_parameters_rejected():
 
 def test_bias_trivial_cases():
     env = materialize(IIDConductance(ScalarDist.constant(2.0)), 0, (-2, 2))
-    assert bias(env, 0.0, 0) == (0.5, 0.5)
+    assert env.omega_biased(0, 0.0) == (0.5, 0.5)
     lam = 0.9
-    minus, plus = bias(env, lam, 0)
+    minus, plus = env.omega_biased(0, lam)
     assert plus == pytest.approx(math.exp(lam) / (math.exp(lam) + math.exp(-lam)),
                                  rel=1e-14)
     renv = materialize(PeriodicEnv(rates=((1.0, 1.0),)), 0, (-2, 2))
-    rm, rp = bias(renv, 1.0, 0)
+    (rm,), (rp,) = bias_rates(*renv.rates_window(0, 0), 1.0)
     assert rm == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert rp == pytest.approx(math.exp(1.0), rel=1e-15)
 
@@ -255,7 +255,7 @@ def test_bias_commutes_with_jump_chain():
     chain = renv.jump_chain()
     for lam in (-1.0, 0.3, 2.0):
         for x in range(-40, 41, 5):
-            rm, rp = renv.rates_biased(x, lam)
+            (rm,), (rp,) = bias_rates(*renv.rates_window(x, x), lam)
             _, plus = chain.omega_biased(x, lam)
             assert rp / (rm + rp) == pytest.approx(plus, rel=1e-13)
 
@@ -306,7 +306,7 @@ def test_stationary_renewal_tau1_marginal():
 
 def test_gap_law_and_density():
     gamma, seed = 3.0, 71
-    pts = sample_stationary_renewal(gamma, seed, (-1_000_000, 0))
+    pts = RenewalPoints(gamma, seed).points_in(-1_000_000, 0)
     gaps = np.diff(pts)
     # non-straddling gaps: P(gap = 1) = 1 - 2^-gamma
     p1 = 1.0 - 2.0 ** (-gamma)
@@ -335,8 +335,8 @@ def test_renewal_points_golden():
 
 def test_renewal_windows_consistent():
     gamma, seed = 2.5, 3
-    small = sample_stationary_renewal(gamma, seed, (-100, 100))
-    big = sample_stationary_renewal(gamma, seed, (-1000, 1000))
+    small = RenewalPoints(gamma, seed).points_in(-100, 100)
+    big = RenewalPoints(gamma, seed).points_in(-1000, 1000)
     assert np.array_equal(small, big[(big >= -100) & (big <= 100)])
     # one realization asked for a wide window, then for windows inside it
     pts = RenewalPoints(gamma, seed)
@@ -389,42 +389,6 @@ def test_reflection_invariance_in_law(model):
     mb = np.bincount(np.searchsorted(levels + 1e-9, b),
                      minlength=len(levels) + 1) / b.size
     assert np.max(np.abs(ma - mb)) < tol
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def test_snapshot_roundtrip_discrete(tmp_path):
-    env = materialize(IIDConductance(TWO_POINT), 5, (-40, 40))
-    path = tmp_path / "env.txt"
-    save_environment(env, path)
-    loaded = load_environment(path)
-    assert np.array_equal(env.omega_plus_window(-40, 40),
-                          loaded.omega_plus_window(-40, 40))
-    path2 = tmp_path / "env2.txt"
-    save_environment(loaded, path2)
-    assert path.read_text().splitlines()[7:] == path2.read_text().splitlines()[7:]
-
-
-def test_snapshot_roundtrip_rates(tmp_path):
-    env = materialize(CoinFlip(TWO_POINT, ScalarDist.uniform(0.5, 1.5)),
-                      9, (-15, 15))
-    path = tmp_path / "env.txt"
-    save_environment(env, path)
-    loaded = load_environment(path)
-    rm0, rp0 = env.rates_window(-15, 15)
-    rm1, rp1 = loaded.rates_window(-15, 15)
-    assert np.array_equal(rm0, rm1) and np.array_equal(rp0, rp1)
-
-
-def test_snapshot_window_is_fixed(tmp_path):
-    env = materialize(IIDConductance(TWO_POINT), 5, (-5, 5))
-    path = tmp_path / "env.txt"
-    save_environment(env, path)
-    loaded = load_environment(path)
-    with pytest.raises(ValueError):
-        loaded.omega_plus(9)
 
 
 def test_realizations_pickle():

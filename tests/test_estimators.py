@@ -174,6 +174,34 @@ def test_workers_do_not_change_continuous_results():
     assert e1 == e3
 
 
+def test_worker_pool_is_sized_by_its_replica_ranges(monkeypatch):
+    # fork starts every worker of a pool up front: 3 replicas on 8 workers
+    # open a pool of 3, whose ranges give the one-worker run bit for bit
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", InlinePool)
+    model = IIDConductance(TWO_POINT)
+    one = _run_ensemble(model, 0.5, 3, 31, n=300, workers=1, variation=True)
+    eight = _run_ensemble(model, 0.5, 3, 31, n=300, workers=8, variation=True)
+    assert opened == [3]
+    for name in ("final_positions", "aborted", "compensator", "variation"):
+        assert np.array_equal(getattr(one, name), getattr(eight, name))
+    assert one.compensator_rounding == eight.compensator_rounding
+
+
 def test_range_cap_exclusion_counted():
     est = annealed_velocity(IIDConductance(CONST), 0.0, n=2000, replicas=64,
                             seed=3, range_cap=110)

@@ -7,9 +7,8 @@ import pytest
 
 from rwrelab import (IIDConductance, IIDOmega, ScalarDist, SeriesValue,
                      certified_sum, fbar_quenched, fhat_quenched,
-                     lambda_factor, load_environment, materialize,
-                     sbar_quenched, save_environment, shat_quenched,
-                     u_quenched, v_quenched)
+                     lambda_factor, materialize, sbar_quenched,
+                     shat_quenched, u_quenched, v_quenched)
 from rwrelab import series
 from rwrelab.rng import SITE_ORIGIN, tag_int
 
@@ -387,14 +386,3 @@ def test_certified_sum_pulls_terms_lazily():
         assert res.terms_used <= pulled < res.terms_used + series._PULL
         assert _exact(res) == _exact(_scalar_certified_sum(
             geometric(r), 1e-12, 5000))
-
-
-@pytest.mark.filterwarnings("error")
-def test_series_on_snapshot_stops_inside_its_window(tmp_path):
-    env = materialize(IIDOmega(RHO_TWO_POINT), 0, (-150, 150))
-    path = tmp_path / "env.txt"
-    save_environment(env, path)
-    snap = load_environment(path)
-    res = sbar_quenched(snap, 0.5, 3.3e-61)
-    assert res.terms_used == 134
-    assert _exact(res) == _exact(sbar_quenched(env, 0.5, 3.3e-61))

@@ -139,6 +139,23 @@ def test_discrete_replay_is_bit_exact():
     assert not np.array_equal(c.final_positions, a.final_positions)
 
 
+def test_shared_run_leaves_its_environment_alone():
+    # a shared environment is read from its model's source: a run that goes
+    # far past its window neither grows it nor changes its fields
+    for model, run in (
+            (IIDConductance(TWO_POINT),
+             lambda env: ensemble_discrete(None, 1.0, 3000, 50, 3, shared_env=env)),
+            (C_TWO_POINT,
+             lambda env: ensemble_continuous(None, 1.0, 1000.0, 50, 3,
+                                             shared_env=env))):
+        env = materialize(model, 4, (-5, 5))
+        fields = [f.copy() for f in env._fields]
+        assert run(env).final_positions.min() > 100
+        assert (env.lo, env.hi) == (-5, 5)
+        for was, now in zip(fields, env._fields):
+            assert np.array_equal(was, now)
+
+
 # ---------------------------------------------------------------------------
 # edge cases and stops
 # ---------------------------------------------------------------------------
@@ -206,8 +223,16 @@ def test_first_passage_budget_exhaustion():
     lambda: ensemble_continuous(C_TWO_POINT, 0.5, 10.0, -3, 1),
     lambda: ensemble_continuous(C_TWO_POINT, 0.5, math.inf, 10, 1,
                                 target_level=0),
+    lambda: ensemble_discrete(None, 0.5, 10, 10, 1,
+                              shared_env=materialize(C_TWO_POINT, 1, (-5, 5))),
+    lambda: ensemble_continuous(None, 0.5, 10.0, 10, 1,
+                                shared_env=materialize(IIDConductance(TWO_POINT),
+                                                       1, (-5, 5))),
+    lambda: ensemble_discrete(None, 0.5, 10, 10, 1,
+                              shared_env=IIDConductance(TWO_POINT)),
 ], ids=["negative-n", "no-replicas", "negative-horizon", "nan-horizon",
-        "negative-replicas", "target-level-0"])
+        "negative-replicas", "target-level-0", "discrete-on-rate-env",
+        "continuous-on-discrete-env", "discrete-on-a-model"])
 def test_ensembles_reject_bad_inputs(run):
     with pytest.raises(ValueError):
         run()
@@ -274,11 +299,17 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
                 assert np.array_equal(flat, held)
             for flat, fresh in zip(decoded(grown, grown_lut), fields):
                 assert np.array_equal(flat, fresh)
+        # a shared environment's tables are one row from its model's source,
+        # coded as the annealed rows are, which every lane reads; also when
+        # grown from an old window
         env = materialize(model, seed + 1, (-4, 4), replica=5)
-        table, lut, offsets = _Tables(None, seed, env, lam, rates, range(3)).build(lo, hi)
-        assert lut is None and np.array_equal(offsets, np.zeros(3))
-        for flat, values in zip(table, row(env)):
-            assert np.array_equal(flat, values)
+        shared = _Tables(None, seed, env, lam, rates, range(3))
+        table, lut, offsets = shared.build(lo, hi)
+        assert (lut is not None) == coded and np.array_equal(offsets, np.zeros(3))
+        grown, grown_lut, _ = shared.build(lo, hi, (shared.build(-6, 5)[0], -6, 5))
+        for built, built_lut in ((table, lut), (grown, grown_lut)):
+            for flat, values in zip(decoded(built, built_lut), row(env)):
+                assert np.array_equal(flat, values)
 
 
 def _counting_builds(monkeypatch):
