@@ -49,11 +49,15 @@ def _parse_lambda_grid(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValidationError(f"bad lambda grid {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (math.isfinite(start) and math.isfinite(stop)
+                and 0 < step < math.inf and start <= stop):
             raise ValidationError(f"bad lambda grid {spec!r}")
         count = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + k * step for k in range(count)]
-    return [float(p) for p in spec.split(",")]
+    grid = [float(p) for p in spec.split(",")]
+    if any(math.isnan(lam) for lam in grid):
+        raise ValidationError(f"bad lambda grid {spec!r}")
+    return grid
 
 
 def _build_model(args):
@@ -155,7 +159,7 @@ def cmd_simulate(args) -> int:
         rows = []
         for lam in grid:
             kw = {"horizon": args.horizon} if continuous else {"n": args.n}
-            if args.range_cap:
+            if args.range_cap is not None:
                 kw["range_cap"] = args.range_cap
             est = annealed_velocity(model, lam, replicas=args.replicas,
                                     seed=args.seed, workers=args.workers, **kw)

@@ -3,8 +3,8 @@
 An environment model is a law for per-site jump probabilities (discrete time)
 or jump rates (continuous time).  Materializing a model over a site window
 yields a DiscreteEnv or RateEnv whose values are pure functions of
-(root seed, replica, site), so windows extend consistently and trajectories
-replay exactly.
+(root seed, replica, site), so reads of overlapping sites agree and
+trajectories replay exactly.
 
 Models
 ------
@@ -32,8 +32,8 @@ codes, or has no atoms (``uniform:``), has values None and yields its
 fields per site.  ``field_source`` serves either time flavor from it;
 discrete time takes a rate model's omega+ = omega_from_rates(r-, r+), its
 jump chain, on the per-code values when there are codes.  A realization
-holds one source for its lifetime and decodes the codes to float64, so a
-growing window draws only its new sites from streams seeded once; the
+holds one source for its lifetime, and each read draws exactly the sites
+asked for from streams seeded once and decodes the codes to float64; the
 ensemble engine holds one source per ensemble, and reads a shared
 environment from its model's source too.
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -97,13 +96,6 @@ def omega_from_rates(r_minus, r_plus):
 # stationary heavy-tailed renewal set
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _tau1_cdf_table(gamma: float, size: int = 1_000_000) -> np.ndarray:
-    """CDF of the first point location m >= 1, P(tau1 = m) = m^-gamma / zeta."""
-    j = np.arange(1, size + 1, dtype=float)
-    return np.cumsum(j ** (-gamma)) / _hurwitz_zeta(gamma, 1.0)
-
-
 def _gap_from_uniform(u: np.ndarray, gamma: float) -> np.ndarray:
     """Exact inverse CDF of the gap law P(gap >= j) = j^-gamma, j >= 1,
     written C-ordered whatever the layout of u; the float steps share one
@@ -114,19 +106,21 @@ def _gap_from_uniform(u: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _tau1_from_uniform(u: float, gamma: float) -> int:
-    table = _tau1_cdf_table(gamma)
-    idx = int(np.searchsorted(table, u, side="right"))
-    if idx < len(table):
-        return idx + 1
-    # astronomically rare tail: binary search on the exact Hurwitz-zeta CDF
+    """Exact inverse CDF of the first point, P(tau1 = m) = m^-gamma / zeta:
+    the smallest m >= 1 with 1 - zeta(gamma, m + 1)/zeta(gamma) >= u, found
+    by doubling from m = 1 and then bisection."""
     z = _hurwitz_zeta(gamma, 1.0)
-    m = len(table)
-    while 1.0 - _hurwitz_zeta(gamma, 2 * m + 1) / z < u:
-        m *= 2
-    lo, hi = m, 2 * m  # CDF(hi) >= u > CDF(lo)
+
+    def below(m: int) -> bool:   # whether P(tau1 <= m) < u
+        return 1.0 - _hurwitz_zeta(gamma, m + 1.0) / z < u
+
+    hi = 1
+    while below(hi):
+        hi *= 2
+    lo = hi // 2   # P(tau1 <= lo) < u, or lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if 1.0 - _hurwitz_zeta(gamma, mid + 1) / z < u:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -589,18 +583,18 @@ def field_source(model, seed: int, rows: range, rates: bool):
 # quenched realizations
 # ---------------------------------------------------------------------------
 
-_GROW = 64  # minimum slack added on window growth
-
-
 class _Realization:
-    """Site fields of one realization over a window [lo, hi] that grows on
-    demand, drawn from one source of the model's fields held for the
-    realization's lifetime and decoded to float64 if it yields codes;
-    subclasses check the fields (_check).
+    """Site fields of one realization, an immutable view of (model, seed,
+    replica): every read draws exactly the sites asked for from one source
+    of the model's fields, held for the realization's lifetime, decodes
+    them to float64 if it yields codes and checks them (_check).  Values
+    are pure functions of (seed, replica, site), so reads in any order
+    agree.  The window [lo, hi] is the range drawn and checked at
+    construction; reads may go past it.
 
-    Safe to share across concurrent readers once materialized; window
-    extension mutates the realization object (values never change, only the
-    covered range) and needs exclusive access.
+    A read runs the source, whose streams (and a renewal model's points)
+    it holds, so concurrent readers each need their own copy, such as a
+    pickled one.
     """
 
     def __init__(self, model, seed: int, window: tuple[int, int], replica: int = 0):
@@ -614,7 +608,7 @@ class _Realization:
             model, self.seed, range(self.replica, self.replica + 1),
             self.kind == "rate")
         self.lo, self.hi = lo, hi
-        self._fields = self._drawn(lo, hi)
+        self._drawn(lo, hi)
 
     def _drawn(self, lo: int, hi: int) -> tuple:
         (_, sites), = self._blocks(lo, hi)
@@ -626,26 +620,8 @@ class _Realization:
         return fields
 
     def __reduce__(self):
-        # the source does not pickle; the fields are drawn again, bit for bit
+        # the source does not pickle; the copy draws its window again
         return type(self), (self.model, self.seed, (self.lo, self.hi), self.replica)
-
-    def ensure(self, lo: int, hi: int) -> None:
-        """Extend the window to cover [lo, hi], with slack of half its span
-        (at least _GROW) on each side that grows.  Only the new sites are
-        drawn and checked; existing sites are unchanged (values are pure
-        functions of (seed, replica, site))."""
-        if lo >= self.lo and hi <= self.hi:
-            return
-        grow = max(_GROW, (self.hi - self.lo + 1) // 2)
-        new_lo = min(lo, self.lo - grow) if lo < self.lo else self.lo
-        new_hi = max(hi, self.hi + grow) if hi > self.hi else self.hi
-        parts = [self._fields]
-        if new_lo < self.lo:
-            parts.insert(0, self._drawn(new_lo, self.lo - 1))
-        if new_hi > self.hi:
-            parts.append(self._drawn(self.hi + 1, new_hi))
-        self._fields = tuple(np.concatenate(f) for f in zip(*parts))
-        self.lo, self.hi = new_lo, new_hi
 
 
 class DiscreteEnv(_Realization):
@@ -659,12 +635,10 @@ class DiscreteEnv(_Realization):
             raise ValueError("materialized omega+ left (0,1)")
 
     def omega_plus(self, x: int) -> float:
-        self.ensure(x, x)
-        return float(self._fields[0][x - self.lo])
+        return float(self._drawn(x, x)[0][0])
 
     def omega_plus_window(self, lo: int, hi: int) -> np.ndarray:
-        self.ensure(lo, hi)
-        return self._fields[0][lo - self.lo: hi - self.lo + 1]
+        return self._drawn(lo, hi)[0]
 
     def rho(self, x: int) -> float:
         w = self.omega_plus(x)
@@ -690,9 +664,7 @@ class RateEnv(_Realization):
             raise ValueError("materialized rates must be positive")
 
     def rates_window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        self.ensure(lo, hi)
-        sl = slice(lo - self.lo, hi - self.lo + 1)
-        return self._fields[0][sl], self._fields[1][sl]
+        return self._drawn(lo, hi)
 
     def jump_chain(self) -> DiscreteEnv:
         """The embedded discrete-time chain (same seed and replica)."""

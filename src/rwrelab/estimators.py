@@ -188,8 +188,8 @@ def annealed_velocity(model, lam: float, *, n: int | None = None,
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     for name, length in (("n", n), ("horizon", horizon)):
-        if length is not None and not length > 0:   # D is divided by it
-            raise ValueError(f"{name} must be positive")
+        if length is not None and not 0 < length < math.inf:   # D is divided by it
+            raise ValueError(f"{name} must be positive and finite, not {length}")
     res = _run_ensemble(model, lam, replicas, seed, n=n, horizon=horizon,
                         workers=workers, range_cap=range_cap)
     ok = ~res.aborted

@@ -182,7 +182,7 @@ def certified_sum(terms: Iterable[float], tol: float, max_terms: int = 10**6,
 
 
 # ---------------------------------------------------------------------------
-# quenched evaluators (blocks of terms from growing environment windows)
+# quenched evaluators (blocks of terms from consecutive environment reads)
 # ---------------------------------------------------------------------------
 
 def _site_windows(start: int, step: int, sizes: Iterator[int]):

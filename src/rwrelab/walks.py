@@ -36,8 +36,8 @@ A table build takes blocks of rows from one source of the model's fields
 ensemble's lifetime; a build after a move copies the sites the old window
 holds and draws only the new ones.  A shared environment is read the same
 way, from the source of its realization's model, seed and replica, as one
-row of the tables that every lane reads; the engine never reads or grows
-the realization itself.  A finite-support law's table holds one
+row of the tables that every lane reads; the engine never reads the
+realization itself.  A finite-support law's table holds one
 uint8 code per site, and each build a small lookup table (LUT) of the biased
 fields per code, made by the same elementwise formulas, so a step gathers
 the code and then the field(s) from the LUT, bit for bit the values a
@@ -108,8 +108,8 @@ class _Tables:
     ensemble's lifetime.  A shared environment (shared_env, a DiscreteEnv
     in discrete time and a RateEnv in continuous time) is read the same way,
     from the source of its own model, seed and replica: the tables then have
-    one row, which every lane reads, and the realization itself is neither
-    read nor grown.  A finite-support law's table holds one uint8 code per
+    one row, which every lane reads, and the realization itself is not
+    read.  A finite-support law's table holds one uint8 code per
     site, and each build a lookup table (LUT) of the fields per code, made
     by the same formulas from the law's per-code values, so lut[codes] is
     the fields bit for bit.  Other laws (``uniform:`` ones, those with more
@@ -567,6 +567,8 @@ def ensemble_discrete(model, lam: float, n: int, replicas: int, seed: int, *,
         raise ValueError("n must be nonnegative")
     if replicas < 1:
         raise ValueError("need at least 1 replica")
+    if range_cap < 1:
+        raise ValueError(f"range_cap must be at least 1, not {range_cap}")
     margin = int(4.0 * math.sqrt(max(n, 1))) + 2 * _CHECK_EVERY
     rows = range(replica_offset, replica_offset + replicas)
     return _walk(functools.partial(_DiscreteLanes, steps=n, variation=variation),
@@ -593,8 +595,12 @@ def ensemble_continuous(model, lam: float, horizon: float, replicas: int,
     """
     if not horizon >= 0:
         raise ValueError("horizon must be nonnegative")
+    if horizon == math.inf and target_level is None:
+        raise ValueError("an infinite horizon needs a target_level")
     if replicas < 1:
         raise ValueError("need at least 1 replica")
+    if range_cap < 1:
+        raise ValueError(f"range_cap must be at least 1, not {range_cap}")
     if target_level is not None and target_level < 1:
         raise ValueError("target_level must be >= 1")
     # lanes stop at a target, so they never step on the sites past it

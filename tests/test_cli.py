@@ -27,6 +27,7 @@ def test_lambda_grid_parsing():
     assert len(_parse_lambda_grid("0:2:0.1")) == 21
     assert _parse_lambda_grid("0.5,1") == [0.5, 1.0]
     assert _parse_lambda_grid("1.25") == [1.25]
+    assert _parse_lambda_grid("inf") == [math.inf]
 
 
 def test_eval_rcm_discrete_grid(capsys):
@@ -235,10 +236,12 @@ _CONTINUOUS = ["--model", "rcm-continuous", "--dist", "two-point:1,2:0.5"]
     ("velocity", _DISCRETE, ["--n", "0"], "n"),
     ("velocity", _CONTINUOUS, ["--horizon", "-3"], "horizon"),
     ("velocity", _CONTINUOUS, ["--horizon", "0"], "horizon"),
+    ("velocity", _CONTINUOUS, ["--horizon", "inf"], "horizon"),
     ("diffusion", _DISCRETE, ["--n", "0"], "n"),
     ("einstein", _DISCRETE, ["--n", "-10"], "n"),
 ], ids=["velocity-n-negative", "velocity-n-zero", "velocity-horizon-negative",
-        "velocity-horizon-zero", "diffusion-n-zero", "einstein-n-negative"])
+        "velocity-horizon-zero", "velocity-horizon-inf", "diffusion-n-zero",
+        "einstein-n-negative"])
 def test_simulate_rejects_nonpositive_run_length(capsys, kind, model, length, name):
     # the estimators divide by the run length; the run must fail, not print
     # a number or a traceback
@@ -248,6 +251,32 @@ def test_simulate_rejects_nonpositive_run_length(capsys, kind, model, length, na
     assert err.startswith("rwrelab: ") and name in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("rest,named", [
+    (["--lambda", "nan"], "'nan'"),
+    (["--lambda", "0.5,nan"], "'0.5,nan'"),
+    (["--lambda", "0:nan:0.1"], "'0:nan:0.1'"),
+    (["--lambda", "0.5", "--range-cap", "0"], "range_cap"),
+    (["--lambda", "0.5", "--range-cap", "-5"], "range_cap"),
+], ids=["lambda-nan", "lambda-list-nan", "lambda-grid-nan", "range-cap-0",
+        "range-cap-negative"])
+def test_simulate_velocity_rejects_bad_field_or_range_cap(capsys, rest, named):
+    # each run fails before walking, with a message naming the bad value
+    code, out, err = run_cli(["simulate", "--kind", "velocity", *_DISCRETE,
+                              *rest, "--n", "100", "--replicas", "20"], capsys)
+    assert code == 1
+    assert err.startswith("rwrelab: ") and named in err and rest[-1] in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_eval_infinite_field(capsys):
+    # lambda = inf is the straight-line limit: v = 1, sigma^2 = 0
+    code, out, _ = run_cli(["eval", *_DISCRETE, "--lambda", "inf"], capsys)
+    assert code == 0
+    header, rows = parse_table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["v"]) == 1.0 and float(row["sigma2"]) == 0.0
 
 
 EINSTEIN_EDGES = {

@@ -4,11 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, RateEnv,
                      Renewal, RenewalPoints, ScalarDist, bias_rates, materialize,
                      sbar_quenched)
-from rwrelab.environments import _GROW, _tau1_cdf_table
+from rwrelab.environments import _tau1_from_uniform
 from rwrelab.rng import generator
 from rwrelab.walks import ensemble_continuous
 
@@ -54,32 +55,35 @@ def test_conductance_cross_site_identity():
 
 
 def test_window_extension_never_changes_sites():
+    # a realization reads each window afresh: windows read in any order,
+    # inside or past the one it was made over, agree on their sites
     for model in (IIDOmega(ScalarDist.two_point(0.5, 2.0, 0.5)),
                   IIDConductance(TWO_POINT),
                   Renewal(1.0, 3.0),
                   CoinFlip(TWO_POINT, TWO_POINT)):
-        env_small = materialize(model, 17, (-5, 5))
-        if env_small.kind == "discrete":
-            before = env_small.omega_plus_window(-5, 5).copy()
-            env_small.ensure(-200, 300)
-            assert np.array_equal(before, env_small.omega_plus_window(-5, 5))
-            env_big = materialize(model, 17, (-200, 300))
-            assert np.array_equal(before, env_big.omega_plus_window(-5, 5))
-            assert np.array_equal(env_small.omega_plus_window(-200, 300),
-                                  env_big.omega_plus_window(-200, 300))
+        if getattr(model, "time_flavor", "discrete") == "discrete":
+            read = lambda env, lo, hi: (env.omega_plus_window(lo, hi),)
         else:
-            before = [f.copy() for f in env_small.rates_window(-5, 5)]
-            env_small.ensure(-200, 300)
-            env_big = materialize(model, 17, (-200, 300))
-            for env in (env_small, env_big):
-                for was, now in zip(before, env.rates_window(-5, 5)):
-                    assert np.array_equal(was, now)
-            for grown, fresh in zip(env_small.rates_window(-200, 300),
-                                    env_big.rates_window(-200, 300)):
-                assert np.array_equal(grown, fresh)
+            read = lambda env, lo, hi: env.rates_window(lo, hi)
+        env_small = materialize(model, 17, (-5, 5))
+        before = read(env_small, -5, 5)
+        wide = read(env_small, -200, 300)
+        env_big = materialize(model, 17, (-200, 300))
+        for env in (env_small, env_big):
+            for was, now in zip(before, read(env, -5, 5)):
+                assert np.array_equal(was, now)
+            for a, b in zip(wide, read(env, -200, 300)):
+                assert np.array_equal(a, b)
+        # a far window, then the sites between it and the origin
+        far = read(env_small, 250, 300)
+        for a, b in zip(far, read(materialize(model, 17, (250, 300)), 250, 300)):
+            assert np.array_equal(a, b)
+        for a, b in zip(read(env_small, -100, 260), wide):
+            assert np.array_equal(a, b[100:461])
+        assert (env_small.lo, env_small.hi) == (-5, 5)
 
 
-def test_window_extension_draws_only_new_sites():
+def test_reads_ask_the_source_for_exactly_their_sites():
     asked = []
 
     class Recorded(IIDConductance):
@@ -92,9 +96,12 @@ def test_window_extension_draws_only_new_sites():
             return values, recorded
 
     env = materialize(Recorded(TWO_POINT, time_flavor="continuous"), 3, (-5, 5))
-    env.ensure(-20, 30)   # each side grows by at least 64 sites
-    env.ensure(0, 100)    # then by half the span, 69 sites
-    assert asked == [(-5, 5), (-69, -6), (6, 69), (70, 138)]
+    env.rates_window(-20, 30)
+    env.rates_window(0, 100)
+    env.rates_window(-5, 5)
+    env.jump_chain().omega_plus(7)
+    assert asked == [(-5, 5), (-20, 30), (0, 100), (-5, 5), (-5, 5), (7, 7)]
+    assert (env.lo, env.hi) == (-5, 5)
 
 
 def test_different_seeds_differ():
@@ -144,7 +151,8 @@ def test_one_atom_laws_draw_nothing(monkeypatch):
 
 def test_growing_realization_seeds_each_field_once(monkeypatch):
     # a realization holds one source for its lifetime, so a series that
-    # grows its window many times draws from the streams seeded at the start
+    # reads ever further past its window draws from the streams seeded at
+    # the start
     import rwrelab.environments as E
     seeded = []
 
@@ -155,14 +163,15 @@ def test_growing_realization_seeds_each_field_once(monkeypatch):
 
     monkeypatch.setattr(E, "RowStreams", CountedRows)
     env = materialize(IIDConductance(TWO_POINT), 5, (-4, 4))
-    sbar_quenched(env, 0.05, 1e-10, 10**4)
-    assert env.lo < -4 * _GROW
+    res = sbar_quenched(env, 0.05, 1e-10, 10**4)
+    assert res.terms_used == 10**4
+    assert (env.lo, env.hi) == (-4, 4)
     assert seeded == ["c"]
 
 
 def test_growing_renewal_realization_draws_each_batch_once(monkeypatch):
-    # the renewal points of a realization are drawn once and held: growth
-    # draws the anchor once and every gap batch once
+    # the renewal points of a realization are drawn once and held: reads
+    # reaching ever further draw the anchor once and every gap batch once
     import rwrelab.environments as E
     drawn = []
 
@@ -178,8 +187,9 @@ def test_growing_renewal_realization_draws_each_batch_once(monkeypatch):
     monkeypatch.setattr(E, "RowStreams", CountedRows)
     env = materialize(Renewal(1.5, 3.0, time_flavor="continuous"), 13, (-4, 4))
     for hi in (1000, 50_000, 200_000):
-        env.ensure(-4, hi)
-    assert env.hi >= 200_000
+        rm, rp = env.rates_window(-4, hi)
+        assert len(rp) == hi + 5
+    assert (env.lo, env.hi) == (-4, 4)
     assert drawn.count(("anchor", 0)) == 1
     assert len(drawn) == len(set(drawn))
     left = sorted(start for field, start in drawn if field == "left")
@@ -392,15 +402,46 @@ def test_reflection_invariance_in_law(model):
 
 
 def test_realizations_pickle():
-    # a realization's source does not pickle: the copy draws its window again
+    # a realization's source does not pickle: the copy makes its own and
+    # reads the same fields, inside its window and past it
     discrete = materialize(IIDConductance(TWO_POINT), 5, (-5, 5))
-    discrete.ensure(-100, 5)
     rates = materialize(Renewal(1.5, 3.0, time_flavor="continuous"), 5, (-5, 5))
     for env in (discrete, discrete.reflected(), rates, rates.reflected()):
         copy = pickle.loads(pickle.dumps(env))
         assert (copy.lo, copy.hi) == (env.lo, env.hi)
-        for a, b in zip(copy._fields, env._fields):
+        if env.kind == "discrete":
+            pairs = zip((copy.omega_plus_window(-100, 5),),
+                        (env.omega_plus_window(-100, 5),))
+        else:
+            pairs = zip(copy.rates_window(-100, 5), env.rates_window(-100, 5))
+        for a, b in pairs:
             assert np.array_equal(a, b)
+
+
+def _tau1_cdf_table(gamma: float, size: int = 1_000_000) -> np.ndarray:
+    # reference: the CDF of tau1 summed term by term, P(tau1 = m) = m^-gamma / zeta
+    j = np.arange(1, size + 1, dtype=float)
+    return np.cumsum(j ** (-gamma)) / zeta(gamma, 1.0)
+
+
+def _tau1_from_table(u: float, gamma: float, table: np.ndarray) -> int:
+    # reference inverse: search the summed table, and past its end bisect
+    # the exact Hurwitz-zeta CDF
+    idx = int(np.searchsorted(table, u, side="right"))
+    if idx < len(table):
+        return idx + 1
+    z = zeta(gamma, 1.0)
+    m = len(table)
+    while 1.0 - zeta(gamma, 2 * m + 1) / z < u:
+        m *= 2
+    lo, hi = m, 2 * m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if 1.0 - zeta(gamma, mid + 1) / z < u:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def test_tau1_inverse_cdf_table_matches_direct_sum():
@@ -409,3 +450,24 @@ def test_tau1_inverse_cdf_table_matches_direct_sum():
     z = zeta_partial(gamma)
     direct = np.cumsum(np.arange(1, 101, dtype=float) ** (-gamma)) / z
     assert np.allclose(table[:100], direct, rtol=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0])
+def test_tau1_draw_matches_the_summed_table(gamma):
+    table = _tau1_cdf_table(gamma)
+    u = np.random.default_rng(int(gamma * 10)).random(100_000)
+    u[0] = 0.0
+    got = [_tau1_from_uniform(x, gamma) for x in u]
+    assert got == [_tau1_from_table(x, gamma, table) for x in u]
+
+
+@pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0])
+def test_tau1_draw_is_the_smallest_m_whose_cdf_reaches_u(gamma):
+    # at each exact CDF value for m <= 2000 and its floating-point
+    # neighbours, the draw is the smallest m with P(tau1 <= m) >= u
+    m = np.arange(1, 2002)
+    cdf = 1.0 - zeta(gamma, m + 1.0) / zeta(gamma, 1.0)
+    for c in cdf[:-1]:
+        for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+            want = int(np.argmax(cdf >= u)) + 1
+            assert _tau1_from_uniform(float(u), gamma) == want

@@ -131,11 +131,15 @@ def test_shat_constant_rates_closed_form():
     assert fh.value == pytest.approx(res.value, abs=1e-12)
 
 
-def test_series_extends_environment_window_on_demand():
+def test_series_read_past_the_environment_window():
+    # the terms read sites far left of the window; the window stays as
+    # made, and the sum is that of a realization made over every site read
     env = materialize(IIDConductance(TWO_POINT), 12, (-1, 1))
     res = sbar_quenched(env, 0.6, tol=1e-12)
-    assert res.converged
-    assert env.lo < -20  # terms forced the window open to the left
+    assert res.converged and res.terms_used > 20
+    assert (env.lo, env.hi) == (-1, 1)
+    wide = materialize(IIDConductance(TWO_POINT), 12, (-res.terms_used, 1))
+    assert sbar_quenched(wide, 0.6, tol=1e-12) == res
 
 
 def test_recurrent_environment_is_never_certified_convergent():

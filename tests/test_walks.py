@@ -141,7 +141,8 @@ def test_discrete_replay_is_bit_exact():
 
 def test_shared_run_leaves_its_environment_alone():
     # a shared environment is read from its model's source: a run that goes
-    # far past its window neither grows it nor changes its fields
+    # far past its window leaves that window, and the fields read over it,
+    # as they were
     for model, run in (
             (IIDConductance(TWO_POINT),
              lambda env: ensemble_discrete(None, 1.0, 3000, 50, 3, shared_env=env)),
@@ -149,10 +150,12 @@ def test_shared_run_leaves_its_environment_alone():
              lambda env: ensemble_continuous(None, 1.0, 1000.0, 50, 3,
                                              shared_env=env))):
         env = materialize(model, 4, (-5, 5))
-        fields = [f.copy() for f in env._fields]
+        read = (env.rates_window if isinstance(env, RateEnv)
+                else lambda lo, hi: (env.omega_plus_window(lo, hi),))
+        fields = read(-5, 5)
         assert run(env).final_positions.min() > 100
         assert (env.lo, env.hi) == (-5, 5)
-        for was, now in zip(fields, env._fields):
+        for was, now in zip(fields, read(-5, 5)):
             assert np.array_equal(was, now)
 
 
@@ -230,9 +233,14 @@ def test_first_passage_budget_exhaustion():
                                                        1, (-5, 5))),
     lambda: ensemble_discrete(None, 0.5, 10, 10, 1,
                               shared_env=IIDConductance(TWO_POINT)),
+    lambda: ensemble_continuous(C_TWO_POINT, 0.5, math.inf, 10, 1),
+    lambda: ensemble_discrete(IIDConductance(TWO_POINT), 0.5, 10, 10, 1,
+                              range_cap=0),
+    lambda: ensemble_continuous(C_TWO_POINT, 0.5, 10.0, 10, 1, range_cap=-5),
 ], ids=["negative-n", "no-replicas", "negative-horizon", "nan-horizon",
         "negative-replicas", "target-level-0", "discrete-on-rate-env",
-        "continuous-on-discrete-env", "discrete-on-a-model"])
+        "continuous-on-discrete-env", "discrete-on-a-model",
+        "infinite-horizon-without-target", "range-cap-0", "range-cap-negative"])
 def test_ensembles_reject_bad_inputs(run):
     with pytest.raises(ValueError):
         run()
