@@ -25,13 +25,11 @@ from .estimators import (DiffusionResult, EinsteinTable, Estimate, ProbeRow,
                          annealed_tau1, annealed_velocity, einstein_slope,
                          renewal_product_moment, sigma2_of_model, tau1_tail,
                          velocity_jump_probe, velocity_of_model)
-from .exact import (WalkDistribution, exact_fbar_periodic,
-                    exact_product_moment, exact_sbar_periodic,
-                    exact_tau1_periodic_continuous, exact_walk_distribution,
-                    velocity_periodic)
-from .series import (SeriesValue, certified_sum, fbar_quenched, fhat_quenched,
-                     lambda_factor, sbar_quenched, shat_quenched, u_quenched,
-                     v_quenched)
+from .exact import (WalkDistribution, exact_product_moment,
+                    exact_sbar_periodic, exact_tau1_periodic_continuous,
+                    exact_walk_distribution, velocity_periodic)
+from .series import (SeriesValue, lambda_factor, sbar_quenched, shat_quenched,
+                     u_quenched, v_quenched)
 from .walks import EnsembleResult, ensemble_continuous, ensemble_discrete
 
 __version__ = "0.1.0"

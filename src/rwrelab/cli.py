@@ -149,6 +149,8 @@ def cmd_simulate(args) -> int:
         raise ValidationError("continuous-time models need --horizon")
     if not continuous and args.n is None and args.kind in ("velocity", "diffusion"):
         raise ValidationError("discrete-time models need --n")
+    if args.range_cap is not None and args.kind != "velocity":
+        raise ValidationError("--range-cap applies to velocity runs only")
     header = {"command": f"simulate {args.kind}",
               "config": _config_dict(args, ["model", "dist", "dist2", "a",
                                             "gamma", "omega", "rates", "lam",
@@ -347,7 +349,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--workers", type=int,
                        default=int(os.environ.get(WORKERS_ENV, "1")))
     p_sim.add_argument("--range-cap", type=int, dest="range_cap",
-                       help="abort walks whose |position| exceeds this")
+                       help="velocity runs: abort walks whose |position| "
+                            "exceeds this (rejected for other kinds)")
     p_sim.add_argument("--out", help="output CSV path (default stdout)")
     p_sim.set_defaults(fn=cmd_simulate)
 

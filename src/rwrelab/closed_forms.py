@@ -9,7 +9,6 @@ because the closed forms silently produce garbage for impossible tuples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .distributions import ScalarDist
 from .environments import IIDConductance, IIDOmega
-from .series import CONVERGED, DIVERGED, SeriesValue, certified_sum
+from .series import CONVERGED, DIVERGED, SeriesValue
 
 _MOMENT_SLACK = 1e-12
 
@@ -86,15 +85,12 @@ def velocity_iid_omega_right_derivative(lam: float, e_rho: float) -> float:
     return 4.0 * q / (1.0 + q) ** 2
 
 
-def velocity_rcm_discrete(lam: float, a: float, b: float,
-                          dtype=float) -> VelocityResult:
+def velocity_rcm_discrete(lam: float, a: float, b: float) -> VelocityResult:
     """Discrete-time RCM velocity (odd in lam):
     v = (1 - e^{-2 lam}) / (1 - e^{-2 lam} + 2 a b e^{-2 lam}) for lam >= 0."""
     _check_ab(a, b)
-    ell = dtype(abs(lam))
-    one = dtype(1)
-    w = -np.expm1(-2 * ell)  # 1 - e^{-2|lam|}
-    v = float(w / (w + 2 * dtype(a) * dtype(b) * (one - w)))
+    w = -np.expm1(-2 * abs(lam))  # 1 - e^{-2|lam|}
+    v = float(w / (w + 2 * a * b * (1 - w)))
     if lam < 0:
         v = -v
     return VelocityResult(v, _regime(v), 0.0, 0.0)
@@ -203,17 +199,16 @@ def _check_rcm_moments(a: float, b: float, cc: float, d: float) -> None:
                          "E[1/c^2] >= E[1/c]^2")
 
 
-def rcm_u_moments(lam: float, a: float, b: float, cc: float, d: float,
-                  dtype=float) -> tuple[float, float, float, float]:
+def rcm_u_moments(lam: float, a: float, b: float, cc: float,
+                  d: float) -> tuple[float, float, float, float]:
     """One-sided product moments (E[U], E[U^2], E[VU], E[VU^2]) of the i.i.d.
     RCM at lam > 0, where U sums leftward conductance ratios and V rightward
     ones."""
     if not lam > 0:
         raise ValueError("moments require lam > 0")
-    a, b, cc, d = dtype(a), dtype(b), dtype(cc), dtype(d)
-    q = np.exp(dtype(-2.0 * lam))
-    w1 = -np.expm1(dtype(-2.0 * lam))   # 1 - q
-    w2 = -np.expm1(dtype(-4.0 * lam))   # 1 - q^2
+    q = np.exp(-2.0 * lam)
+    w1 = -np.expm1(-2.0 * lam)   # 1 - q
+    w2 = -np.expm1(-4.0 * lam)   # 1 - q^2
     e_u = a * b * q / w1
     core = cc * q * q / w2 + 2 * a * a * q**3 / (w1 * w2)
     e_u2 = d * core
@@ -222,8 +217,8 @@ def rcm_u_moments(lam: float, a: float, b: float, cc: float, d: float,
     return float(e_u), float(e_u2), float(e_vu), float(e_vu2)
 
 
-def sigma2_rcm(lam: float, a: float, b: float, cc: float, d: float,
-               dtype=float) -> DiffusivityBreakdown:
+def sigma2_rcm(lam: float, a: float, b: float, cc: float,
+               d: float) -> DiffusivityBreakdown:
     """Diffusion coefficient of the i.i.d. discrete-time RCM at lam != 0,
     assembled from the one-sided product moments; even in lam.
 
@@ -234,18 +229,17 @@ def sigma2_rcm(lam: float, a: float, b: float, cc: float, d: float,
         raise ValueError("lam = 0 is served by sigma2_rcm_at_zero")
     _check_rcm_moments(a, b, cc, d)
     ell = abs(lam)
-    e_u, e_u2, e_vu, e_vu2 = rcm_u_moments(ell, a, b, cc, d, dtype)
-    a_, b_ = dtype(a), dtype(b)
-    q = np.exp(dtype(-2.0 * ell))
-    w1 = -np.expm1(dtype(-2.0 * ell))
-    denom = (1 + 2 * dtype(e_u)) ** dtype(3)
-    sigma1 = 4 * (dtype(e_u2) + dtype(e_u) + 2 * dtype(e_vu2) + 2 * dtype(e_vu)) / denom
+    e_u, e_u2, e_vu, e_vu2 = rcm_u_moments(ell, a, b, cc, d)
+    q = np.exp(-2.0 * ell)
+    w1 = -np.expm1(-2.0 * ell)
+    denom = (1 + 2 * e_u) ** 3
+    sigma1 = 4 * (e_u2 + e_u + 2 * e_vu2 + 2 * e_vu) / denom
     # sum over shifts of Cov(U, theta^n U): the three overlap regimes of the
     # shifted product collapse to a single geometric factor q/(1-q)
-    ab = a_ * b_
+    ab = a * b
     cov_shift = (-ab * ab * q / (w1 * w1) + ab * q / w1
-                 + b_ * b_ * dtype(e_u2) / dtype(d)) * (q / w1)
-    var_u = dtype(e_u2) - dtype(e_u) ** 2
+                 + b * b * e_u2 / d) * (q / w1)
+    var_u = e_u2 - e_u ** 2
     v_sigma2 = 4 * (var_u + 2 * cov_shift) / denom
     return DiffusivityBreakdown(float(sigma1 + v_sigma2), float(sigma1),
                                 float(v_sigma2), e_u, e_u2, e_vu, e_vu2)
@@ -257,16 +251,15 @@ def sigma2_rcm_at_zero(a: float, b: float) -> float:
     return 1.0 / (a * b)
 
 
-def sigma2_rcm_direct(lam: float, a: float, b: float, cc: float, d: float,
-                      dtype=float) -> float:
+def sigma2_rcm_direct(lam: float, a: float, b: float, cc: float,
+                      d: float) -> float:
     """Independent assembly of sigma2 from the single printed bracket
     (prefactor 4(e^{2 lam}-1)^2/(e^{2 lam}-1+2ab)^3); used to cross-check the
     breakdown route."""
     if lam == 0:
         raise ValueError("lam = 0 is served by sigma2_rcm_at_zero")
     _check_rcm_moments(a, b, cc, d)
-    ell = dtype(abs(lam))
-    a, b, cc, d = dtype(a), dtype(b), dtype(cc), dtype(d)
+    ell = abs(lam)
     e1 = np.expm1(2 * ell)            # e^{2 lam} - 1
     e2 = np.expm1(4 * ell)            # e^{4 lam} - 1
     x = np.exp(2 * ell)
@@ -277,7 +270,7 @@ def sigma2_rcm_direct(lam: float, a: float, b: float, cc: float, d: float,
                + ab
                + (4 * ab - ab * ab) / e1
                - 2 * ab * ab * x / (e1 * e1))
-    return float(4 * e1 * e1 / (e1 + 2 * ab) ** dtype(3) * bracket)
+    return float(4 * e1 * e1 / (e1 + 2 * ab) ** 3 * bracket)
 
 
 def a1_coefficient(a: float, b: float, cc: float, d: float) -> float:
@@ -303,31 +296,25 @@ def a1_uniform(x: float) -> float:
 # i.i.d. jump-probability diffusivity
 # ---------------------------------------------------------------------------
 
-def _iid_cov_diagonals(m1: float, m2: float, q: float):
-    """Diagonal sums b_k q^{k+2} of the shifted-product covariance array,
-    organized by k = i + j.  Independence kills every pair with shift n > k;
-    overlapping pairs contribute m1^{k+2} (beta^{overlap} - 1) with
-    beta = m2/m1^2 >= 1."""
-    beta = m2 / (m1 * m1)
-    for k in itertools.count(1):
-        j = np.arange(1, k + 1)             # j >= n >= 1, i = k - j
-        total = 0.0
-        for n in range(1, k + 1):
-            jj = j[j >= n]
-            overlap = np.minimum(k - jj, jj - n) + 1
-            total += float(np.sum(beta ** overlap - 1.0))
-        yield m1 ** (k + 2) * total * q ** (k + 2)
+def _iid_shift_cov(x: float, beta: float) -> float:
+    """sum_{n >= 1} Cov(U, theta^n U) for i.i.d. jump ratios, with
+    x = E[rho] e^{-2 lam} and beta = E[rho^2]/E[rho]^2.
+
+    The shifted products overlap in three regimes, each a geometric series;
+    together they sum to x^3 (beta - 1) / ((1 - x)^3 (1 - beta x^2)), which
+    needs x < 1 and beta x^2 < 1 and is exactly 0 when beta = 1.
+    """
+    return x**3 * (beta - 1.0) / ((1.0 - x) ** 3 * (1.0 - beta * x * x))
 
 
-def sigma2_iid_omega(lam: float, m1: float, m2: float,
-                     tol: float = 1e-10) -> DiffusivityBreakdown:
+def sigma2_iid_omega(lam: float, m1: float, m2: float) -> DiffusivityBreakdown:
     """Diffusion coefficient for i.i.d. jump ratios with E[rho] = m1,
     E[rho^2] = m2, valid in the regime m1 e^{-2 lam} < 1 and
     m2 e^{-4 lam} < 1.
 
     U (sites <= 0) and V (sites >= 1) are independent under the i.i.d. law,
     so mixed moments factor; the covariance series over shifted copies of U
-    is summed by diagonals with a certified geometric tail <= tol.
+    is summed in closed form (_iid_shift_cov).
     """
     if not (m1 > 0 and m2 > 0):
         raise ValueError("moments must be positive")
@@ -344,12 +331,9 @@ def sigma2_iid_omega(lam: float, m1: float, m2: float,
     e_vu2 = e_u * e_u2
     denom = (1.0 + 2.0 * e_u) ** 3
     sigma1 = 4.0 * (e_u2 + e_u + 2.0 * e_vu2 + 2.0 * e_vu) / denom
-    cov = certified_sum(_iid_cov_diagonals(m1, m2, q), tol)
-    if not cov.converged:
-        raise ValueError("diverged: shifted-product covariance series did not "
-                         "certify convergence")
+    cov = _iid_shift_cov(m1 * q, m2 / (m1 * m1))
     var_u = e_u2 - e_u * e_u
-    v_sigma2 = 4.0 * (var_u + 2.0 * cov.value) / denom
+    v_sigma2 = 4.0 * (var_u + 2.0 * cov) / denom
     return DiffusivityBreakdown(sigma1 + v_sigma2, sigma1, v_sigma2,
                                 e_u, e_u2, e_vu, e_vu2)
 

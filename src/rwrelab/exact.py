@@ -70,22 +70,15 @@ def exact_walk_distribution(env, lam: float, n: int) -> WalkDistribution:
 # block-geometric series on periodic environments
 # ---------------------------------------------------------------------------
 
-def _period_block(env: PeriodicEnv, lam: float, leftward: bool):
-    """Head terms over one period and the per-period contraction factor for
-    the crossing series (leftward sums rho products, rightward their
-    inverses)."""
-    ll = env.period
+def _period_block(env: PeriodicEnv, lam: float):
+    """Head terms over one period and the per-period contraction factor
+    (the product of the rho's) of the crossing series."""
     heads = []
     prod = 1.0
-    for i in range(ll):
-        if leftward:
-            w = env.omega_plus_at(-i)
-            heads.append(prod / bias_omega(w, lam)[1])
-            prod *= env.rho_at(-i) * math.exp(-2.0 * lam)
-        else:
-            w = env.omega_plus_at(i)
-            heads.append(prod / bias_omega(w, lam)[0])
-            prod /= env.rho_at(i) * math.exp(-2.0 * lam)
+    for i in range(env.period):
+        w = env.omega_plus_at(-i)
+        heads.append(prod / bias_omega(w, lam)[1])
+        prod *= env.rho_at(-i) * math.exp(-2.0 * lam)
     return sum(heads), prod
 
 
@@ -100,15 +93,7 @@ def exact_sbar_periodic(env: PeriodicEnv, lam: float) -> SeriesValue:
     """Exact crossing series on a periodic environment: converges iff the
     one-period ratio product (prod rho) e^{-2 lam L} < 1, with block sum
     head/(1 - P)."""
-    head, block = _period_block(env, lam, leftward=True)
-    if _critical(block, env.period):
-        return SeriesValue(math.inf, math.inf, DIVERGED, env.period)
-    return SeriesValue(head / (1.0 - block), 0.0, CONVERGED, env.period)
-
-
-def exact_fbar_periodic(env: PeriodicEnv, lam: float) -> SeriesValue:
-    """Leftward counterpart of exact_sbar_periodic."""
-    head, block = _period_block(env, lam, leftward=False)
+    head, block = _period_block(env, lam)
     if _critical(block, env.period):
         return SeriesValue(math.inf, math.inf, DIVERGED, env.period)
     return SeriesValue(head / (1.0 - block), 0.0, CONVERGED, env.period)

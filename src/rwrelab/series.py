@@ -14,17 +14,18 @@ block of terms at once from a window of environment sites, and the
 certifier applies the test to every term of a block with array operations.
 It stops at the same term, with the same partial sum and bound, as a
 term-by-term loop: running sums and products accumulate strictly in term
-order (`np.add.accumulate`, `np.multiply.accumulate`,
-`np.divide.accumulate`), never pairwise, so results do not depend on where
-blocks begin and end.
+order (`np.add.accumulate`, `np.multiply.accumulate`), never pairwise, so
+results do not depend on where blocks begin and end.
+
+The crossing series serve a walk drifting right (lam > 0); for one drifting
+left, evaluate them on env.reflected() at -lam.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,8 +40,6 @@ _TERM_OVERFLOW = 1e280
 # within its first block costs one block
 _BLOCK_MIN = 64
 _BLOCK_MAX = 1 << 14
-# terms pulled at a time from a caller's iterable, whose terms may be costly
-_PULL = 1
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,20 @@ class _Certifier:
 
 def _certify(source: Callable[[Iterator[int]], Iterator[np.ndarray]],
              tol: float, max_terms: int, window: int = 50,
-             divergence_run: int = 500, first: int = _BLOCK_MIN,
-             most: int = _BLOCK_MAX) -> SeriesValue:
-    """Run the certifier over source(sizes), which yields one block of
-    terms per requested size (fewer when it runs short, none once it is
-    exhausted).  Sizes double from `first` to `most` within max_terms."""
+             divergence_run: int = 500) -> SeriesValue:
+    """Run the certifier over source(sizes), which yields one block of at
+    most each requested size; an empty block or the end of the source ends
+    the series.  Sizes double from _BLOCK_MIN to _BLOCK_MAX within
+    max_terms."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     cert = _Certifier(tol, window, divergence_run)
 
     def sizes() -> Iterator[int]:
-        size = first
+        size = _BLOCK_MIN
         while cert.n < max_terms:
             yield min(size, max_terms - cert.n)
-            size = min(2 * size, most)
+            size = min(2 * size, _BLOCK_MAX)
 
     # a block runs past its stopping term, where terms may overflow and
     # ratios be 0/0 or inf/inf; nothing past the stop is reported
@@ -167,18 +166,6 @@ def _certify(source: Callable[[Iterator[int]], Iterator[np.ndarray]],
             if result is not None:
                 return result
     return SeriesValue(cert.total, math.inf, INCONCLUSIVE, cert.n)
-
-
-def certified_sum(terms: Iterable[float], tol: float, max_terms: int = 10**6,
-                  window: int = 50, divergence_run: int = 500) -> SeriesValue:
-    """Sum a positive-term series with a certified tail bound.
-
-    Terms are taken as float64 and pulled lazily, so a costly term source is
-    not evaluated past the stopping term."""
-    it = iter(terms)
-    return _certify(
-        lambda sizes: (np.fromiter(itertools.islice(it, m), float) for m in sizes),
-        tol, max_terms, window, divergence_run, first=_PULL, most=_PULL)
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +182,30 @@ def _site_windows(start: int, step: int, sizes: Iterator[int]):
 
 
 def _omega_factors(env: DiscreteEnv, lam: float, start: int, step: int, sizes):
-    """Per block, in site order: rho(lam) and (omega-(lam), omega+(lam))."""
+    """Per block, in site order: rho(lam) and omega+(lam)."""
     q = math.exp(-2.0 * lam)
     for lo, hi in _site_windows(start, step, sizes):
         w = env.omega_plus_window(lo, hi)[::step]
-        yield (1.0 - w) / w * q, bias_omega(w, lam)
+        yield (1.0 - w) / w * q, bias_omega(w, lam)[1]
 
 
 def _rate_factors(env: RateEnv, lam: float, start: int, step: int, sizes):
-    """Per block, in site order: rho(lam) and (r-(lam), r+(lam))."""
-    q, down, up = math.exp(-2.0 * lam), math.exp(-lam), math.exp(lam)
+    """Per block, in site order: rho(lam) and r+(lam)."""
+    q, up = math.exp(-2.0 * lam), math.exp(lam)
     for lo, hi in _site_windows(start, step, sizes):
         rm, rp = env.rates_window(lo, hi)
         rm, rp = rm[::step], rp[::step]
-        yield rm / rp * q, (rm * down, rp * up)
+        yield rm / rp * q, rp * up
 
 
-def _product_terms(factors, accumulate, side: int | None) -> Iterator[np.ndarray]:
-    """Blocks of prod_i / biased[side]_i, with prod_0 = 1 and
-    prod_{i+1} = accumulate(prod_i, rho_i); side None gives prod_{i+1}."""
+def _product_terms(factors, crossing: bool) -> Iterator[np.ndarray]:
+    """Blocks of prod_i / plus_i (crossing) or of prod_{i+1}, with
+    prod_0 = 1 and prod_{i+1} = prod_i * rho_i."""
     prod = 1.0
-    for rho, biased in factors:
-        prods = accumulate(np.concatenate(([prod], rho)))
+    for rho, plus in factors:
+        prods = np.multiply.accumulate(np.concatenate(([prod], rho)))
         prod = prods[-1]
-        yield prods[1:] if side is None else prods[:-1] / biased[side]
+        yield prods[:-1] / plus if crossing else prods[1:]
 
 
 def sbar_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,
@@ -226,33 +213,21 @@ def sbar_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,
     """Quenched expected crossing series whose annealed mean is 1/v."""
     # 1/omega+_{-i}(lam) * rho_0(lam) ... rho_{-i+1}(lam)
     return _certify(lambda sizes: _product_terms(
-        _omega_factors(env, lam, 0, -1, sizes), np.multiply.accumulate, 1),
-        tol, max_terms)
-
-
-def fbar_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,
-                  max_terms: int = 10**6) -> SeriesValue:
-    """Leftward counterpart of the crossing series."""
-    # 1/omega-_i(lam) / (rho_0(lam) ... rho_{i-1}(lam))
-    return _certify(lambda sizes: _product_terms(
-        _omega_factors(env, lam, 0, 1, sizes), np.divide.accumulate, 0),
-        tol, max_terms)
+        _omega_factors(env, lam, 0, -1, sizes), crossing=True), tol, max_terms)
 
 
 def u_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,
                max_terms: int = 10**6) -> SeriesValue:
     """Leftward weighted ratio products; satisfies sbar = 1 + 2u."""
     return _certify(lambda sizes: _product_terms(
-        _omega_factors(env, lam, 0, -1, sizes), np.multiply.accumulate, None),
-        tol, max_terms)
+        _omega_factors(env, lam, 0, -1, sizes), crossing=False), tol, max_terms)
 
 
 def v_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,
                max_terms: int = 10**6) -> SeriesValue:
     """Rightward weighted ratio products (sites >= 1)."""
     return _certify(lambda sizes: _product_terms(
-        _omega_factors(env, lam, 1, 1, sizes), np.multiply.accumulate, None),
-        tol, max_terms)
+        _omega_factors(env, lam, 1, 1, sizes), crossing=False), tol, max_terms)
 
 
 def lambda_factor(env: DiscreteEnv, lam: float, tol: float = 1e-10,
@@ -272,13 +247,5 @@ def shat_quenched(env: RateEnv, lam: float, tol: float = 1e-10,
                   max_terms: int = 10**6) -> SeriesValue:
     """Continuous-time crossing series; its annealed mean is E[tau_1]."""
     return _certify(lambda sizes: _product_terms(
-        _rate_factors(env, lam, 0, -1, sizes), np.multiply.accumulate, 1),
-        tol, max_terms)
+        _rate_factors(env, lam, 0, -1, sizes), crossing=True), tol, max_terms)
 
-
-def fhat_quenched(env: RateEnv, lam: float, tol: float = 1e-10,
-                  max_terms: int = 10**6) -> SeriesValue:
-    """Leftward continuous-time crossing series."""
-    return _certify(lambda sizes: _product_terms(
-        _rate_factors(env, lam, 0, 1, sizes), np.divide.accumulate, 0),
-        tol, max_terms)

@@ -54,6 +54,17 @@ def test_eval_continuous_and_zero_window(capsys):
     assert rows[0][2] == "zero"
 
 
+def test_eval_iid_omega_sigma2_close_to_its_threshold(capsys):
+    # sigma2 is finite for lam > log(E[rho^2])/4 = 0.1884 and is printed
+    # down to there (at 0.195 the column was empty before the closed form)
+    code, out, _ = run_cli(["eval", "--model", "iid-omega", "--dist",
+                            "two-point:0.5,2:0.5", "--lambda", "0.195"], capsys)
+    assert code == 0
+    header, rows = parse_table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["sigma2"]) == pytest.approx(24.368675856177235, rel=1e-12)
+
+
 def test_eval_validation_error_exit_code(capsys):
     code, _, err = run_cli(["eval", "--model", "rcm-discrete", "--dist",
                             "gauss:0,1", "--lambda", "1"], capsys)
@@ -267,6 +278,21 @@ def test_simulate_velocity_rejects_bad_field_or_range_cap(capsys, rest, named):
                               *rest, "--n", "100", "--replicas", "20"], capsys)
     assert code == 1
     assert err.startswith("rwrelab: ") and named in err and rest[-1] in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("kind,model,rest", [
+    ("diffusion", _DISCRETE, ["--n", "2000"]),
+    ("einstein", _DISCRETE, ["--n", "2000"]),
+    ("tau1", _CONTINUOUS, []),
+], ids=["diffusion", "einstein", "tau1"])
+def test_simulate_rejects_range_cap_outside_velocity_runs(capsys, kind, model, rest):
+    # only velocity runs abort walks at the cap; the others would ignore it
+    code, out, err = run_cli(["simulate", "--kind", kind, *model, "--lambda",
+                              "1", *rest, "--replicas", "20", "--range-cap",
+                              "5"], capsys)
+    assert code == 1
+    assert err.startswith("rwrelab: ") and "--range-cap" in err
     assert "Traceback" not in err and out == ""
 
 

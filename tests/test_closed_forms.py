@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rwrelab import (CltCheck, IIDConductance, IIDOmega, ScalarDist,
                      uniform_conductance_moments, velocity_coinflip,
                      velocity_iid_omega, velocity_iid_omega_right_derivative,
                      velocity_rcm_continuous, velocity_rcm_discrete)
+from rwrelab import closed_forms, series
 
 # frozen reference values (high-precision evaluations of the closed forms)
 LAM_PLUS_125 = 0.11157177565710488      # log(1.25)/2
@@ -22,6 +25,9 @@ SIG2_TP_1 = 0.45203898987853636         # two-point {1,2} fair at lam = 1
 SIG2_IID_1 = 0.5577607043180343         # rho in {1/2,2} fair at lam = 1,
                                         # frozen from the site-exponent
                                         # double-sum oracle
+SIG2_IID_0195 = 24.368675856177235      # same law at lam = 0.195, from the
+                                        # diagonal series summed to 6000
+                                        # terms at 40 digits
 VCF_HALF = 1.3583555390285376
 VCF_ONE = 3.107584485558382
 CF_D2 = 0.5905420991926182              # 16(ab-1)/(b(1+ab)^2), a=1.5 b=0.75
@@ -192,12 +198,6 @@ def test_sigma2_rcm_even_and_zero_routing():
     assert sigma2_rcm_at_zero(1.5, 0.75) == pytest.approx(1 / 1.125, rel=1e-15)
 
 
-def test_sigma2_rcm_longdouble_mode_agrees():
-    a = sigma2_rcm(0.4, 1.5, 0.75, 2.5, 0.625).sigma2
-    b = sigma2_rcm(0.4, 1.5, 0.75, 2.5, 0.625, dtype=np.longdouble).sigma2
-    assert a == pytest.approx(b, rel=1e-13)
-
-
 def test_sigma2_rcm_moment_guards():
     with pytest.raises(ValueError):
         sigma2_rcm(1.0, 1.0, 1.0, 0.9, 1.0)    # C < A^2
@@ -281,10 +281,52 @@ def test_sigma2_iid_matches_rcm_in_deterministic_case():
 
 
 def test_sigma2_iid_regression_against_double_sum_oracle():
-    bd = sigma2_iid_omega(1.0, 1.25, 2.125, tol=1e-12)
+    bd = sigma2_iid_omega(1.0, 1.25, 2.125)
     assert bd.sigma2 == pytest.approx(SIG2_IID_1, rel=1e-11)
     assert bd.e_vu == pytest.approx(bd.e_u**2, rel=1e-14)     # independence
     assert bd.e_vu2 == pytest.approx(bd.e_u * bd.e_u2, rel=1e-14)
+
+
+def _iid_cov_diagonals(m1, m2, q):
+    """The covariance sum term by term: diagonal sums b_k q^{k+2} of the
+    shifted-product covariance array, organized by k = i + j.  Independence
+    kills every pair with shift n > k; overlapping pairs contribute
+    m1^{k+2} (beta^{overlap} - 1) with beta = m2/m1^2 >= 1."""
+    beta = m2 / (m1 * m1)
+    for k in itertools.count(1):
+        j = np.arange(1, k + 1)             # j >= n >= 1, i = k - j
+        total = 0.0
+        for n in range(1, k + 1):
+            jj = j[j >= n]
+            overlap = np.minimum(k - jj, jj - n) + 1
+            total += float(np.sum(beta ** overlap - 1.0))
+        yield m1 ** (k + 2) * total * q ** (k + 2)
+
+
+@pytest.mark.parametrize("law", [ScalarDist.two_point(0.5, 2.0, 0.5),
+                                 ScalarDist.uniform(0.5, 1.5),
+                                 ScalarDist.two_point(0.25, 1.25, 0.5)],
+                         ids=["two-point", "uniform", "mean-below-one"])
+def test_sigma2_iid_covariance_closed_form_matches_series(law):
+    m1, m2 = law.moment(1), law.moment(2)
+    for lam in (0.25, 0.3, 0.45, 0.6, 1.0):
+        q = math.exp(-2.0 * lam)
+        terms = _iid_cov_diagonals(m1, m2, q)
+        # one term per block: the series is pulled no further than its stop
+        ref = series._certify(lambda sizes: (np.array([next(terms)])
+                                             for _ in sizes), 1e-12, 10**6)
+        assert ref.converged
+        closed = closed_forms._iid_shift_cov(m1 * q, m2 / (m1 * m1))
+        assert abs(closed - ref.value) <= ref.error_bound + 1e-14 * abs(closed)
+
+
+def test_sigma2_iid_finite_close_to_its_threshold():
+    # sigma2 is finite for lam > log(E[rho^2])/4 = 0.1884; the closed form
+    # serves lam = 0.195, where the term-by-term series overflowed
+    start = time.perf_counter()
+    bd = sigma2_iid_omega(0.195, 1.25, 2.125)
+    assert time.perf_counter() - start < 0.5
+    assert bd.sigma2 == pytest.approx(SIG2_IID_0195, rel=1e-12)
 
 
 def test_sigma2_iid_regime_guard():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwrelab import (IIDConductance, PeriodicEnv, ScalarDist,
-                     annealed_velocity, exact_fbar_periodic, exact_sbar_periodic,
+                     annealed_velocity, exact_sbar_periodic,
                      exact_tau1_periodic_continuous, exact_walk_distribution,
                      materialize, sbar_quenched, shat_quenched,
                      velocity_periodic)
@@ -57,6 +57,13 @@ def test_dp_step_cap():
 # block-geometric crossing sums
 # ---------------------------------------------------------------------------
 
+def _reflected(env):
+    """The periodic environment seen by the reflected walk:
+    omega'_x = 1 - omega_{-x}."""
+    w = env.omega
+    return PeriodicEnv(omega=tuple(1.0 - w[-x % len(w)] for x in range(len(w))))
+
+
 def test_sbar_period_one_matches_coth():
     res = exact_sbar_periodic(PeriodicEnv(omega=(0.5,)), 0.5)
     assert res.converged
@@ -69,8 +76,9 @@ def test_alternating_period_two_converges_iff_positive_field():
     assert exact_sbar_periodic(env, 0.3).converged
     assert exact_sbar_periodic(env, 0.0).diverged
     assert exact_sbar_periodic(env, -0.2).diverged
-    assert exact_fbar_periodic(env, -0.3).converged
-    assert exact_fbar_periodic(env, 0.0).diverged
+    # leftward: the crossing series of the reflected walk at -lam
+    assert exact_sbar_periodic(_reflected(env), 0.3).converged
+    assert exact_sbar_periodic(_reflected(env), 0.0).diverged
 
 
 def test_exact_matches_quenched_on_random_periodic():
@@ -122,17 +130,18 @@ def test_velocity_periodic_invariant_law():
 @pytest.mark.parametrize("ll", [2, 3, 5])
 def test_velocity_periodic_matches_shift_averaged_crossing_means(ll):
     # 1/v is the crossing time of one site averaged over the L starting
-    # sites: exact_sbar_periodic (or exact_fbar_periodic for v < 0) in
-    # discrete time, exact_tau1_periodic_continuous in continuous time
+    # sites: exact_sbar_periodic (on the reflected environment at -lam for
+    # v < 0) in discrete time, exact_tau1_periodic_continuous in continuous
+    # time
     rng = generator(ll, "velocity-periodic-test")
     for _ in range(10):
         env = _random_periodic(rng, ll, rates=False)
         thr = velocity_periodic(env, 0.0).lambda_plus
         for lam in (thr - 0.7, thr - 0.2, thr + 0.2, thr + 0.7):
             v = velocity_periodic(env, lam).v
-            series = exact_sbar_periodic if v > 0 else exact_fbar_periodic
-            mean = np.mean([series(PeriodicEnv(omega=w), lam).value
-                            for w in _shifts(env.omega)])
+            sign, walked = (1.0, env) if v > 0 else (-1.0, _reflected(env))
+            mean = np.mean([exact_sbar_periodic(PeriodicEnv(omega=w), sign * lam).value
+                            for w in _shifts(walked.omega)])
             assert abs(v) == pytest.approx(1.0 / mean, rel=1e-12)
         renv = _random_periodic(rng, ll, rates=True)
         thr = velocity_periodic(renv, 0.0).lambda_plus

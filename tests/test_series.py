@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rwrelab import (IIDConductance, IIDOmega, ScalarDist, SeriesValue,
-                     certified_sum, fbar_quenched, fhat_quenched,
                      lambda_factor, materialize, sbar_quenched,
                      shat_quenched, u_quenched, v_quenched)
 from rwrelab import series
@@ -16,16 +15,32 @@ TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 COTH_HALF = 2.163953413738653            # (1+1/e)/(1-1/e)
 
 
-def geometric(r, first=1.0):
-    t = first
-    while True:
-        yield t
-        t *= r
+def geometric(r, n):
+    """The n terms 1, r, r^2, ... as the running product t *= r forms them."""
+    with np.errstate(over="ignore"):
+        return np.concatenate(([1.0], np.multiply.accumulate(np.full(n - 1, r))))
+
+
+def _array_source(terms, first=series._BLOCK_MIN, most=series._BLOCK_MAX):
+    """Blocks of `terms`, each at most the requested size and at most the
+    source's own block size, which doubles from `first` to `most`."""
+    def source(sizes):
+        i, size = 0, first
+        for m in sizes:
+            m = min(m, size)
+            yield terms[i:i + m]
+            i += m
+            size = min(2 * size, most)
+    return source
+
+
+def _certify_terms(terms, tol, max_terms=10**6):
+    return series._certify(_array_source(terms), tol, max_terms)
 
 
 def test_certified_sum_geometric_bound_holds():
     for r in (0.2, 0.7, 0.95):
-        res = certified_sum(geometric(r), tol=1e-12)
+        res = _certify_terms(geometric(r, 10**4), tol=1e-12)
         assert res.converged
         truth = 1.0 / (1.0 - r)
         assert abs(res.value - truth) <= res.error_bound + 1e-13
@@ -33,18 +48,18 @@ def test_certified_sum_geometric_bound_holds():
 
 
 def test_certified_sum_divergence_and_budget():
-    res = certified_sum(geometric(1.0), tol=1e-10, max_terms=3000)
+    res = _certify_terms(geometric(1.0, 3000), tol=1e-10, max_terms=3000)
     assert res.diverged
-    res = certified_sum(geometric(1.3), tol=1e-10, max_terms=5000)
+    res = _certify_terms(geometric(1.3, 5000), tol=1e-10, max_terms=5000)
     assert res.diverged
     # converging too slowly for the budget: inconclusive, not diverged
-    res = certified_sum(geometric(0.99999), tol=1e-10, max_terms=700)
-    assert res.status == "inconclusive"
+    res = _certify_terms(geometric(0.99999, 5000), tol=1e-10, max_terms=700)
+    assert res.status == "inconclusive" and res.terms_used == 700
 
 
 def test_certified_sum_rejects_bad_tol():
     with pytest.raises(ValueError):
-        certified_sum(geometric(0.5), tol=0.0)
+        _certify_terms(geometric(0.5, 100), tol=0.0)
 
 
 def test_sbar_symmetric_environment_matches_coth():
@@ -52,8 +67,9 @@ def test_sbar_symmetric_environment_matches_coth():
     res = sbar_quenched(env, 0.5, tol=1e-12)
     assert res.converged
     assert res.value == pytest.approx(COTH_HALF, abs=2e-12)
-    assert fbar_quenched(env, -0.5, tol=1e-12).value == pytest.approx(
-        COTH_HALF, abs=2e-12)
+    # the leftward series at -0.5: sbar of the reflected environment at 0.5
+    left = sbar_quenched(env.reflected(), 0.5, tol=1e-12)
+    assert left.value == pytest.approx(COTH_HALF, abs=2e-12)
 
 
 def test_sbar_diverges_at_zero_field():
@@ -126,8 +142,8 @@ def test_shat_constant_rates_closed_form():
     res = shat_quenched(env, 1.0, tol=1e-12)
     assert res.converged
     assert res.value == pytest.approx(1.0 / (2.0 * math.sinh(1.0)), abs=1e-12)
-    # leftward series of the reflected dynamics at the mirrored field
-    fh = fhat_quenched(env, -1.0, tol=1e-12)
+    # the leftward series at -1: shat of the reflected environment at 1
+    fh = shat_quenched(env.reflected(), 1.0, tol=1e-12)
     assert fh.value == pytest.approx(res.value, abs=1e-12)
 
 
@@ -158,12 +174,9 @@ def test_recurrent_environment_is_never_certified_convergent():
 
 RHO_TWO_POINT = ScalarDist.two_point(0.5, 2.0, 0.5)
 
-# name: (evaluator, sign of lam) -- the leftward series mirror the field
-_SERIES = {"sbar": (sbar_quenched, 1.0), "u": (u_quenched, 1.0),
-           "v": (v_quenched, 1.0), "lambda": (lambda_factor, 1.0),
-           "fbar": (fbar_quenched, -1.0), "shat": (shat_quenched, 1.0),
-           "fhat": (fhat_quenched, -1.0)}
-_RATE_SERIES = ("shat", "fhat")
+_SERIES = {"sbar": sbar_quenched, "u": u_quenched, "v": v_quenched,
+           "lambda": lambda_factor, "shat": shat_quenched}
+_RATE_SERIES = ("shat",)
 
 
 def _golden_cases():
@@ -186,19 +199,17 @@ def _golden_cases():
     }
     cases = {}
     for regime, (dmodel, rmodel, lam, tol, budget) in regimes.items():
-        for name, (fn, sign) in _SERIES.items():
+        for name, fn in _SERIES.items():
             model = rmodel if name in _RATE_SERIES else dmodel
-            cases[f"{name}-{regime}"] = (fn, model, 3, sign * lam, tol, budget)
+            cases[f"{name}-{regime}"] = (fn, model, 3, lam, tol, budget)
     # stops on the last term of a block and on the first term of the next
     # (sites 0, -1, ... from a (-4, 4) window: blocks end at 5, 133, 389 ...;
     # sites 1, 2, ...: at 4, 132, 388 ...)
     for name, lam, tol, used in (("sbar", 0.5, 6.5e-61, 133),
                                  ("sbar", 0.5, 3.3e-61, 134),
-                                 ("fbar", -0.5, 7.5e-57, 133),
-                                 ("fbar", -0.5, 1.3e-57, 134),
                                  ("v", 0.5, 1.7e-57, 132),
                                  ("v", 0.5, 1.2e-57, 133)):
-        cases[f"{name}-stop{used}"] = (_SERIES[name][0], omega, 0, lam, tol, 10**6)
+        cases[f"{name}-stop{used}"] = (_SERIES[name], omega, 0, lam, tol, 10**6)
     return cases
 
 
@@ -210,18 +221,6 @@ def _golden_row(case):
 
 
 GOLDEN = {
-    'fbar-converged': ('0x1.96aef371c028ap+0', '0x1.509ba9f59b581p-148', 'converged', 51),
-    'fbar-diverged': ('0x1.1300000000000p+10', 'inf', 'diverged', 550),
-    'fbar-inconclusive': ('0x1.9eb69676ce135p+4', 'inf', 'inconclusive', 10000),
-    'fbar-overflow': ('0x1.af16cb66a35ccp+938', 'inf', 'diverged', 65),
-    'fbar-stop133': ('0x1.ed4547b92b10bp+0', '0x1.37f65f5505046p-189', 'converged', 133),
-    'fbar-stop134': ('0x1.ed4547b92b10bp+0', '0x1.cb0ee652f5da4p-192', 'converged', 134),
-    'fbar-underflow': ('0x1.0000000000000p+0', '0x0.0p+0', 'converged', 3),
-    'fhat-converged': ('0x1.b3ab8a78b90c3p-2', '0x1.87516f8dfbba9p-149', 'converged', 51),
-    'fhat-diverged': ('0x1.1300000000000p+9', 'inf', 'diverged', 550),
-    'fhat-inconclusive': ('0x1.3fdde06a17902p+3', '0x1.99427f18ee91fp-34', 'converged', 254),
-    'fhat-overflow': ('0x1.73cbbd1a57e29p+930', 'inf', 'diverged', 65),
-    'fhat-underflow': ('0x1.6061812054cfap-289', '0x0.0p+0', 'converged', 3),
     'lambda-converged': ('0x1.622acc5a8d4e7p+0', '0x1.6c708846dc669p-146', 'converged', 51),
     'lambda-diverged': ('inf', 'inf', 'diverged', 550),
     'lambda-inconclusive': ('inf', 'inf', 'inconclusive', 10000),
@@ -299,15 +298,6 @@ def _scalar_certified_sum(terms, tol, max_terms=10**6, window=50,
     return SeriesValue(total, math.inf, "inconclusive", n)
 
 
-def _array_source(terms):
-    def source(sizes):
-        i = 0
-        for m in sizes:
-            yield terms[i:i + m]
-            i += m
-    return source
-
-
 def _exact(res):
     return (float(res.value).hex(), float(res.error_bound).hex(), res.status,
             res.terms_used)
@@ -358,8 +348,8 @@ def test_block_certifier_matches_scalar_loop(name, first, most):
     terms, tol, budget, window, run = _EDGE_CASES[name]
     want = _scalar_certified_sum((float(t) for t in terms), tol, budget,
                                  window, run)
-    got = series._certify(_array_source(terms), tol, budget, window, run,
-                          first=first, most=most)
+    got = series._certify(_array_source(terms, first, most), tol, budget,
+                          window, run)
     assert _exact(got) == _exact(want)
     assert type(got.value) is float and type(got.error_bound) is float
 
@@ -370,23 +360,3 @@ def test_edge_cases_cover_every_outcome():
                           for c in _EDGE_CASES.values())}
     assert outcomes == {("converged", False), ("converged", True),
                         ("diverged", False), ("inconclusive", False)}
-
-
-@pytest.mark.filterwarnings("error")
-def test_certified_sum_pulls_terms_lazily():
-    pulled = 0
-
-    def counting(r):
-        nonlocal pulled
-        t = 1.0
-        while True:
-            pulled += 1
-            yield t
-            t *= r
-
-    for r in (0.5, 0.9, 1.0):
-        pulled = 0
-        res = certified_sum(counting(r), tol=1e-12, max_terms=5000)
-        assert res.terms_used <= pulled < res.terms_used + series._PULL
-        assert _exact(res) == _exact(_scalar_certified_sum(
-            geometric(r), 1e-12, 5000))
