@@ -49,10 +49,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .distributions import ScalarDist
 from .rng import RowStreams
+from .special import hurwitz_zeta, zeta
 
 __all__ = [
     "IIDOmega", "IIDConductance", "Renewal", "CoinFlip", "PeriodicEnv",
@@ -109,10 +109,10 @@ def _tau1_from_uniform(u: float, gamma: float) -> int:
     """Exact inverse CDF of the first point, P(tau1 = m) = m^-gamma / zeta:
     the smallest m >= 1 with 1 - zeta(gamma, m + 1)/zeta(gamma) >= u, found
     by doubling from m = 1 and then bisection."""
-    z = _hurwitz_zeta(gamma, 1.0)
+    z = zeta(gamma)
 
     def below(m: int) -> bool:   # whether P(tau1 <= m) < u
-        return 1.0 - _hurwitz_zeta(gamma, m + 1.0) / z < u
+        return 1.0 - hurwitz_zeta(gamma, m + 1.0) / z < u
 
     hi = 1
     while below(hi):

@@ -15,8 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.special import zeta as _hurwitz_zeta
 
 from .closed_forms import (VelocityResult, sigma2_iid_omega, sigma2_rcm,
                            sigma2_rcm_at_zero, velocity_coinflip,
@@ -26,6 +24,7 @@ from .environments import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
                            _gap_from_uniform)
 from .exact import velocity_periodic
 from .rng import derive_seed, generator
+from .special import hurwitz_zeta, ndtr, zeta
 from .walks import (DEFAULT_RANGE_CAP, EnsembleResult, ensemble_continuous,
                     ensemble_discrete)
 
@@ -357,8 +356,8 @@ def einstein_slope(model: IIDConductance, h_grid, n: float, replicas: int,
 # ---------------------------------------------------------------------------
 
 def tau1_tail(gamma: float, n: int) -> float:
-    """Exact P(tau_1 > n) = zeta(gamma, n+1)/zeta(gamma)."""
-    return float(_hurwitz_zeta(gamma, n + 1) / _hurwitz_zeta(gamma, 1.0))
+    """Exact P(tau_1 > n) = zeta(gamma, n+1)/zeta(gamma); gamma > 1."""
+    return hurwitz_zeta(gamma, n + 1) / zeta(gamma)
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ def _moment_tables(gamma: float, n_max: int):
     p = np.zeros(n_max + 1)
     p[1:] = ge[1:] - (y[1:] + 1.0) ** (-gamma)    # P(G = y)
     w = np.zeros(n_max + 1)
-    w[1:] = (ge[1:] - 0.5 * p[1:]) / float(_hurwitz_zeta(gamma, 1.0))
+    w[1:] = (ge[1:] - 0.5 * p[1:]) / zeta(gamma)
     c = np.convolve(w, (y + 1.0) ** (-gamma))[:n_max + 1]
     return p, c
 
@@ -425,8 +424,8 @@ def _kernel_tables(p, c):
 
 def _exact_part(gamma: float, grid: np.ndarray, c) -> np.ndarray:
     """A(n) + C(n)/2 of renewal_product_moment: the terms no sample enters."""
-    return (_hurwitz_zeta(gamma, grid + 1.0) - 0.5 * (grid + 1.0) ** (-gamma)) \
-        / float(_hurwitz_zeta(gamma, 1.0)) + 0.5 * c[grid]
+    return (hurwitz_zeta(gamma, grid + 1.0) - 0.5 * (grid + 1.0) ** (-gamma)) \
+        / zeta(gamma) + 0.5 * c[grid]
 
 
 def _gap_blocks(gamma: float, replicas: int, seed: int):

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .closed_forms import VelocityResult, _regime
 from .environments import DiscreteEnv, PeriodicEnv, bias_omega
 from .series import CONVERGED, DIVERGED, SeriesValue
+from .special import hurwitz_zeta, zeta
 
 _DP_MAX_STEPS = 40
 
@@ -186,7 +186,7 @@ def exact_product_moment(gamma: float, n_max: int) -> np.ndarray:
     stationary moment splits over the first renewal point at/after 0.  This
     route is independent of the sampler (it never draws anything).
     """
-    zg = float(_hurwitz_zeta(gamma, 1.0))
+    zg = zeta(gamma)
     d = 1.0 / zg
     j = np.arange(1, n_max + 1, dtype=float)
     p = j ** (-gamma) - (j + 1.0) ** (-gamma)     # ordinary gap pmf
@@ -196,14 +196,14 @@ def exact_product_moment(gamma: float, n_max: int) -> np.ndarray:
     for n in range(1, n_max + 1):
         f[n] = 0.5 * np.dot(p[:n], f[n - 1::-1]) + gap_tail[n - 1]
     ptau1 = j ** (-gamma) / zg
+    stat_tail = hurwitz_zeta(gamma, np.arange(1.0, n_max + 2)) / zg
     out = np.zeros(n_max + 1)
     for n in range(n_max + 1):
         val = 0.5 * d * f[n]
         if n >= 1:
             w = ptau1[:n] - d * p[:n]             # first point at m, 0 not in tau
             val += 0.5 * np.dot(w, f[n - 1::-1])
-        stat_tail = float(_hurwitz_zeta(gamma, n + 1)) / zg
         gap_beyond = 1.0 if n == 0 else gap_tail[n - 1]
-        val += stat_tail - d * gap_beyond         # no point in [0, n]
+        val += stat_tail[n] - d * gap_beyond      # no point in [0, n]
         out[n] = val
     return out

@@ -181,12 +181,13 @@ def _site_windows(start: int, step: int, sizes: Iterator[int]):
         x += step * m
 
 
-def _omega_factors(env: DiscreteEnv, lam: float, start: int, step: int, sizes):
-    """Per block, in site order: rho(lam) and omega+(lam)."""
+def _omega_factors(env: DiscreteEnv, lam: float, start: int, step: int, sizes,
+                   plus: bool = False):
+    """Per block, in site order: rho(lam) and, if plus, omega+(lam)."""
     q = math.exp(-2.0 * lam)
     for lo, hi in _site_windows(start, step, sizes):
         w = env.omega_plus_window(lo, hi)[::step]
-        yield (1.0 - w) / w * q, bias_omega(w, lam)[1]
+        yield (1.0 - w) / w * q, bias_omega(w, lam)[1] if plus else None
 
 
 def _rate_factors(env: RateEnv, lam: float, start: int, step: int, sizes):
@@ -213,7 +214,8 @@ def sbar_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,
     """Quenched expected crossing series whose annealed mean is 1/v."""
     # 1/omega+_{-i}(lam) * rho_0(lam) ... rho_{-i+1}(lam)
     return _certify(lambda sizes: _product_terms(
-        _omega_factors(env, lam, 0, -1, sizes), crossing=True), tol, max_terms)
+        _omega_factors(env, lam, 0, -1, sizes, plus=True), crossing=True),
+        tol, max_terms)
 
 
 def u_quenched(env: DiscreteEnv, lam: float, tol: float = 1e-10,

@@ -291,8 +291,9 @@ def test_ks_distance_is_scipys_kstest_statistic():
             assert estimators._ks_to_normal(sample) == kstest(sample, "norm").statistic
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes most of the package's import time and is not needed
+def test_import_leaves_scipy_out():
+    # SciPy is not a runtime dependency: importing it took most of the
+    # package's import time, for two special functions now in rwrelab.special
     import os
     import subprocess
     import sys
@@ -300,12 +301,13 @@ def test_import_leaves_scipy_stats_out():
     src = str(Path(estimators.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rwrelab; print(sorted(m for m in sys.modules"
-         " if m.startswith('scipy.stats')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    for module in ("rwrelab", "rwrelab.cli"):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]", module
 
 
 # ---------------------------------------------------------------------------
