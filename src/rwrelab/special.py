@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-MACHEP = 1.11022302462515654042e-16     # 2^-53
+_MACHEP = 1.11022302462515654042e-16     # 2^-53
 
 # Euler-Maclaurin coefficients (2k)!/B_2k of the zeta tail
 _EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
@@ -68,7 +68,7 @@ def _zeta_scalar(x: float, q: float) -> float:
         a += 1.0
         b = math.pow(a, -x)
         s += b
-        if s and abs(b / s) < MACHEP:     # 0/0 is NaN in C: go on
+        if s and abs(b / s) < _MACHEP:     # 0/0 is NaN in C: go on
             return s
     w = a
     s += b * w / (x - 1.0)
@@ -79,7 +79,7 @@ def _zeta_scalar(x: float, q: float) -> float:
         b /= w
         t = a * b / c
         s = s + t
-        if s and abs(t / s) < MACHEP:
+        if s and abs(t / s) < _MACHEP:
             return s
         k += 1.0
         a *= x + k
@@ -112,7 +112,8 @@ def _zeta_array(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     if one_x:
         x = float(x[0])           # one pow per distinct base
     # the bases q, q + 1, ..., q + 10 of the direct sum, added one at a
-    # time; the last is used only where q + 9 rounds to 9 or less
+    # time; the last is used only where the one before is still at most 9
+    # (q below about 1e-15)
     a = _accumulate(np.vstack((q, np.ones((_DIRECT + 1, q.size)))))
     extra = a[_DIRECT] <= 9.0
     if not extra.any():
@@ -120,7 +121,7 @@ def _zeta_array(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     b = _pow(a.ravel(), -x if one_x else -np.tile(x, a.shape[0]))
     b = b.reshape(a.shape)
     s = _accumulate(b.copy())
-    hit = np.abs(b / s) < MACHEP
+    hit = np.abs(b / s) < _MACHEP
     hit[0] = False
     hit[_DIRECT + 1:] &= extra
     cols = np.arange(q.size)
@@ -148,7 +149,7 @@ def _zeta_array(x: np.ndarray, q: np.ndarray) -> np.ndarray:
             b = b / w
             k += 1.0
         sums = _accumulate(terms.copy())
-        hit = np.abs(terms[1:] / sums[1:]) < MACHEP
+        hit = np.abs(terms[1:] / sums[1:]) < _MACHEP
         stop = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, len(_EM))
         s[cols] = sums[stop, np.arange(cols.size)]
     out[small] = s
@@ -206,7 +207,7 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
 _S = (2.26052863220117276590e0, 9.39603524938001434673e0,
       1.20489539808096656605e1, 1.70814450747565897222e1,
       9.60896809063285878198e0, 3.36907645100081516050e0)
-MAXLOG = 7.09782712893383996843e2       # log(DBL_MAX)
+_MAXLOG = 7.09782712893383996843e2       # log(DBL_MAX)
 _SQRT1_2 = 0.70710678118654752440
 
 
@@ -242,7 +243,7 @@ def ndtr(x):
         p = np.where(a < 8.0, _polevl(a, _P), _polevl(a, _R))
         q = np.where(a < 8.0, _polevl(a, _Q, True), _polevl(a, _S, True))
         exp = np.fromiter(map(math.exp, e.tolist()), float, e.size)
-        y[tail] = 0.5 * np.where(e < -MAXLOG, 0.0, exp * p / q)
+        y[tail] = 0.5 * np.where(e < -_MAXLOG, 0.0, exp * p / q)
     far = ~near & (x > 0.0)
     y[far] = 1.0 - y[far]
     return float(y[0]) if v.ndim == 0 else y.reshape(v.shape)

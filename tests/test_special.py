@@ -5,7 +5,7 @@ import pytest
 
 from rwrelab.special import hurwitz_zeta, ndtr, zeta
 
-special = pytest.importorskip("scipy.special")
+scipy_special = pytest.importorskip("scipy.special")
 
 
 def same_bits(got, want) -> bool:
@@ -25,7 +25,7 @@ ZETA_Q_POW2 = 2 ** np.arange(1, 50, dtype=np.int64) + 1
                                ZETA_Q_POW2.astype(float)])
 def test_hurwitz_zeta_array_is_scipys(q):
     for x in ZETA_X:
-        assert same_bits(hurwitz_zeta(x, q), special.zeta(x, q)), x
+        assert same_bits(hurwitz_zeta(x, q), scipy_special.zeta(x, q)), x
 
 
 def test_hurwitz_zeta_scalar_is_scipys():
@@ -34,19 +34,24 @@ def test_hurwitz_zeta_scalar_is_scipys():
                   *(int(v) for v in ZETA_Q_POW2)]:
             got = hurwitz_zeta(x, q)
             assert isinstance(got, float)
-            assert same_bits(got, special.zeta(x, q)), (x, q)
+            assert same_bits(got, scipy_special.zeta(x, q)), (x, q)
             assert same_bits(hurwitz_zeta(float(x), float(q)), got)
-    assert same_bits(hurwitz_zeta(20.0, 1), special.zeta(20.0, 1.0))
-    assert same_bits(zeta(2.5), special.zeta(2.5, 1.0))
+    assert same_bits(hurwitz_zeta(20.0, 1), scipy_special.zeta(20.0, 1.0))
+    assert same_bits(zeta(2.5), scipy_special.zeta(2.5, 1.0))
 
 
 def test_hurwitz_zeta_broadcasts_like_scipy():
-    x = np.array([[2.1], [3.5], [20.0]])
-    q = np.array([1.0, 7.5, 1e9, 0.25])
-    assert same_bits(hurwitz_zeta(x, q), special.zeta(x, q))
+    # tiny q: q + 9 rounds to 9, and at q = 1.1e-15 with s near 1 the direct
+    # sum takes a 10th term; q^-s overflows to inf at q = 1e-300
+    x = np.array([[1.001], [1.01], [2.1], [3.5], [20.0]])
+    q = np.array([1.0, 7.5, 1e9, 0.25, 2e-15, 1.1e-15, 5e-16, 1e-20, 1e-300])
+    want = scipy_special.zeta(x, q)
+    assert same_bits(hurwitz_zeta(x, q), want)
+    for i, j in np.ndindex(want.shape):
+        assert same_bits(hurwitz_zeta(float(x[i, 0]), float(q[j])), want[i, j])
     gen = np.random.default_rng(3)
     x, q = gen.uniform(1.01, 22.0, 2000), gen.uniform(1e-6, 50.0, 2000)
-    assert same_bits(hurwitz_zeta(x, q), special.zeta(x, q))
+    assert same_bits(hurwitz_zeta(x, q), scipy_special.zeta(x, q))
     assert hurwitz_zeta(2.5, np.array([])).shape == (0,)
 
 
@@ -68,11 +73,11 @@ def test_ndtr_is_scipys_on_every_branch():
                          -37.6, 1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0),
                          8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0), 1e300,
                          -1e300]])
-    assert same_bits(ndtr(x), special.ndtr(x))
+    assert same_bits(ndtr(x), scipy_special.ndtr(x))
     assert same_bits(ndtr(x.reshape(-1, 2)[:, ::-1]),
-                     special.ndtr(x.reshape(-1, 2)[:, ::-1]))
+                     scipy_special.ndtr(x.reshape(-1, 2)[:, ::-1]))
     for v in x[::997]:
         got = ndtr(float(v))
         assert isinstance(got, float)
-        assert same_bits(got, special.ndtr(v))
+        assert same_bits(got, scipy_special.ndtr(v))
     assert ndtr(-40.0) == 0.0 and ndtr(40.0) == 1.0
