@@ -37,6 +37,13 @@ asked for from streams seeded once and decodes the codes to float64; the
 ensemble engine holds one source per ensemble, and reads a shared
 environment from its model's source too.
 
+A model that can bound its ratio products also has
+``ratio_majorant(lam)``: (K, q, r) with q < 1 and
+rho_a(lam) ... rho_{a+i-1}(lam) <= K q^i for every run of i sites, and r a
+lower bound of r+ (None without rates), or None at fields where it has no
+such bound.  IIDConductance's products telescope, PeriodicEnv's repeat every
+period; the quenched series stop where K q^i bounds their tails.
+
 Every draw is read through ``RowStreams``, the stream (seed, "env", tag,
 replica, field) of each replica being one row, each field's streams seeded
 together for the range.  The renewal point set reads its anchor and gap
@@ -45,6 +52,7 @@ streams the same way.  A law with one atom draws no uniforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -355,6 +363,13 @@ class IIDConductance:
                     _RowDraws(seed, self.tag, rows, self._codes))
         return None, _RowDraws(seed, self.tag, rows, self._rates)
 
+    def ratio_majorant(self, lam: float):
+        """(c_max/c_min, e^-2lam, c_min) for lam > 0: the products telescope,
+        rho_a(lam) ... rho_{a+i-1}(lam) = (c_{a-1}/c_{a+i-1}) e^{-2 lam i}."""
+        lo, hi = self.c.support_bounds()
+        q = math.exp(-2.0 * lam)
+        return (hi / lo, q, lo) if q < 1.0 else None
+
     def params(self) -> dict:
         return {"c": self.c.spec_string(), "time_flavor": self.time_flavor}
 
@@ -512,6 +527,25 @@ class PeriodicEnv:
         w = self.omega_plus_at(x)
         return (1.0 - w) / w
 
+    def ratio_majorant(self, lam: float):
+        """(K, q, least r+) with q^L the product of rho(lam) over one period
+        and K the largest ratio rho_a ... rho_{a+s-1} / q^s, s < L; None
+        where q >= 1.  With d_j the sum of log rho - log g over sites 0..j-1,
+        g the geometric mean of rho, log K = max d - min d, as d has period
+        L; the padding covers the rounding of the L running sums."""
+        if self.omega:
+            logs = [math.log((1.0 - w) / w) for w in self.omega]
+        else:
+            logs = [math.log(rm / rp) for rm, rp in self.rates]
+        mean = math.fsum(logs) / self.period
+        q = math.exp(mean - 2.0 * lam)
+        if not q < 1.0:
+            return None
+        d = [0.0, *itertools.accumulate(x - mean for x in logs)]
+        pad = (self.period + 1) ** 2 * 2.0**-50 * (1.0 + max(map(abs, logs)))
+        floor = min(rp for _, rp in self.rates) if self.rates else None
+        return math.exp(max(d) - min(d) + pad), q, floor
+
     def site_source(self, seed: int, rows: range):
         """One block that every row shares: a site's code x mod L if L <=
         256, with the fields (omega+,) or (r-, r+) per code, and otherwise
@@ -551,6 +585,13 @@ class _Reflected:
                 yield blk, f if values is not None else self._flipped(f)
 
         return None if values is None else self._flipped(values), blocks
+
+    def ratio_majorant(self, lam: float):
+        """A reflected conductance model is one with c'_x = c_{-1-x}, so it
+        has its base's bound; other reflections have none."""
+        if isinstance(self.base, IIDConductance):
+            return self.base.ratio_majorant(lam)
+        return None
 
     def params(self) -> dict:
         return {"base": getattr(self.base, "tag", "?"), **self.base.params()}

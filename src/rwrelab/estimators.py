@@ -11,7 +11,6 @@ silently dropped.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +135,10 @@ def _run_ensemble(model, lam, replicas, seed, *, n=None, horizon=None,
         return _ensemble_part(job + (0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
     ranges = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    # imported here: it loads multiprocessing, which a run on one worker
+    # does not need
+    from concurrent.futures import ProcessPoolExecutor
+
     # fork starts every worker up front, so open no more than there are ranges
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         parts = list(pool.map(_ensemble_part, [job + r for r in ranges]))

@@ -162,11 +162,12 @@ def test_growing_realization_seeds_each_field_once(monkeypatch):
             super().__init__(seed, head, rows, tail)
 
     monkeypatch.setattr(E, "RowStreams", CountedRows)
-    env = materialize(IIDConductance(TWO_POINT), 5, (-4, 4))
-    res = sbar_quenched(env, 0.05, 1e-10, 10**4)
-    assert res.terms_used == 10**4
+    # no ratio majorant, and the ratio test cannot pass: it reads the budget
+    env = materialize(IIDOmega(ScalarDist.two_point(0.5, 2.0, 0.5)), 5, (-4, 4))
+    res = sbar_quenched(env, 0.05, 1e-10, 5000)
+    assert res.terms_used == 5000
     assert (env.lo, env.hi) == (-4, 4)
-    assert seeded == ["c"]
+    assert seeded == ["rho"]
 
 
 def test_growing_renewal_realization_draws_each_batch_once(monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 
@@ -192,7 +193,7 @@ def test_worker_pool_is_sized_by_its_replica_ranges(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(estimators, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     model = IIDConductance(TWO_POINT)
     one = _run_ensemble(model, 0.5, 3, 31, n=300, workers=1, variation=True)
     eight = _run_ensemble(model, 0.5, 3, 31, n=300, workers=8, variation=True)
@@ -293,7 +294,9 @@ def test_ks_distance_is_scipys_kstest_statistic():
 
 def test_import_leaves_scipy_out():
     # SciPy is not a runtime dependency: importing it took most of the
-    # package's import time, for two special functions now in rwrelab.special
+    # package's import time, for two special functions now in rwrelab.special.
+    # The process pool, and with it multiprocessing, is imported only by a
+    # run on more than one worker
     import os
     import subprocess
     import sys
@@ -305,7 +308,8 @@ def test_import_leaves_scipy_out():
         out = subprocess.run(
             [sys.executable, "-c",
              f"import sys, {module}; print(sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.')))"],
+             " if m.split('.')[0] in ('scipy', 'multiprocessing')"
+             " or m == 'concurrent.futures.process'))"],
             env=env, capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]", module
 

@@ -5,9 +5,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rwrelab import (IIDConductance, IIDOmega, ScalarDist, SeriesValue,
-                     lambda_factor, materialize, sbar_quenched,
-                     shat_quenched, u_quenched, v_quenched)
+from rwrelab import (IIDConductance, IIDOmega, PeriodicEnv, ScalarDist,
+                     SeriesValue, exact_sbar_periodic,
+                     exact_tau1_periodic_continuous, lambda_factor,
+                     materialize, sbar_quenched, shat_quenched, u_quenched,
+                     v_quenched)
 from rwrelab import series
 from rwrelab.rng import SITE_ORIGIN, tag_int
 
@@ -167,6 +169,147 @@ def test_recurrent_environment_is_never_certified_convergent():
 
 
 # ---------------------------------------------------------------------------
+# the models' ratio majorants
+# ---------------------------------------------------------------------------
+
+UNIFORM = ScalarDist.uniform(0.5, 3.0)
+
+
+def _direct_sum(terms, tail_bound, tol):
+    """(sum, tail bound) of terms(0), terms(1), ... summed one by one until
+    tail_bound(i), a bound on the sum of the terms from i on, is far below
+    tol."""
+    total, i = 0.0, 0
+    while True:
+        tail = tail_bound(i)
+        if tail <= 1e-6 * tol:
+            return total, tail
+        total += terms(i)
+        i += 1
+
+
+def _discrete_terms(env, lam, name, m):
+    """Term i of the series `name` on env, i < m, from its omega+ reads."""
+    q2 = math.exp(-2.0 * lam)
+    left = env.omega_plus_window(-m + 1, 0)[::-1]   # sites 0, -1, ...
+    right = env.omega_plus_window(1, m)             # sites 1, 2, ...
+    rho_l = [(1.0 - w) / w * q2 for w in left]
+    rho_r = [(1.0 - w) / w * q2 for w in right]
+
+    def prod(rho, i):
+        return math.prod(rho[:i])
+
+    return {"sbar": lambda i: prod(rho_l, i) * (1.0 + rho_l[i]),
+            "u": lambda i: prod(rho_l, i + 1),
+            "v": lambda i: prod(rho_r, i + 1)}[name]
+
+
+def _check_against_direct(res, direct, tail, tol):
+    assert res.converged and res.error_bound <= tol
+    assert abs(res.value - direct) <= res.error_bound + tail + 1e-12 * abs(direct)
+
+
+@pytest.mark.parametrize("law", [TWO_POINT, UNIFORM], ids=["two-point", "uniform"])
+@pytest.mark.parametrize("lam", [0.05, 0.1])
+@pytest.mark.parametrize("reflect", [False, True], ids=["right", "reflected"])
+def test_conductance_majorant_certifies_against_a_direct_sum(law, lam, reflect):
+    # reflected: the series of the walk at -lam, on env.reflected() at lam
+    tol = 1e-10
+    for seed in range(3):
+        env = materialize(IIDConductance(law), seed, (-4, 4))
+        env = env.reflected() if reflect else env
+        k, q, r = env.model.ratio_majorant(lam)
+        assert (k, q, r) == (law.support_bounds()[1] / law.support_bounds()[0],
+                             math.exp(-2.0 * lam), law.support_bounds()[0])
+        for name, fn, a in (("sbar", sbar_quenched, k * (1.0 + q)),
+                            ("u", u_quenched, k), ("v", v_quenched, k)):
+            res = fn(env, lam, tol, 10**4)
+            # stopped by the majorant, not the budget
+            assert res.terms_used == series._majorant_stop(a, q, tol, 10**4)[0]
+            terms = _discrete_terms(env, lam, name, 4 * res.terms_used)
+            direct, tail = _direct_sum(terms, lambda i: a * q**i / (1.0 - q), tol)
+            _check_against_direct(res, direct, tail, tol)
+            if name == "v":
+                lf = lambda_factor(env, lam, tol, 10**4)
+                pref = 1.0 / env.omega_biased(0, lam)[1]
+                assert lf.terms_used == res.terms_used
+                _check_against_direct(lf, pref * (1.0 + direct), pref * tail,
+                                      pref * tol)
+        renv = materialize(IIDConductance(law, time_flavor="continuous"),
+                           seed, (-4, 4))
+        renv = renv.reflected() if reflect else renv
+        res = shat_quenched(renv, lam, tol, 10**4)
+        assert res.converged and res.terms_used < 1000
+        m = 4 * res.terms_used
+        rm, rp = renv.rates_window(-m + 1, 0)
+        rho = (rm / rp)[::-1] * q
+        up = rp[::-1] * math.exp(lam)
+        a = k * math.exp(-lam) / r
+        direct, tail = _direct_sum(lambda i: math.prod(rho[:i]) / up[i],
+                                   lambda i: a * q**i / (1.0 - q), tol)
+        _check_against_direct(res, direct, tail, tol)
+
+
+def test_conductance_majorant_needs_a_positive_field():
+    model = IIDConductance(TWO_POINT)
+    assert model.ratio_majorant(0.0) is None
+    assert model.ratio_majorant(-0.1) is None
+    assert model.ratio_majorant(1e-300) is None   # e^-2lam rounds to 1
+
+
+def _runs(rho, length):
+    """Products of every run of `length` consecutive sites of a periodic
+    table of ratios."""
+    period = len(rho)
+    return [math.prod(rho[(a + j) % period] for j in range(length))
+            for a in range(period)]
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.8])
+@pytest.mark.parametrize("period", [1, 2, 3, 5])
+def test_periodic_majorant_against_exact_sums(period, lam):
+    rng = np.random.default_rng(period)
+    tol, bounded = 1e-10, 0
+    for _ in range(20):
+        omega = tuple(0.25 + 0.5 * rng.random(period))
+        rates = tuple((0.5 + 1.5 * rng.random(), 0.5 + 1.5 * rng.random())
+                      for _ in range(period))
+        for model in (PeriodicEnv(omega=omega), PeriodicEnv(rates=rates)):
+            found = model.ratio_majorant(lam)
+            rho = [model.rho_at(x) * math.exp(-2.0 * lam) for x in range(period)]
+            block = math.prod(rho)
+            if found is None:
+                assert block >= 1.0 - 1e-12
+                continue
+            bounded += 1
+            k, q, r = found
+            assert q ** period == pytest.approx(block, rel=1e-12)
+            for length in range(3 * period + 1):
+                assert max(_runs(rho, length)) <= k * q**length * (1 + 1e-12)
+            env = materialize(model, 0, (-2, 2))
+            if model.omega:
+                exact = exact_sbar_periodic(model, lam).value
+                res = sbar_quenched(env, lam, tol)
+            else:
+                assert r == min(rp for _, rp in rates)
+                exact = exact_tau1_periodic_continuous(model, lam)
+                res = shat_quenched(env, lam, tol)
+            assert res.converged and res.error_bound <= tol
+            assert abs(res.value - exact) <= res.error_bound + 1e-12 * exact
+    assert bounded >= 10
+
+
+def test_model_without_majorant_certifies_by_the_ratio_test():
+    model = IIDOmega(RHO_TWO_POINT)
+    assert not hasattr(model, "ratio_majorant")
+    env = materialize(model, 3, (-4, 4))
+    for fn in (sbar_quenched, u_quenched, v_quenched):
+        res = fn(env, 1.0, 1e-12)
+        # the ratio test needs `window` = 50 ratios behind its term
+        assert res.converged and res.terms_used > 50
+
+
+# ---------------------------------------------------------------------------
 # golden outputs: float.hex of (value, error_bound), status and terms_used,
 # recorded from the per-term evaluators; block evaluation must reproduce them
 # bit for bit
@@ -189,12 +332,17 @@ def _golden_cases():
     # regime: (discrete model, rate model, lam, tol, max_terms)
     regimes = {
         "converged": (omega, rates, 1.0, 1e-12, 10**6),
-        # single-site ratios 2 e^-0.1 > 1 defeat the ratio test (the
-        # continuous-time series still certify)
-        "inconclusive": (cond, rates, 0.05, 1e-10, 10**4),
+        # IIDOmega has no ratio majorant, and its single-site ratios
+        # 2 e^-0.1 > 1 defeat the ratio test; within 5000 terms its products
+        # do not yet underflow to 0.  The continuous-time series certifies by
+        # the ratio test: its ratios e^-0.1 are constant
+        "inconclusive": (omega, rates, 0.05, 1e-10, 5000),
+        # the same ratios on conductances: the model's majorant stops them
+        "majorant": (cond, rates, 0.1, 1e-10, 10**4),
         "diverged": (flat, flat_rates, 0.0, 1e-10, 10**4),
         "overflow": (cond, rates, -5.0, 1e-10, 10**4),
-        # products underflow to exactly 0 within three terms
+        # products underflow to exactly 0 within three terms; the rate
+        # series stops at its majorant's first term
         "underflow": (omega, rates, 200.0, 1e-10, 10**4),
     }
     cases = {}
@@ -223,29 +371,34 @@ def _golden_row(case):
 GOLDEN = {
     'lambda-converged': ('0x1.622acc5a8d4e7p+0', '0x1.6c708846dc669p-146', 'converged', 51),
     'lambda-diverged': ('inf', 'inf', 'diverged', 550),
-    'lambda-inconclusive': ('inf', 'inf', 'inconclusive', 10000),
+    'lambda-inconclusive': ('inf', 'inf', 'inconclusive', 5000),
+    'lambda-majorant': ('0x1.1590c2e3c2a39p+3', '0x1.50546e6383144p-33', 'converged', 128),
     'lambda-overflow': ('inf', 'inf', 'diverged', 65),
     'lambda-underflow': ('0x1.0000000000000p+0', '0x0.0p+0', 'converged', 2),
     'sbar-converged': ('0x1.2cb4668954826p+0', '0x1.509ba9f59b621p-148', 'converged', 51),
     'sbar-diverged': ('0x1.1300000000000p+10', 'inf', 'diverged', 550),
-    'sbar-inconclusive': ('0x1.ebe9277823c22p+4', 'inf', 'inconclusive', 10000),
+    'sbar-inconclusive': ('0x1.b8aabc8f77fd9p+2', 'inf', 'inconclusive', 5000),
+    'sbar-majorant': ('0x1.e58d1abdeb06cp+3', '0x1.7129d648182f0p-34', 'converged', 131),
     'sbar-overflow': ('0x1.af1bce264da7bp+937', 'inf', 'diverged', 65),
     'sbar-stop133': ('0x1.e95f6d8b3c291p+1', '0x1.37f65f550511ep-201', 'converged', 133),
     'sbar-stop134': ('0x1.e95f6d8b3c291p+1', '0x1.cb0ee652f5ee5p-204', 'converged', 134),
     'sbar-underflow': ('0x1.0000000000000p+0', '0x0.0p+0', 'converged', 3),
-    'shat-converged': ('0x1.b3ab8a78b90c3p-2', '0x1.87516f8dfbbc4p-149', 'converged', 51),
+    'shat-converged': ('0x1.b3ab8a78b7c10p-2', '0x1.4b3771e11092dp-41', 'converged', 14),
     'shat-diverged': ('0x1.1300000000000p+9', 'inf', 'diverged', 550),
     'shat-inconclusive': ('0x1.3fdde06a17903p+3', '0x1.99427f18ee948p-34', 'converged', 254),
+    'shat-majorant': ('0x1.3f77a033894efp+2', '0x1.7464f4643891bp-34', 'converged', 124),
     'shat-overflow': ('0x1.73cbbd1a57e5bp+930', 'inf', 'diverged', 65),
-    'shat-underflow': ('0x1.6061812054cfap-289', '0x0.0p+0', 'converged', 3),
+    'shat-underflow': ('0x1.6061812054cfap-289', '0x1.4dd4d0d133da1p-865', 'converged', 1),
     'u-converged': ('0x1.65a3344aa4133p-4', '0x1.55577f46014ffp-152', 'converged', 51),
     'u-diverged': ('0x1.1300000000000p+9', 'inf', 'diverged', 550),
-    'u-inconclusive': ('0x1.dbe9277823c24p+3', 'inf', 'inconclusive', 10000),
+    'u-inconclusive': ('0x1.78aabc8f77fd8p+1', 'inf', 'inconclusive', 5000),
+    'u-majorant': ('0x1.c58d1abde4362p+2', '0x1.71d9e37615902p-34', 'converged', 128),
     'u-overflow': ('0x1.af16cb75947cfp+937', 'inf', 'diverged', 65),
     'u-underflow': ('0x1.e50c483c04dcfp-579', '0x0.0p+0', 'converged', 2),
     'v-converged': ('0x1.2ee1bb3ab5b06p-2', '0x1.55577f46014ffp-146', 'converged', 51),
     'v-diverged': ('0x1.1300000000000p+9', 'inf', 'diverged', 550),
-    'v-inconclusive': ('0x1.f82752198ae73p+2', 'inf', 'inconclusive', 10000),
+    'v-inconclusive': ('0x1.514f8905e4cd7p+10', 'inf', 'inconclusive', 5000),
+    'v-majorant': ('0x1.e275b13fcf260p+1', '0x1.71d9e37615902p-34', 'converged', 128),
     'v-overflow': ('0x1.af144a1d38e34p+937', 'inf', 'diverged', 65),
     'v-stop132': ('0x1.fe7fb1b71a236p-3', '0x1.077ec323f4ecdp-189', 'converged', 132),
     'v-stop133': ('0x1.fe7fb1b71a236p-3', '0x1.83bce18881286p-190', 'converged', 133),
@@ -264,7 +417,7 @@ def test_quenched_series_golden(name):
 # ---------------------------------------------------------------------------
 
 def _scalar_certified_sum(terms, tol, max_terms=10**6, window=50,
-                          divergence_run=500):
+                          divergence_run=500, majorant=None):
     total = 0.0
     prev = None
     ratios = deque(maxlen=window)
@@ -278,6 +431,10 @@ def _scalar_certified_sum(terms, tol, max_terms=10**6, window=50,
             return SeriesValue(total, 0.0, "converged", n)
         if t > 1e280:
             return SeriesValue(total, math.inf, "diverged", n)
+        if majorant is not None:
+            bound = series._tail_bound(*majorant, n)
+            if bound <= tol:
+                return SeriesValue(total, bound, "converged", n)
         if prev is not None:
             ratios.append(t / prev)
         heights.append(t)
@@ -311,25 +468,49 @@ def _near_one_terms():
     return 1.0 + np.cumsum(steps)
 
 
+def _alternating(n, q=0.8, lift=1.5):
+    """q^i, times lift at odd i: ratios alternate q lift > 1 and q/lift, so
+    the ratio test never passes; term i is at most lift q^i."""
+    return q ** np.arange(float(n)) * np.where(np.arange(n) % 2, lift, 1.0)
+
+
 _RNG = np.random.default_rng(2)
-# name: (terms, tol, max_terms, window, divergence_run)
+# name: (terms, tol, max_terms, window, divergence_run, majorant)
 _EDGE_CASES = {
     "noisy-geometric": (np.exp(np.cumsum(np.log(0.8) + 0.05 * _RNG.standard_normal(4000))),
-                        1e-12, 10**6, 50, 500),
-    "run-across-blocks": (np.ones(2000), 1e-10, 10**6, 50, 500),
+                        1e-12, 10**6, 50, 500, None),
+    "run-across-blocks": (np.ones(2000), 1e-10, 10**6, 50, 500, None),
     "recurrent": (np.exp(np.cumsum(0.3 * _RNG.standard_normal(20_000))),
-                  1e-10, 20_000, 50, 500),
-    "budget-not-block-multiple": (0.99999 ** np.arange(5000), 1e-10, 700, 50, 500),
-    "overflow": (10.0 ** np.arange(300.0), 1e-10, 10**6, 50, 500),
-    "run-before-overflow": (10.0 ** np.arange(300.0), 1e-10, 10**6, 50, 5),
-    "underflow": (1e-30 ** np.arange(20.0), 1e-10, 10**6, 50, 500),
-    "near-one": (_near_one_terms(), 1e-10, 10**6, 50, 7),
+                  1e-10, 20_000, 50, 500, None),
+    "budget-not-block-multiple": (0.99999 ** np.arange(5000), 1e-10, 700, 50, 500,
+                                  None),
+    "overflow": (10.0 ** np.arange(300.0), 1e-10, 10**6, 50, 500, None),
+    "run-before-overflow": (10.0 ** np.arange(300.0), 1e-10, 10**6, 50, 5, None),
+    "underflow": (1e-30 ** np.arange(20.0), 1e-10, 10**6, 50, 500, None),
+    "near-one": (_near_one_terms(), 1e-10, 10**6, 50, 7, None),
     "small-window": (np.exp(np.cumsum(-0.01 + 0.02 * _RNG.standard_normal(5000))),
-                     1e-6, 10**6, 5, 3),
+                     1e-6, 10**6, 5, 3, None),
     "unit-window": (np.exp(np.cumsum(0.01 * _RNG.standard_normal(5000))),
-                    1e-6, 10**6, 1, 40),
-    "long-window": (0.97 ** np.arange(3000.0), 1e-12, 10**6, 120, 40),
-    "exhausted": (0.9 ** np.arange(30.0), 1e-10, 10**6, 50, 500),
+                    1e-6, 10**6, 1, 40, None),
+    "long-window": (0.97 ** np.arange(3000.0), 1e-12, 10**6, 120, 40, None),
+    "exhausted": (0.9 ** np.arange(30.0), 1e-10, 10**6, 50, 500, None),
+    # the majorant's stop term (tol = its bound at term 64 or 65) on the
+    # last term of the certifier's first block, on the first term of the
+    # next, and inside a block
+    "majorant-block-end": (_alternating(400), series._tail_bound(1.5, 0.8, 64), 10**6,
+                           50, 500, (1.5, 0.8)),
+    "majorant-next-block": (_alternating(400), series._tail_bound(1.5, 0.8, 65), 10**6,
+                            50, 500, (1.5, 0.8)),
+    "majorant-within-block": (_alternating(400), 1e-10, 10**6, 50, 500, (1.5, 0.8)),
+    "majorant-in-first-terms": (_alternating(400), 0.5, 10**6, 50, 500, (1.5, 0.8)),
+    # the ratio test stops first
+    "ratio-before-majorant": (0.5 ** np.arange(400.0), 1e-10, 10**6, 50, 500,
+                              (1e6, 0.9)),
+    # a majorant that does not hold: the divergence run stops first, or the
+    # stop comes before the run could reach its length
+    "run-before-majorant": (np.ones(3000), 1e-10, 10**6, 50, 500, (1e-3, 0.99)),
+    "majorant-before-run": (np.ones(3000), 1e-10, 10**6, 50, 500, (1e-3, 0.9)),
+    "majorant-past-budget": (_alternating(400), 1e-10, 90, 50, 500, (1.5, 0.8)),
 }
 
 
@@ -345,11 +526,11 @@ def test_near_one_case_reaches_the_scalar_power():
                                         (1000, 1000)])
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
 def test_block_certifier_matches_scalar_loop(name, first, most):
-    terms, tol, budget, window, run = _EDGE_CASES[name]
+    terms, tol, budget, window, run, majorant = _EDGE_CASES[name]
     want = _scalar_certified_sum((float(t) for t in terms), tol, budget,
-                                 window, run)
+                                 window, run, majorant)
     got = series._certify(_array_source(terms, first, most), tol, budget,
-                          window, run)
+                          window, run, majorant)
     assert _exact(got) == _exact(want)
     assert type(got.value) is float and type(got.error_bound) is float
 
