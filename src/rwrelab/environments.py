@@ -52,6 +52,7 @@ streams the same way.  A law with one atom draws no uniforms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,13 +114,31 @@ def _gap_from_uniform(u: np.ndarray, gamma: float) -> np.ndarray:
     return np.floor(v, out=v).astype(np.int64)
 
 
+# Largest m whose tau1 CDF value is tabled; P(tau1 > 64) is about 1e-4 at
+# gamma = 3, so nearly every draw reads the table only.
+_TAU1_TABLED = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _tau1_cdf(gamma: float) -> tuple[float, ...]:
+    """P(tau1 <= m) = 1 - zeta(gamma, m + 1)/zeta(gamma) for m = 0.._TAU1_TABLED,
+    computed once per gamma with the scalar operations of _tau1_from_uniform."""
+    z = zeta(gamma)
+    return tuple(1.0 - hurwitz_zeta(gamma, m + 1.0) / z
+                 for m in range(_TAU1_TABLED + 1))
+
+
 def _tau1_from_uniform(u: float, gamma: float) -> int:
     """Exact inverse CDF of the first point, P(tau1 = m) = m^-gamma / zeta:
     the smallest m >= 1 with 1 - zeta(gamma, m + 1)/zeta(gamma) >= u, found
-    by doubling from m = 1 and then bisection."""
+    by doubling from m = 1 and then bisection.  CDF values up to
+    _TAU1_TABLED are read from _tau1_cdf, the same bits as the zeta route."""
+    cdf = _tau1_cdf(gamma)
     z = zeta(gamma)
 
     def below(m: int) -> bool:   # whether P(tau1 <= m) < u
+        if m <= _TAU1_TABLED:
+            return cdf[m] < u
         return 1.0 - hurwitz_zeta(gamma, m + 1.0) / z < u
 
     hi = 1

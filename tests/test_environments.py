@@ -9,6 +9,7 @@ from scipy.special import zeta
 from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, RateEnv,
                      Renewal, RenewalPoints, ScalarDist, bias_rates, materialize,
                      sbar_quenched)
+from rwrelab import environments, special
 from rwrelab.environments import _tau1_from_uniform
 from rwrelab.rng import generator
 from rwrelab.walks import ensemble_continuous
@@ -472,3 +473,36 @@ def test_tau1_draw_is_the_smallest_m_whose_cdf_reaches_u(gamma):
         for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
             want = int(np.argmax(cdf >= u)) + 1
             assert _tau1_from_uniform(float(u), gamma) == want
+
+
+def _tau1_by_zeta(u: float, gamma: float) -> int:
+    # the draw with a Hurwitz-zeta call at every doubling and bisection step
+    z = special.zeta(gamma)
+
+    def below(m):
+        return 1.0 - special.hurwitz_zeta(gamma, m + 1.0) / z < u
+
+    hi = 1
+    while below(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0])
+def test_tau1_table_gives_the_zeta_route_bits(gamma):
+    # 1e4 uniforms, 200 more near 1 (draws past the table), and every tabled
+    # CDF value with its floating-point neighbours
+    rng = np.random.default_rng(int(gamma * 10))
+    u = np.concatenate((rng.random(10_000), 1.0 - 10.0 ** -rng.uniform(3, 12, 200)))
+    cdf = environments._tau1_cdf(gamma)
+    edges = [x for c in cdf[1:] for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    draws = [_tau1_from_uniform(float(x), gamma) for x in (*u, *edges)]
+    assert draws == [_tau1_by_zeta(float(x), gamma) for x in (*u, *edges)]
+    assert max(draws) > environments._TAU1_TABLED

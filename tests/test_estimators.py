@@ -15,13 +15,14 @@ from rwrelab import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv, Renewal,
                      sigma2_of_model, tau1_tail, rcm_discrete_taylor,
                      velocity_iid_omega, velocity_jump_probe,
                      velocity_of_model, velocity_rcm_discrete)
-from rwrelab import estimators
+from rwrelab import estimators, special
 from rwrelab.estimators import Estimate, ScalingFit, _run_ensemble
 from rwrelab.rng import generator
 
 TWO_POINT = ScalarDist.two_point(1.0, 2.0, 0.5)
 CONST = ScalarDist.constant(1.0)
 RHO_TWO_POINT = ScalarDist.two_point(0.5, 2.0, 0.5)
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +519,15 @@ def test_renewal_walks_agree_with_series_probe():
 
 # means and s.e.s of renewal_product_moment (10,000 replicas, seed 13) on
 # the renewal-scaling grid and on [0, 1, 2, 5, 50]; two of the replicas take
-# the direct big-jump sum past the prefix table
-GOLDEN_MOMENTS = "6c005ffb08cc22b29151d4e707d11963"
-# covers a fitted threshold slope, a v estimate and both exact classifications
-GOLDEN_PROBE = "349856f953f7b854765bff8dccd3595a"
+# the direct big-jump sum past the prefix table.  Both digests were recorded
+# again when the kernel tables became causal block products
+# (_causal_convolve), which add the same non-negative products in another
+# order: the s.e.s moved by at most 2.1e-15 relative, the means not at all.
+GOLDEN_MOMENTS = "86fd5877007d67bfdd3fd7a8c2340112"
+# covers a fitted threshold slope, a v estimate and both exact classifications;
+# with the causal block tables v's s.e. and the slope's s.e. moved by at most
+# 9.2e-16 relative, v and the slope not at all
+GOLDEN_PROBE = "6ce667e340453d508161f204dfcba719"
 
 
 @pytest.mark.filterwarnings("error")
@@ -542,6 +548,40 @@ def test_velocity_jump_probe_golden():
                                replicas=20_000, seed=5, i_max=128)
     digest = hashlib.blake2b(repr(rows).encode(), digest_size=16).hexdigest()
     assert digest == GOLDEN_PROBE
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 513, 10001])
+def test_causal_convolve_is_the_truncated_convolution(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), rng.random(n)
+    got = estimators._causal_convolve(a, b)
+    want = np.convolve(a, b)[:n]
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - want) <= 2 * n * EPS * want)
+    # small integers add up exactly in any order, so every block lands
+    # on the right output terms bit for bit
+    a, b = rng.integers(0, 10, n).astype(float), rng.integers(0, 10, n).astype(float)
+    assert np.array_equal(estimators._causal_convolve(a, b), np.convolve(a, b)[:n])
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 64, 10_000])
+def test_kernel_tables_within_their_rounding_bound(n_max):
+    # C = w*T and D = p*C against exactly rounded sums of their terms, at
+    # the renewal grid and the block edges: within (y + 1) eps relative
+    gamma = 3.0
+    p, c = estimators._moment_tables(gamma, n_max)
+    d = estimators._kernel_tables(p, c[None])[1][0]
+    y = np.arange(n_max + 1, dtype=float)
+    w = np.zeros(n_max + 1)
+    w[1:] = (y[1:] ** -gamma - 0.5 * p[1:]) / special.zeta(gamma)
+    t = (y + 1.0) ** -gamma
+    ys = [v for v in (0, 1, 63, 64, 65, 127, 128, 100, 178, 316, 562, 1000,
+                      1778, 3162, 5623, 10_000) if v <= n_max]
+    for v in ys:
+        want_c = math.fsum(w[:v + 1] * t[v::-1])
+        want_d = math.fsum(p[:v + 1] * c[v::-1])
+        assert abs(c[v] - want_c) <= (v + 1) * EPS * want_c
+        assert abs(d[v] - want_d) <= (v + 1) * EPS * want_d
 
 
 def _gaps_with_rare_rows():
