@@ -522,7 +522,7 @@ def test_renewal_walks_agree_with_series_probe():
 # the direct big-jump sum past the prefix table.  Both digests were recorded
 # again when the kernel tables became causal block products
 # (_causal_convolve), which add the same non-negative products in another
-# order: the s.e.s moved by at most 2.1e-15 relative, the means not at all.
+# order: the s.e.s moved by at most 1.3e-15 relative, the means not at all.
 GOLDEN_MOMENTS = "86fd5877007d67bfdd3fd7a8c2340112"
 # covers a fitted threshold slope, a v estimate and both exact classifications;
 # with the causal block tables v's s.e. and the slope's s.e. moved by at most
