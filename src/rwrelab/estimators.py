@@ -106,7 +106,11 @@ def velocity_of_model(model, lam: float) -> VelocityResult:
 
 
 def sigma2_of_model(model, lam: float) -> float | None:
-    """Closed-form diffusion coefficient where the package has one."""
+    """Closed-form diffusion coefficient where the package has one, None
+    where it has none.  For i.i.d. jump probabilities it is inf where
+    E[rho] e^{-2 lam} < 1 <= E[rho^2] e^{-4 lam}: there v > 0 but the
+    displacement's fluctuations are not Gaussian on the sqrt(n) scale
+    (Kesten, Kozlov & Spitzer 1975, Compositio Math. 30)."""
     if isinstance(model, IIDConductance) and model.time_flavor == "discrete":
         a, b = model.c.moment(1), model.c.moment(-1)
         if lam == 0:
@@ -114,6 +118,9 @@ def sigma2_of_model(model, lam: float) -> float | None:
         return sigma2_rcm(lam, a, b, model.c.moment(2), model.c.moment(-2)).sigma2
     if isinstance(model, IIDOmega):
         m1, m2 = model.rho.moment(1), model.rho.moment(2)
+        q = math.exp(-2.0 * lam)
+        if m1 * q < 1.0 <= m2 * q * q:
+            return math.inf
         try:
             return sigma2_iid_omega(lam, m1, m2).sigma2
         except ValueError:
@@ -267,8 +274,8 @@ def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
     plain sample variance, centred at the sample mean.
 
     v defaults to the model's closed-form velocity.  The KS diagnostic
-    standardizes Z by the closed-form diffusivity when available (otherwise
-    by the sample standard deviation).
+    standardizes Z by the closed-form diffusivity when it is available,
+    positive and finite (otherwise by the sample standard deviation).
     """
     if not n > 0:   # Z is divided by sqrt(n)
         raise ValueError("n must be positive")
@@ -286,7 +293,8 @@ def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
     se = math.sqrt(max(m4 - (m - 3) / (m - 1) * s2 * s2, 0.0) / m)
     plain = Estimate(s2, se, m, (s2 - 1.96 * se, s2 + 1.96 * se), excluded)
     sigma2_ref = sigma2_of_model(model, lam)
-    scale = math.sqrt(sigma2_ref) if sigma2_ref else float(z.std(ddof=1))
+    scale = math.sqrt(sigma2_ref) if sigma2_ref and math.isfinite(sigma2_ref) \
+        else float(z.std(ddof=1))
     return DiffusionResult(split, plain, _ks_to_normal(z / scale), float(v),
                            sigma2_ref)
 
@@ -391,6 +399,9 @@ _MOMENT_TERMS = 64
 _PREFIX_MAX = 64
 # Replicas sampled per block; bounds the working arrays, not the results.
 _MOMENT_CHUNK = 8192
+# Replica rows drawn at once into a block's gap table: 0.5 MB of uniforms,
+# so a chunk's temporaries stay in cache and a block peaks near its table.
+_GAP_ROWS = 1024
 # Block size of _causal_convolve.  64 was the fastest size tried at
 # n = 1e4 and keeps OpenBLAS's packing buffer, and so the peak RSS, small.
 _CONV_BLOCK = 64
@@ -470,13 +481,26 @@ def _exact_part(gamma: float, grid: np.ndarray, c) -> np.ndarray:
 
 def _gap_blocks(gamma: float, replicas: int, seed: int):
     """The renewal sampler: blocks of up to _MOMENT_CHUNK replicas, each a
-    row of _MOMENT_TERMS - 2 i.i.d. gaps.  A block of m replicas draws its
-    (m, _MOMENT_TERMS - 2) uniforms row by row and is returned as the
-    transpose of a C-ordered gap array, so each gap column is contiguous."""
+    row of _MOMENT_TERMS - 2 i.i.d. gaps, returned as the transpose of a
+    C-ordered (_MOMENT_TERMS - 2, m) table, so each gap column is contiguous.
+
+    The table is filled _GAP_ROWS replica rows at a time: each chunk of
+    uniforms is drawn row by row, in the order one (m, _MOMENT_TERMS - 2)
+    draw would take them, and its gaps are written into the table's columns.
+    So the gaps are the same integers as from one draw per block, while the
+    uniforms, 1 - u and the integer gaps are chunk-sized and stay in cache
+    rather than three block-sized arrays each passed over in memory: drawing
+    a block peaks at its table plus about three chunks, 1.4 times the
+    table's bytes at 8192 replicas."""
     rng = generator(seed, "renewal-moment")
     for done in range(0, replicas, _MOMENT_CHUNK):
         m = min(_MOMENT_CHUNK, replicas - done)
-        yield _gap_from_uniform(rng.random((m, _MOMENT_TERMS - 2)).T, gamma).T
+        table = np.empty((_MOMENT_TERMS - 2, m), dtype=np.int64)
+        for a in range(0, m, _GAP_ROWS):
+            b = min(a + _GAP_ROWS, m)
+            chunk = rng.random((b - a, _MOMENT_TERMS - 2))
+            table[:, a:b] = _gap_from_uniform(chunk.T, gamma)
+        yield table.T
 
 
 def _running_gaps(gaps: np.ndarray):

@@ -56,13 +56,18 @@ def test_eval_continuous_and_zero_window(capsys):
 
 def test_eval_iid_omega_sigma2_close_to_its_threshold(capsys):
     # sigma2 is finite for lam > log(E[rho^2])/4 = 0.1884 and is printed
-    # down to there (at 0.195 the column was empty before the closed form)
+    # down to there (at 0.195 the column was empty before the closed form);
+    # between lam_plus = 0.1116 and 0.1884, v > 0 and sigma2 is infinite;
+    # at or below lam_plus (v = 0) the column stays empty
     code, out, _ = run_cli(["eval", "--model", "iid-omega", "--dist",
-                            "two-point:0.5,2:0.5", "--lambda", "0.195"], capsys)
+                            "two-point:0.5,2:0.5", "--lambda", "0.1,0.15,0.195"],
+                           capsys)
     assert code == 0
     header, rows = parse_table(out)
-    row = dict(zip(header, rows[0]))
-    assert float(row["sigma2"]) == pytest.approx(24.368675856177235, rel=1e-12)
+    rows = [dict(zip(header, row)) for row in rows]
+    assert rows[0]["sigma2"] == ""
+    assert float(rows[1]["v"]) > 0 and rows[1]["sigma2"] == "inf"
+    assert float(rows[2]["sigma2"]) == pytest.approx(24.368675856177235, rel=1e-12)
 
 
 def test_eval_validation_error_exit_code(capsys):
@@ -107,6 +112,17 @@ def test_simulate_diffusion_split_and_plain(tmp_path, capsys):
     assert float(rows[0][header.index("std_error_plain")]) > 1e-4
     assert float(rows[0][header.index("variance")]) == pytest.approx(
         4 / (math.e + 1 / math.e) ** 2, rel=1e-9)
+
+
+def test_simulate_diffusion_prints_an_infinite_closed_form(capsys):
+    code, out, _ = run_cli(["simulate", "--kind", "diffusion", "--model",
+                            "iid-omega", "--dist", "two-point:0.5,2:0.5",
+                            "--lambda", "0.15", "--n", "200", "--replicas", "50",
+                            "--seed", "2"], capsys)
+    assert code == 0
+    header, rows = parse_table(out)
+    row = dict(zip(header, rows[0]))
+    assert row["sigma2_closed_form"] == "inf"
 
 
 def test_simulate_abort_rate_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,9 @@ def test_sigma2_of_model_dispatch():
         pytest.approx(1 / 1.125)
     assert sigma2_of_model(IIDOmega(ScalarDist.two_point(0.5, 2, 0.5)), 0.05) is None
     assert sigma2_of_model(Renewal(2.0, 3.0), 1.0) is None
+    # v > 0 but E[rho^2] e^{-4 lam} >= 1: an infinite diffusivity, not a
+    # missing one
+    assert sigma2_of_model(IIDOmega(RHO_TWO_POINT), 0.15) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,15 @@ def test_annealed_diffusion_symmetric_walk():
     assert abs(res.variance.mean - 1.0) < 4 * se
     assert res.ks_distance < 0.05
     assert res.sigma2_ref == pytest.approx(1.0)
+
+
+def test_annealed_diffusion_ks_with_an_infinite_diffusivity():
+    # between lam_plus and log(E[rho^2])/4, Z is standardized by its sample
+    # s.d.; dividing by sqrt(inf) would map every Z to 0, a distance of 1/2
+    res = annealed_diffusion(IIDOmega(RHO_TWO_POINT), 0.15, n=2000,
+                             replicas=2000, seed=3)
+    assert res.sigma2_ref == math.inf
+    assert 0 < res.ks_distance < 0.5
 
 
 def test_iid_omega_diffusivity_matches_closed_form():
@@ -628,15 +641,40 @@ def test_sweep_of_two_kernels_is_two_sweeps_of_one():
     assert np.array_equal(sums, alone)
 
 
+@pytest.mark.parametrize("gamma", [2.5, 3.0])
+@pytest.mark.parametrize("replicas", [2, 1023, 1024, 1025, 8192, 8193, 20_000])
+def test_gap_blocks_are_one_draw_of_gap_rows(replicas, gamma):
+    # filled in row chunks, the blocks stacked are the gaps of one
+    # (replicas, 62) draw bit for bit, each block gap-column contiguous
+    blocks = list(estimators._gap_blocks(gamma, replicas, 4))
+    rows = estimators._gap_from_uniform(
+        generator(4, "renewal-moment").random((replicas, estimators._MOMENT_TERMS - 2)),
+        gamma)
+    sizes = [min(estimators._MOMENT_CHUNK, replicas - done)
+             for done in range(0, replicas, estimators._MOMENT_CHUNK)]
+    assert [b.shape for b in blocks] == [(m, estimators._MOMENT_TERMS - 2) for m in sizes]
+    assert all(b.dtype == np.int64 and b.flags.f_contiguous for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), rows)
+
+
+def test_gap_block_peak_memory_stays_near_its_table():
+    # the uniforms and their transforms are chunk-sized, so drawing a full
+    # block peaks well below two of its tables; one block-sized draw of
+    # uniforms would hold three
+    tracemalloc.start()
+    try:
+        block = next(estimators._gap_blocks(3.0, estimators._MOMENT_CHUNK, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape[0] == estimators._MOMENT_CHUNK
+    assert peak < 2 * block.nbytes
+
+
 @pytest.mark.filterwarnings("error")
 def test_sweep_does_not_depend_on_the_gap_layout():
-    # _gap_blocks yields the C-ordered rows' values with each gap column
-    # contiguous; the sweep gives the same bits on either layout
-    block = next(estimators._gap_blocks(3.0, 1000, 1))
-    rows = estimators._gap_from_uniform(
-        generator(1, "renewal-moment").random((1000, estimators._MOMENT_TERMS - 2)), 3.0)
-    assert block.flags.f_contiguous and not block.flags.c_contiguous
-    assert rows.flags.c_contiguous and np.array_equal(block, rows)
+    # the sweep gives the same bits on C-ordered rows and on the
+    # column-contiguous blocks that _gap_blocks yields
     n_max = 300
     p, c = estimators._moment_tables(3.0, n_max)
     tables = estimators._kernel_tables(p, c[None])
