@@ -490,8 +490,8 @@ def _gap_blocks(gamma: float, replicas: int, seed: int):
     So the gaps are the same integers as from one draw per block, while the
     uniforms, 1 - u and the integer gaps are chunk-sized and stay in cache
     rather than three block-sized arrays each passed over in memory: drawing
-    a block peaks at its table plus about three chunks, 1.4 times the
-    table's bytes at 8192 replicas."""
+    a block peaks at its table plus about three chunks, 1.4-1.55 times the
+    table's bytes at 8192 replicas (tracemalloc)."""
     rng = generator(seed, "renewal-moment")
     for done in range(0, replicas, _MOMENT_CHUNK):
         m = min(_MOMENT_CHUNK, replicas - done)
