@@ -338,6 +338,14 @@ def sigma2_iid_omega(lam: float, m1: float, m2: float) -> DiffusivityBreakdown:
                                 e_u, e_u2, e_vu, e_vu2)
 
 
+def reflection_sign(rho: ScalarDist, lam: float) -> int:
+    """-1 where an i.i.d. jump-ratio walk is ballistic to the left,
+    E[1/rho] e^{2 lam} < 1, else 1.  The law at s lam with moments
+    E[rho^(s k)] then drifts right wherever the walk is ballistic: for s = -1
+    it is the reflected law (rho -> 1/rho at -lam), whose walk is -X."""
+    return -1 if rho.moment(-1) * math.exp(2.0 * lam) < 1.0 else 1
+
+
 # ---------------------------------------------------------------------------
 # CLT condition check
 # ---------------------------------------------------------------------------
@@ -354,17 +362,21 @@ class CltCheck:
 def check_clt_condition(model, lam: float, eps: float) -> CltCheck:
     """Sufficient conditions for the annealed CLT with some moment slack eps.
 
-    i.i.d. jump probabilities: requires E[rho^(2+eps)] < e^(2 lam (2+eps)),
-    which dominates the whole chain of product-moment conditions.  i.i.d.
-    conductances: requires finite E[c^(2+eps)], E[c^-(2+eps)] and lam != 0.
+    i.i.d. jump probabilities: requires E[rho^(2+eps)] < e^(2 lam (2+eps)) of
+    the law that drifts right (``reflection_sign``), which dominates the
+    whole chain of product-moment conditions.  i.i.d. conductances: requires
+    finite E[c^(2+eps)], E[c^-(2+eps)] and lam != 0.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if isinstance(model, IIDOmega):
-        m = model.rho.moment(2.0 + eps)
-        bound = math.exp(2.0 * lam * (2.0 + eps))
+        s = reflection_sign(model.rho, lam)
+        m = model.rho.moment(s * (2.0 + eps))
+        bound = math.exp(2.0 * (s * lam) * (2.0 + eps))
         ok = m < bound
-        return CltCheck(ok, None if ok else "E[rho^(2+eps)] < e^(2 lam (2+eps))",
+        condition = ("E[rho^(2+eps)] < e^(2 lam (2+eps))" if s == 1
+                     else "E[rho^-(2+eps)] < e^(-2 lam (2+eps))")
+        return CltCheck(ok, None if ok else condition,
                         {"moment": m, "bound": bound, "lam": lam, "eps": eps})
     if isinstance(model, IIDConductance):
         mp = model.c.moment(2.0 + eps)

@@ -29,7 +29,7 @@ class ScalarDist:
     weights: tuple[float, ...] = ()
     lo: float = 0.0
     hi: float = 0.0
-    _cum: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    _cum: tuple = field(default=(), init=False, repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -99,12 +99,6 @@ class ScalarDist:
             lo, hi = self.lo, self.hi
             return (hi * (math.log(hi) - 1) - lo * (math.log(lo) - 1)) / (hi - lo)
         return float(sum(w * math.log(v) for v, w in zip(self.atoms, self.weights)))
-
-    @property
-    def is_degenerate(self) -> bool:
-        if self.kind == "uniform":
-            return False
-        return len([w for w in self.weights if w > 0]) == 1
 
     def support_bounds(self) -> tuple[float, float]:
         if self.kind == "uniform":

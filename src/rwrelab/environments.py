@@ -330,7 +330,7 @@ class IIDOmega:
     """i.i.d. jump-probability environment given through the law of rho_0."""
 
     rho: ScalarDist
-    tag: str = "iid-omega"
+    tag = "iid-omega"   # not a field: the key of the model's streams
     time_flavor = "discrete"   # not a field: the law gives omega+, not rates
 
     def _codes(self, draws, lo: int, hi: int) -> tuple:
@@ -358,7 +358,7 @@ class IIDConductance:
 
     c: ScalarDist
     time_flavor: str = "discrete"
-    tag: str = "iid-conductance"
+    tag = "iid-conductance"   # not a field: the key of the model's streams
 
     def __post_init__(self):
         if self.time_flavor not in ("discrete", "continuous"):
@@ -401,7 +401,7 @@ class Renewal:
     a: float
     gamma: float
     time_flavor: str = "discrete"
-    tag: str = "renewal"
+    tag = "renewal"   # not a field: RenewalPoints keys the streams
 
     def __post_init__(self):
         if not self.a > 0:
@@ -439,7 +439,7 @@ class CoinFlip:
 
     a_plus: ScalarDist
     a_minus: ScalarDist
-    tag: str = "coinflip"
+    tag = "coinflip"   # not a field: the key of the model's streams
     time_flavor = "continuous"   # not a field: velocity_coinflip is continuous-time
 
     def _sites(self, draws, lo: int, hi: int, sample, members) -> tuple:
@@ -507,7 +507,7 @@ class PeriodicEnv:
 
     omega: tuple[float, ...] = ()
     rates: tuple[tuple[float, float], ...] = ()
-    tag: str = "periodic"
+    tag = "periodic"   # not a field: the model draws nothing
 
     def __post_init__(self):
         if bool(self.omega) == bool(self.rates):
@@ -590,7 +590,7 @@ class _Reflected:
 
     base: object
     rates: bool
-    tag: str = "reflected"
+    tag = "reflected"   # not a field: the base model's streams are read
 
     def _flipped(self, fields: tuple) -> tuple:
         return (fields[1], fields[0]) if self.rates else (1.0 - fields[0],)

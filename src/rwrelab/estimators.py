@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .closed_forms import (VelocityResult, sigma2_iid_omega, sigma2_rcm,
-                           sigma2_rcm_at_zero, velocity_coinflip,
+from .closed_forms import (VelocityResult, reflection_sign, sigma2_iid_omega,
+                           sigma2_rcm, sigma2_rcm_at_zero, velocity_coinflip,
                            velocity_iid_omega, velocity_rcm_continuous,
                            velocity_rcm_discrete)
 from .environments import (CoinFlip, IIDConductance, IIDOmega, PeriodicEnv,
@@ -107,17 +107,19 @@ def velocity_of_model(model, lam: float) -> VelocityResult:
 
 def sigma2_of_model(model, lam: float) -> float | None:
     """Closed-form diffusion coefficient where the package has one, None
-    where it has none.  For i.i.d. jump probabilities it is inf where
-    E[rho] e^{-2 lam} < 1 <= E[rho^2] e^{-4 lam}: there v > 0 but the
-    displacement's fluctuations are not Gaussian on the sqrt(n) scale
-    (Kesten, Kozlov & Spitzer 1975, Compositio Math. 30)."""
+    where it has none.  For i.i.d. jump probabilities it is that of the law
+    that drifts right (``reflection_sign``), None at zero speed, and inf where
+    E[rho] e^{-2 lam} < 1 <= E[rho^2] e^{-4 lam} for that law: there |v| > 0
+    but the fluctuations are not Gaussian on the sqrt(n) scale (Kesten,
+    Kozlov & Spitzer 1975, Compositio Math. 30)."""
     if isinstance(model, IIDConductance) and model.time_flavor == "discrete":
         a, b = model.c.moment(1), model.c.moment(-1)
         if lam == 0:
             return sigma2_rcm_at_zero(a, b)
         return sigma2_rcm(lam, a, b, model.c.moment(2), model.c.moment(-2)).sigma2
     if isinstance(model, IIDOmega):
-        m1, m2 = model.rho.moment(1), model.rho.moment(2)
+        s = reflection_sign(model.rho, lam)
+        lam, m1, m2 = s * lam, model.rho.moment(s), model.rho.moment(2 * s)
         q = math.exp(-2.0 * lam)
         if m1 * q < 1.0 <= m2 * q * q:
             return math.inf
@@ -258,7 +260,7 @@ def _split_samples(res: EnsembleResult, centre: float) -> tuple[np.ndarray, floa
 
 
 def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
-                       v: float | None = None, workers: int = 1) -> DiffusionResult:
+                       workers: int = 1) -> DiffusionResult:
     """E[Z^2], Z = (X_n - v n)/sqrt(n), over fresh environments, split into
     the walk's compensator and martingale parts.
 
@@ -273,14 +275,13 @@ def annealed_diffusion(model, lam: float, n: int, replicas: int, seed: int, *,
     deterministic law it is exact up to rounding.  sample_variance is Z's
     plain sample variance, centred at the sample mean.
 
-    v defaults to the model's closed-form velocity.  The KS diagnostic
+    v is the model's closed-form velocity.  The KS diagnostic
     standardizes Z by the closed-form diffusivity when it is available,
     positive and finite (otherwise by the sample standard deviation).
     """
     if not n > 0:   # Z is divided by sqrt(n)
         raise ValueError("n must be positive")
-    if v is None:
-        v = velocity_of_model(model, lam).v
+    v = velocity_of_model(model, lam).v
     res = _run_ensemble(model, lam, replicas, seed, n=n, workers=workers,
                         variation=True)
     excluded = int(res.aborted.sum())
@@ -742,13 +743,15 @@ def velocity_jump_probe(a: float, gamma: float, lam_grid, replicas: int,
 # first-passage ensemble (Lemma-B.1-style identities)
 # ---------------------------------------------------------------------------
 
-def annealed_tau1(model, lam: float, replicas: int, seed: int, *,
-                  jump_budget: int = 10**6) -> Estimate:
+_TAU1_JUMP_BUDGET = 10**6   # jumps before annealed_tau1 aborts a walk
+
+
+def annealed_tau1(model, lam: float, replicas: int, seed: int) -> Estimate:
     """Mean first-passage time to site 1 for continuous-time walks over fresh
-    environments; matches the annealed crossing-series mean in the ballistic
-    regime."""
+    environments (a walk past _TAU1_JUMP_BUDGET jumps is excluded); matches
+    the annealed crossing-series mean in the ballistic regime."""
     res = _run_ensemble(model, lam, replicas, seed, horizon=math.inf,
-                        target_level=1, jump_budget=jump_budget)
+                        target_level=1, jump_budget=_TAU1_JUMP_BUDGET)
     ok = ~res.aborted & np.isfinite(res.values)
     return Estimate.from_samples(res.values[ok],
                                  excluded=int(replicas - ok.sum()))

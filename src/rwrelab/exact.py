@@ -21,8 +21,6 @@ from .environments import DiscreteEnv, PeriodicEnv, bias_omega
 from .series import CONVERGED, DIVERGED, SeriesValue
 from .special import hurwitz_zeta, zeta
 
-_DP_MAX_STEPS = 40
-
 
 @dataclass(frozen=True)
 class WalkDistribution:
@@ -44,10 +42,12 @@ class WalkDistribution:
 
 
 def exact_walk_distribution(env, lam: float, n: int) -> WalkDistribution:
-    """Dynamic programming over site probabilities; n <= 40 keeps the exact
-    arithmetic well conditioned in double precision."""
-    if not 0 <= n <= _DP_MAX_STEPS:
-        raise ValueError(f"exact distribution supports 0 <= n <= {_DP_MAX_STEPS}")
+    """Dynamic programming over site probabilities, for any n >= 0.  It adds
+    only non-negative products, so each mass's relative rounding grows like
+    n eps (Higham 2002, Accuracy and Stability of Numerical Algorithms,
+    section 4)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if isinstance(env, PeriodicEnv):
         w = np.array([env.omega_plus_at(x) for x in range(-n, n + 1)])
     elif isinstance(env, DiscreteEnv):

@@ -26,8 +26,8 @@ after the first sweep is one sweep.  A block reads each stream's uniforms
 in one call (``BlockUniforms.rows``).  Discrete lanes step in place; a
 continuous step writes the lanes' table indices to a row of the block's
 buffer, and after the block each lane's stop (horizon, target) is resolved
-from the rows.  Each block checks that no lane left its own row of the
-tables.  A continuous step runs only the jump chain; holding times, clocks
+from the rows.  Each block checks that every lane stayed inside the window of
+the site-major tables.  A continuous step runs only the jump chain; holding times, clocks
 and the compensator sums are settled once per block, adding in the order of
 one add per jump, so the results are those of stepping one jump at a time.
 
@@ -103,17 +103,18 @@ class _Tables:
     """Biased site tables of the replicas in rows over one window [lo, hi].
 
     The fields are omega+(lam) in discrete time, and the total rate and
-    p+ = r+/(r- + r+) at lam in continuous time.  Row k is the environment
-    of replica rows[k], from one source of the model's fields held for the
-    ensemble's lifetime.  A shared environment (shared_env, a DiscreteEnv
-    in discrete time and a RateEnv in continuous time) is read the same way,
-    from the source of its own model, seed and replica: the tables then have
-    one row, which every lane reads, and the realization itself is not
-    read.  A finite-support law's table holds one uint8 code per
-    site, and each build a lookup table (LUT) of the fields per code, made
-    by the same formulas from the law's per-code values, so lut[codes] is
-    the fields bit for bit.  Other laws (``uniform:`` ones, those with more
-    than 256 codes) keep the fields per site, and a LUT of None.
+    p+ = r+/(r- + r+) at lam in continuous time, site-major: (width x
+    height), a site's rows adjacent.  Row k is the environment of replica
+    rows[k], from one source of the model's fields held for the ensemble's
+    lifetime.  A shared environment (shared_env, a DiscreteEnv in discrete
+    time and a RateEnv in continuous time) is read the same way, from the
+    source of its own model, seed and replica: the tables then have height
+    1, a row that every lane reads, and the realization itself is not read.
+    A finite-support law's table holds one uint8 code per site, and each
+    build a lookup table (LUT) of the fields per code, made by the same
+    formulas from the law's per-code values, so lut[codes] is the fields
+    bit for bit.  Other laws (``uniform:`` ones, those with more than 256
+    codes) keep the fields per site, and a LUT of None.
     """
 
     model: object
@@ -132,11 +133,7 @@ class _Tables:
                                  f"not {type(env).__name__}")
             model, seed, rows = env.model, env.seed, range(env.replica, env.replica + 1)
         self._source = field_source(model, seed, rows, self.rates)
-        self._height = len(rows)
-
-    @property
-    def fields(self) -> int:
-        return 2 if self.rates else 1
+        self.height = len(rows)
 
     def _biased(self, sites) -> tuple:
         if self.rates:
@@ -146,38 +143,33 @@ class _Tables:
         return bias_omega(*sites, self.lam)[1:]
 
     def build(self, lo: int, hi: int, old=None):
-        """(table, lut, offsets): the window's flat per-site arrays (the
-        codes, or the fields if lut is None), the fields per code, and the
-        offset of each lane's row in the table.
+        """(table, lut): the window's flat per-site arrays (the codes, or
+        the fields if lut is None), site-major, and the fields per code.
+        Site x of row k is at (x - lo) height + k.
 
         old, the (table, lo, hi) of an earlier build, lends the sites it
-        holds; only the others are drawn."""
-        m = self._height
+        holds, one contiguous slice per field; only the others are drawn."""
+        m = self.height
         values, blocks = self._source
         lut = None if values is None else self._biased(values)
         width = hi - lo + 1
-        table = ([np.empty((m, width), dtype=np.uint8)] if lut is not None
-                 else [np.empty((m, width)) for _ in range(self.fields)])
+        table = ([np.empty((width, m), dtype=np.uint8)] if lut is not None
+                 else [np.empty((width, m)) for _ in range(2 if self.rates else 1)])
         parts = [(lo, hi)]
         if old is not None:
             held, olo, ohi = old
             a, b = max(lo, olo), min(hi, ohi)
             if a <= b:
                 for f, flat in zip(table, held):
-                    f[:, a - lo:b - lo + 1] = flat.reshape(m, -1)[:, a - olo:b - olo + 1]
+                    f[a - lo:b - lo + 1] = flat.reshape(-1, m)[a - olo:b - olo + 1]
                 parts = [(lo, a - 1), (b + 1, hi)]
         for plo, phi in parts:
             if plo > phi:
                 continue
             for blk, sites in blocks(plo, phi):
                 for f, v in zip(table, sites if lut is not None else self._biased(sites)):
-                    f[blk, plo - lo:phi - lo + 1] = v
-        # lane k reads row k, or the one row of a shared environment
-        offsets = np.arange(len(self.rows), dtype=np.int64) % m * width
-        return [f.ravel() for f in table], lut, offsets
-
-
-_STEP = np.array([-1, 1])   # a lane's move, by whether it steps right
+                    f[plo - lo:phi - lo + 1, blk] = v.T
+        return [f.ravel() for f in table], lut
 
 
 def _column_sums(stack: np.ndarray) -> np.ndarray:
@@ -193,21 +185,24 @@ def _column_sums(stack: np.ndarray) -> np.ndarray:
 class _Lanes:
     """Replica lanes stepped one block at a time: what both rules share.
 
-    A lane is held as its flat index into the site tables (position = index
-    - the offset of its row + lo).  A block runs the steps from k0 to k1, as
-    ``_walk`` sets them; lanes stopped before the block do not move.  `end`
-    is where a rule's run ends: a step count, a horizon, or None for a run
-    to a target.
+    A lane is held as its flat index into the site tables: lane k reads
+    column k % height, at position index // height + lo, and a step adds
+    -height or +height (step.take(right)).  A block runs the steps from k0
+    to k1, as ``_walk`` sets them; lanes stopped before the block do not
+    move.  `end` is where a rule's run ends: a step count, a horizon, or
+    None for a run to a target.
 
-    Once per block every lane at every step must have stayed inside its own
-    row of the tables, or the block raises (``_check``); that is stronger
-    than mode="raise", which sees only the ends of the flat table.
+    Once per block every lane at every step must have stayed inside the
+    tables, or the block raises (``_check``); mode="raise" would wrap a
+    negative index.
     """
 
     steps = math.inf
 
-    def __init__(self, rows: range):
+    def __init__(self, rows: range, height: int):
         m = len(rows)
+        self.height, self.column = height, np.arange(m) % height
+        self.step = np.array([-height, height])
         self.active = np.ones(m, dtype=bool)
         self.all_moving = True
         self._bbuf = np.empty(m, dtype=bool)
@@ -217,20 +212,18 @@ class _Lanes:
             self.active &= ~lanes
             self.all_moving = False
 
-    def rebase(self, table, lut, offsets, lo, hi, pos) -> None:
+    def rebase(self, table, lut, lo, pos) -> None:
         self.codes, self.fields = (None, table) if lut is None else (table[0], lut)
-        self.offsets, self.lo, self.span = offsets, lo, hi - lo
-        self.gidx = offsets - lo + pos
+        self.lo, self.size = lo, len(table[0])
+        self.gidx = (pos - lo) * self.height + self.column
 
     def positions(self) -> np.ndarray:
-        return self.gidx - self.offsets + self.lo
+        return self.gidx // self.height + self.lo
 
     def _check(self, rows: np.ndarray) -> None:
-        """Raise unless each lane's indices in rows are within its own row of
-        the tables."""
-        if ((rows.min(axis=0) < self.offsets).any()
-                or (rows.max(axis=0) > self.offsets + self.span).any()):
-            raise IndexError("a lane left its row of the site tables")
+        """Raise unless every index in rows is within the tables."""
+        if rows.min() < 0 or rows.max() >= self.size:
+            raise IndexError("a lane left the window of the site tables")
 
 
 class _DiscreteLanes(_Lanes):
@@ -241,14 +234,14 @@ class _DiscreteLanes(_Lanes):
     `variation` p2sum their squares (two more array operations per step,
     so only where asked for).  The lanes step in place, gathering with
     mode="raise", so an ensemble of many lanes holds one row of them, not a
-    block; the block checks their rows at its end."""
+    block; the block checks the lanes' indices at its end."""
 
-    def __init__(self, seed, rows: range, steps: int, variation: bool = False):
-        super().__init__(rows)
+    def __init__(self, seed, rows: range, height: int, steps: int,
+                 variation: bool = False):
+        super().__init__(rows, height)
         m = len(rows)
         self.steps = self.end = steps
         self.uni = BlockUniforms(seed, ("walk",), rows.start, m)
-        self.sbuf = np.empty(m, dtype=np.int64)
         self.psum = np.zeros(m)
         self.p2sum = np.zeros(m) if variation else None
         self._p2 = np.empty(m) if variation else None
@@ -285,18 +278,14 @@ class _DiscreteLanes(_Lanes):
                 if p2sum is not None:
                     np.multiply(p, p, out=p2)
                     p2sum += p2
-                np.add(gidx, bbuf, out=gidx, casting="unsafe")
-                np.add(gidx, bbuf, out=gidx, casting="unsafe")
-                gidx -= 1
+                gidx += self.step.take(bbuf)
             else:
                 np.add(self.psum, p, out=self.psum, where=self.active)
                 if p2sum is not None:
                     np.multiply(p, p, out=p2)
                     np.add(p2sum, p2, out=p2sum, where=self.active)
-                np.subtract(bbuf.astype(np.int64) * 2, 1, out=self.sbuf)
-                self.sbuf *= self.active
-                np.add(gidx, self.sbuf, out=gidx)
-        self._check(gidx[None])
+                gidx += self.step.take(bbuf) * self.active
+        self._check(gidx)
         return len(U)
 
 
@@ -328,9 +317,9 @@ class _ContinuousLanes(_Lanes):
     within the horizon, so it made at most seen + _CHECK_EVERY jumps.
     """
 
-    def __init__(self, seed, rows: range, horizon: float | None,
+    def __init__(self, seed, rows: range, height: int, horizon: float | None,
                  target: int | None):
-        super().__init__(rows)
+        super().__init__(rows, height)
         m = len(rows)
         self.horizon = self.end = horizon
         self.target = target
@@ -358,11 +347,11 @@ class _ContinuousLanes(_Lanes):
     def running(self, k: int) -> bool:
         return np.count_nonzero(self.active) > 0   # a third of any()'s cost
 
-    def rebase(self, table, lut, offsets, lo, hi, pos) -> None:
-        super().rebase(table, lut, offsets, lo, hi, pos)
+    def rebase(self, table, lut, lo, pos) -> None:
+        super().rebase(table, lut, lo, pos)
         self.total, self.wplus = self.fields
         if self.target is not None:
-            self.goal = offsets - lo + self.target
+            self.goal = (self.target - lo) * self.height + self.column
 
     def clock(self, k: int) -> np.ndarray:
         return self.t
@@ -427,7 +416,7 @@ class _ContinuousLanes(_Lanes):
             wplus.take(g if codes is None else codes.take(g, out=Cs[j], mode="clip"),
                        out=p, mode="clip")
             np.less_equal(u, p, out=right)
-            np.add(g, _STEP.take(right), out=Gs[j + 1])
+            np.add(g, self.step.take(right), out=Gs[j + 1])
             if still is not None:
                 np.copyto(Gs[j + 1], g, where=still)
             if self._all_arrived(j + 1):
@@ -506,12 +495,12 @@ def _walk(rule, tables: _Tables, window: tuple[int, int], range_cap: int,
     rows = tables.rows
     aborted = np.zeros(len(rows), dtype=bool)
     lo, hi = window
-    table, lut, offsets = tables.build(lo, hi)
+    table, lut = tables.build(lo, hi)
     # the lanes' buffers come after the first build: allocated before it,
     # annealed_tau1's 1e4 lanes, most stopping within a few jumps, measured
     # about 20% slower
-    lanes = rule(tables.seed, rows)
-    lanes.rebase(table, lut, offsets, lo, hi, 0)
+    lanes = rule(tables.seed, rows, tables.height)
+    lanes.rebase(table, lut, lo, 0)
     k = 0
     while lanes.running(k):
         stop = min(k - k % _CHECK_EVERY + _CHECK_EVERY, 2 * k + _FIRST_BLOCK,
@@ -538,9 +527,9 @@ def _walk(rule, tables: _Tables, window: tuple[int, int], range_cap: int,
                       if right else min(hi, mx + slack))
             new_lo, new_hi = max(new_lo, -range_cap - 1), min(new_hi, range_cap + 1)
             if new_lo < lo or new_hi > hi:   # not when held at the range cap
-                table, lut, offsets = tables.build(new_lo, new_hi, (table, lo, hi))
+                table, lut = tables.build(new_lo, new_hi, (table, lo, hi))
                 lo, hi = new_lo, new_hi
-                lanes.rebase(table, lut, offsets, lo, hi, pos)
+                lanes.rebase(table, lut, lo, pos)
     return EnsembleResult(lanes.positions(), aborted, len(rows), elapsed,
                           **lanes.outputs())
 

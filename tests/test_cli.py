@@ -70,6 +70,24 @@ def test_eval_iid_omega_sigma2_close_to_its_threshold(capsys):
     assert float(rows[2]["sigma2"]) == pytest.approx(24.368675856177235, rel=1e-12)
 
 
+def test_eval_iid_omega_sigma2_on_the_left_half_line(capsys):
+    # the reflected law (rho -> 1/rho at -lam) gives sigma2 left of lam_minus:
+    # on {1/2, 3}, sigma2_iid_omega(0.5, E[1/rho], E[1/rho^2]) at -0.5; on
+    # {1/2, 2} the sigma2 = inf window mirrors the right one
+    code, out, _ = run_cli(["eval", "--model", "iid-omega", "--dist",
+                            "two-point:0.5,3:0.5", "--lambda=-0.5"], capsys)
+    assert code == 0
+    header, rows = parse_table(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["v"]) < 0 and row["sigma2"] == "1.3504435112017639"
+    code, out, _ = run_cli(["eval", "--model", "iid-omega", "--dist",
+                            "two-point:0.5,2:0.5", "--lambda=-0.15,-0.1,0.15"],
+                           capsys)
+    assert code == 0
+    header, rows = parse_table(out)
+    assert [dict(zip(header, r))["sigma2"] for r in rows] == ["inf", "", "inf"]
+
+
 def test_eval_validation_error_exit_code(capsys):
     code, _, err = run_cli(["eval", "--model", "rcm-discrete", "--dist",
                             "gauss:0,1", "--lambda", "1"], capsys)

@@ -348,6 +348,19 @@ def test_clt_condition_iid_omega_threshold():
     assert not res.passed and res.failed_condition is not None
 
 
+def test_clt_condition_on_the_left_half_line():
+    # the left side tests the reflected law: E[rho^-(2+eps)] < e^(-2 lam (2+eps))
+    model = IIDOmega(ScalarDist.two_point(0.5, 2.0, 0.5))
+    left, right = (check_clt_condition(model, lam, 0.1) for lam in (-0.3, 0.3))
+    assert left.passed and right.passed
+    assert left.details["moment"] == right.details["moment"]   # rho ~ 1/rho
+    res = check_clt_condition(model, -0.15, 0.1)   # the sigma2 = inf window
+    assert not res.passed
+    assert res.failed_condition == "E[rho^-(2+eps)] < e^(-2 lam (2+eps))"
+    res = check_clt_condition(model, 0.0, 0.1)     # zero speed
+    assert res.failed_condition == "E[rho^(2+eps)] < e^(2 lam (2+eps))"
+
+
 def test_clt_condition_trivial_and_conductance():
     const = IIDOmega(ScalarDist.constant(1.0))
     assert check_clt_condition(const, 0.01, 0.5).passed

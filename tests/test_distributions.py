@@ -43,8 +43,6 @@ def test_empirical_and_constant():
     d = ScalarDist.empirical([1.0, 2.0, 4.0], [0.25, 0.5, 0.25])
     assert d.moment(1) == 0.25 + 1.0 + 1.0
     assert ScalarDist.constant(3.0).moment(-1) == pytest.approx(1 / 3)
-    assert ScalarDist.constant(3.0).is_degenerate
-    assert not d.is_degenerate
 
 
 def test_validation_rejects_bad_input():

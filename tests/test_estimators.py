@@ -248,6 +248,17 @@ def test_iid_omega_diffusivity_matches_closed_form():
         assert abs(res.variance.mean - ref) <= 3 * res.variance.std_error
 
 
+def test_iid_omega_diffusivity_on_the_left_half_line():
+    # on an asymmetric law the left half-line is not the mirror of the right
+    # one: sigma2 at -0.5 is the reflected law's (rho -> 1/rho) at +0.5
+    rho = ScalarDist.two_point(0.5, 3.0, 0.5)
+    res = annealed_diffusion(IIDOmega(rho), -0.5, n=16000, replicas=2000, seed=3)
+    ref = sigma2_iid_omega(0.5, rho.moment(-1), rho.moment(-2)).sigma2
+    assert res.sigma2_ref == ref == pytest.approx(1.3504435112017639, rel=1e-12)
+    assert res.variance.excluded == 0
+    assert abs(res.variance.mean - ref) <= 3 * res.variance.std_error
+
+
 def test_split_second_moment_matches_exact_law():
     # E[M_n^2] = E[Q_n] holds quenched: on one environment the mean of the
     # split samples is the exact law's E[(X_n - c)^2]/n for any centre c

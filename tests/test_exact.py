@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwrelab import (IIDConductance, PeriodicEnv, ScalarDist,
-                     annealed_velocity, exact_sbar_periodic,
+                     annealed_velocity, bias_omega, exact_sbar_periodic,
                      exact_tau1_periodic_continuous, exact_walk_distribution,
                      materialize, sbar_quenched, shat_quenched,
                      velocity_periodic)
@@ -48,9 +48,20 @@ def test_dp_mean_approaches_velocity():
     assert dist.variance() > 0
 
 
-def test_dp_step_cap():
+def test_dp_long_walk():
+    # no step cap: the DP adds only non-negative products, so at n = 2000 on
+    # constant conductances (a simple walk with p = omega+(0.3)) its mass,
+    # mean and variance are 1, n(2p - 1) and 4np(1 - p) within n eps
+    n = 2000
+    env = materialize(IIDConductance(ScalarDist.constant(1.0)), 0, (-n, n))
+    dist = exact_walk_distribution(env, 0.3, n)
+    p = float(bias_omega(0.5, 0.3)[1])
+    tol = n * np.finfo(float).eps
+    assert abs(dist.total_mass() - 1.0) <= tol
+    assert abs(dist.mean() / (n * (2 * p - 1)) - 1.0) <= tol
+    assert abs(dist.variance() / (4 * n * p * (1 - p)) - 1.0) <= tol
     with pytest.raises(ValueError):
-        exact_walk_distribution(PeriodicEnv(omega=(0.5,)), 0.0, 41)
+        exact_walk_distribution(PeriodicEnv(omega=(0.5,)), 0.0, -1)
 
 
 # ---------------------------------------------------------------------------

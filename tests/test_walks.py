@@ -251,7 +251,8 @@ def test_ensembles_reject_bad_inputs(run):
 # ---------------------------------------------------------------------------
 
 def test_ensemble_matches_per_replica_environments(monkeypatch):
-    # the engine's per-replica tables must equal the library materialization;
+    # the engine's per-replica tables must equal the library materialization,
+    # column k of the site-major (width x height) table being replica row k;
     # blocks of 3 rows (width 21) split the rows across the replica block at
     # 1024.  A finite-support law with at most 256 codes is held as uint8
     # codes whose LUT decodes to those tables bit for bit; other laws keep
@@ -288,7 +289,8 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
             (Renewal(1.0, 3.0), False, discrete_row, True),
             (Renewal(1.0, 3.0, time_flavor="continuous"), True, rate_row, True)):
         tables = _Tables(model, seed, None, lam, rates, rows)
-        table, lut, offsets = tables.build(lo, hi)
+        table, lut = tables.build(lo, hi)
+        assert tables.height == len(rows)
         assert (lut is not None) == coded
         assert [f.dtype for f in table] == ([np.uint8] if coded else [np.float64] * len(lut or table))
         fields = decoded(table, lut)
@@ -296,25 +298,24 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
         wants = [row(materialize(model, seed, (lo, hi), replica=r)) for r in rows]
         for k, want in enumerate(wants):
             for flat, values in zip(fields, want):
-                assert np.array_equal(flat[offsets[k]:offsets[k] + width], values)
+                assert np.array_equal(flat.reshape(width, len(rows))[:, k], values)
         # grown from an old window: both sides, new parts at both site
         # parities, a slide either way, and no overlap at all
         for olo, ohi in ((-7, 6), (-6, 5), (-14, 3), (-3, 25), (30, 40)):
             old = tables.build(olo, ohi)[0]
-            grown, grown_lut, grown_offsets = tables.build(lo, hi, (old, olo, ohi))
-            assert np.array_equal(grown_offsets, offsets)
+            grown, grown_lut = tables.build(lo, hi, (old, olo, ohi))
             for flat, held in zip(grown, table):
                 assert np.array_equal(flat, held)
             for flat, fresh in zip(decoded(grown, grown_lut), fields):
                 assert np.array_equal(flat, fresh)
-        # a shared environment's tables are one row from its model's source,
-        # coded as the annealed rows are, which every lane reads; also when
-        # grown from an old window
+        # a shared environment's tables have height 1: one row from its
+        # model's source, coded as the annealed rows are, which every lane
+        # reads; also when grown from an old window
         env = materialize(model, seed + 1, (-4, 4), replica=5)
         shared = _Tables(None, seed, env, lam, rates, range(3))
-        table, lut, offsets = shared.build(lo, hi)
-        assert (lut is not None) == coded and np.array_equal(offsets, np.zeros(3))
-        grown, grown_lut, _ = shared.build(lo, hi, (shared.build(-6, 5)[0], -6, 5))
+        table, lut = shared.build(lo, hi)
+        assert (lut is not None) == coded and shared.height == 1
+        grown, grown_lut = shared.build(lo, hi, (shared.build(-6, 5)[0], -6, 5))
         for built, built_lut in ((table, lut), (grown, grown_lut)):
             for flat, values in zip(decoded(built, built_lut), row(env)):
                 assert np.array_equal(flat, values)
@@ -514,24 +515,25 @@ class _PerJumpLanes:
     that end within the horizon, direction, move.  The reference that the
     block engine must match bit for bit."""
 
-    def __init__(self, seed, rows, horizon):
+    def __init__(self, seed, rows, height, horizon):
         m = len(rows)
+        self.height, self.column = height, np.arange(m) % height
         self.horizon = horizon
         self.u_hold = BlockExponentials(seed, ("hold",), rows.start, m)
         self.u_dir = BlockUniforms(seed, ("dir",), rows.start, m)
         self.t, self.e_sum, self.pe_sum, self.seen = (np.zeros(m) for _ in range(4))
         self.active = np.ones(m, dtype=bool)
 
-    def rebase(self, table, lut, offsets, lo, pos):
+    def rebase(self, table, lut, lo, pos):
         self.codes, (self.total, self.wplus) = ((None, table) if lut is None
                                                 else (table[0], lut))
-        self.offsets, self.lo, self.gidx = offsets, lo, offsets - lo + pos
+        self.lo, self.gidx = lo, (pos - lo) * self.height + self.column
 
     def index(self):
         return self.gidx if self.codes is None else self.codes.take(self.gidx)
 
     def positions(self):
-        return self.gidx - self.offsets + self.lo
+        return self.gidx // self.height + self.lo
 
     def step(self, k):
         active, e = self.active, self.u_hold.step(k)
@@ -544,7 +546,7 @@ class _PerJumpLanes:
             np.add(self.e_sum, e, out=self.e_sum, where=active)
             np.add(self.pe_sum, p * e, out=self.pe_sum, where=active)
         right = (self.u_dir.step(k) <= p) & active
-        self.gidx += 2 * right.astype(np.int64) - active
+        self.gidx += (2 * right.astype(np.int64) - active) * self.height
         np.copyto(self.t, t_new, where=active)
 
     def compensator(self):
@@ -566,9 +568,9 @@ def _per_jump_ensemble(model, lam, horizon, replicas, seed, *, shared_env=None,
     values = np.full(replicas, np.nan) if target_level is not None else None
     end = None if target_level is not None else horizon
     lo, hi = -256, 256 if target_level is None else max(target_level, 0) + 64
-    table, lut, offsets = tables.build(lo, hi)
-    lanes = _PerJumpLanes(seed, range(replicas), end)
-    lanes.rebase(table, lut, offsets, lo, 0)
+    table, lut = tables.build(lo, hi)
+    lanes = _PerJumpLanes(seed, range(replicas), tables.height, end)
+    lanes.rebase(table, lut, lo, 0)
     k = 0
     while lanes.active.any():
         lanes.step(k)
@@ -595,9 +597,9 @@ def _per_jump_ensemble(model, lam, horizon, replicas, seed, *, shared_env=None,
                       else min(hi, mx + 256))
             new_lo, new_hi = max(new_lo, -range_cap - 1), min(new_hi, range_cap + 1)
             if new_lo < lo or new_hi > hi:
-                table, lut, offsets = tables.build(new_lo, new_hi, (table, lo, hi))
+                table, lut = tables.build(new_lo, new_hi, (table, lo, hi))
                 lo, hi = new_lo, new_hi
-                lanes.rebase(table, lut, offsets, lo, pos)
+                lanes.rebase(table, lut, lo, pos)
     comp, rounding = (lanes.compensator() if target_level is None
                       else (None, 0.0))
     return EnsembleResult(lanes.positions(), aborted, replicas, float(horizon),
@@ -644,19 +646,23 @@ def test_block_engine_is_the_per_jump_rule(case):
 
 def test_a_lane_leaving_its_row_raises():
     # a window narrower than the run's reach: four steps left take the
-    # strongly biased lanes off their rows of 5 sites, into the row before
-    # or (row 0) to a negative index that take() would wrap; the block
-    # raises rather than read those sites
+    # strongly biased lanes off the window of 5 sites, to a negative index
+    # that take() would wrap into the last sites of another lane's column;
+    # the block raises rather than read those sites, on per-replica tables
+    # (height 3) and on a shared environment's (height 1)
     from functools import partial
     from rwrelab.walks import _ContinuousLanes, _DiscreteLanes, _Tables, _walk
     for rule, model in ((partial(_ContinuousLanes, horizon=100.0, target=None),
                          C_TWO_POINT),
                         (partial(_DiscreteLanes, steps=4), IIDConductance(TWO_POINT))):
         rates = rule.func is _ContinuousLanes
-        tables = _Tables(model, 7, None, -3.0, rates, range(3))
-        with pytest.raises(IndexError):
-            _walk(rule, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
-                  jump_budget=4)
+        shared = materialize(model, 8, (-2, 2), replica=1)
+        for env in (None, shared):
+            tables = _Tables(model, 7, env, -3.0, rates, range(3))
+            assert tables.height == (3 if env is None else 1)
+            with pytest.raises(IndexError):
+                _walk(rule, tables, (-2, 2), DEFAULT_RANGE_CAP, 100.0,
+                      jump_budget=4)
 
 
 def test_block_schedule(monkeypatch):
