@@ -21,28 +21,29 @@ be replayed from its streams alone.
 Lanes step one block at a time (``_Lanes``), and ``_walk`` alone sets the
 blocks: the first is ``_FIRST_BLOCK`` steps, and each later one ends at the
 next sweep, at step 2 k + ``_FIRST_BLOCK`` after k steps, or at the jump
-budget.  So a run that stops early draws few uniforms, and every block
-after the first sweep is one sweep.  A block reads each stream's uniforms
-in one call (``BlockUniforms.rows``).  Discrete lanes step in place; a
-continuous step writes the lanes' table indices to a row of the block's
-buffer, and after the block each lane's stop (horizon, target) is resolved
-from the rows.  Each block checks that every lane stayed inside the window of
-the site-major tables.  A continuous step runs only the jump chain; holding times, clocks
-and the compensator sums are settled once per block, adding in the order of
-one add per jump, so the results are those of stepping one jump at a time.
+budget.  So a run that stops early draws few uniforms, and every block after
+the first sweep is one sweep.  A block reads each stream's uniforms in one
+call (``BlockUniforms.rows``).  Discrete lanes step in place; a continuous
+step writes the lanes' table indices to a row of the block's buffer, and
+after the block each lane's stop (horizon, target) is resolved from the
+rows.  Each block checks that every lane stayed inside the tables.  A
+continuous step runs only the jump chain; holding times, clocks and the
+compensator sums are settled once per block, adding in the order of one add
+per jump, so the results are those of stepping one jump at a time.
 
 A table build takes blocks of rows from one source of the model's fields
 (``field_source``), the entry point that serves every model, held for the
-ensemble's lifetime; a build after a move copies the sites the old window
-holds and draws only the new ones.  A shared environment is read the same
-way, from the source of its realization's model, seed and replica, as one
-row of the tables that every lane reads; the engine never reads the
-realization itself.  A finite-support law's table holds one
-uint8 code per site, and each build a small lookup table (LUT) of the biased
-fields per code, made by the same elementwise formulas, so a step gathers
-the code and then the field(s) from the LUT, bit for bit the values a
-float64 table would hold.  Other laws keep float64 tables, read through the
-same step rules with a LUT of None.
+ensemble's lifetime, and lays them out site-major (site x row), so a lane
+reads one column, never another lane's sites; a build after a move copies
+the sites the old window holds as one contiguous slice and draws only the
+new ones.  A shared environment is read the same way, from the source of its
+realization's model, seed and replica, as one row of the tables that every
+lane reads; the engine never reads the realization itself.  A finite-support
+law's table holds one uint8 code per site, and each build a small lookup
+table (LUT) of the biased fields per code, made by the same elementwise
+formulas, so a step gathers the code and then the field(s) from the LUT, bit
+for bit the values a float64 table would hold.  Other laws keep float64
+tables, read through the same step rules with a LUT of None.
 
 The window starts small and slides with the lanes, so table memory follows
 their spread plus ``_SLIDE``, not the run's length.  A walker that comes
