@@ -505,20 +505,21 @@ def _gap_blocks(gamma: float, replicas: int, seed: int):
 
 
 def _running_gaps(gaps: np.ndarray):
-    """Yields (j, S', M, t) for j = 1.._MOMENT_TERMS-1: the sum, the maximum
-    and the number of ties with the maximum of each row's first j-1 gaps.
-    S' is updated in place, so use each state before asking for the next."""
+    """Yields (j, S', M, t + 1) for j = 1.._MOMENT_TERMS-1: the sum, the
+    maximum and one more than the number of ties t with the maximum of each
+    row's first j-1 gaps (M = 0 and t = 0 before any gap).  S' and M are
+    updated in place, so use each state before asking for the next."""
     m = gaps.shape[0]
     s = np.zeros(m, dtype=np.int64)
     big = np.zeros(m, dtype=np.int64)
-    ties = np.zeros(m, dtype=np.int64)
+    ties1 = np.ones(m, dtype=np.int64)
     for j in range(1, _MOMENT_TERMS):
         if j > 1:
             g = gaps[:, j - 2]
-            ties = np.where(g > big, 1, ties + (g == big))
-            big = np.maximum(big, g)
+            ties1 = np.where(g > big, 2, ties1 + (g == big))
+            np.maximum(big, g, out=big)
             s += g
-        yield j, s, big, ties
+        yield j, s, big, ties1
 
 
 def _sweep(gaps: np.ndarray, grid: np.ndarray, p, tables, sum_kernel=None):
@@ -528,7 +529,7 @@ def _sweep(gaps: np.ndarray, grid: np.ndarray, p, tables, sum_kernel=None):
     terms (K, grid.size, replicas): for each kernel C of tables
     (_kernel_tables) and n in grid, sum_{k>=2} 2^-k Z_k with
     Z_k = j [sum_{g>M} p(g) C(y-g) + p(M) C(y-M)/(t+1)], j = k-1,
-    y = n - S', and S', M, t from _running_gaps.  The K kernels share the
+    y = n - S', and S', M, t + 1 from _running_gaps.  The K kernels share the
     index arithmetic; a maximum past _PREFIX_MAX takes its sum directly.
 
     sums (None without sum_kernel): the replica sums of sum_kernel's terms at
@@ -537,7 +538,15 @@ def _sweep(gaps: np.ndarray, grid: np.ndarray, p, tables, sum_kernel=None):
     F(x) = sum_g p(g) H(g-1, x-g), H(M, s) the weight of the states with
     maximum <= M and sum s; a maximum past _PREFIX_MAX adds its part of F
     directly.  The tie terms are a histogram of S'+M.  Sums past n_max go
-    to a last bin that reaches no n."""
+    to a last bin that reaches no n.
+
+    The (M, S') histogram h is laid out s-major, bin min(S', n_max + 1)
+    (_PREFIX_MAX + 1) + min(M, _PREFIX_MAX), and each state counts only the
+    bins from its least reachable S', min(j - 1, n_max + 1), as every gap is
+    at least 1.  Its weighted bincount adds coef = j 2^-(j+1) once per
+    counted replica; every partial sum k coef (k <= _MOMENT_CHUNK, j < 64)
+    is exact in float64, so each bin gets coef * count bit for bit, and a
+    bin a state does not reach would get only +0.0."""
     n_max = p.size - 1
     width = n_max + 1
     cs, ds, qs = tables
@@ -546,11 +555,12 @@ def _sweep(gaps: np.ndarray, grid: np.ndarray, p, tables, sum_kernel=None):
     if sum_kernel is not None:
         f = np.zeros(width + 1)
         h = np.zeros((_PREFIX_MAX + 1) * (width + 1))
-    for j, s, big, ties in _running_gaps(gaps):
+    for j, s, big, ties1 in _running_gaps(gaps):
         coef = j * 0.5 ** (j + 1)
+        over = big > _PREFIX_MAX
         top = np.minimum(big, _PREFIX_MAX)
-        rare = np.flatnonzero(big > _PREFIX_MAX)
-        tie = p.take(np.minimum(big, n_max)) / (ties + 1)
+        rare = np.flatnonzero(over)
+        tie = p.take(big, mode="clip") / ties1
         y = grid[:, None] - s
         yc = np.maximum(y, 0)
         above = ds.take(yc, axis=1)
@@ -561,22 +571,24 @@ def _sweep(gaps: np.ndarray, grid: np.ndarray, p, tables, sum_kernel=None):
                 for k, ck in enumerate(cs):
                     above[k, i, r] = np.dot(p[big[r] + 1:yy], ck[span:0:-1]) \
                         if span > 0 else 0.0
-        part = cs.take(np.maximum(y - big, 0), axis=1)
+        part = cs.take(y - big, axis=1, mode="clip")
         part *= tie
         part += above
         part *= coef
         terms += part
         if sum_kernel is None:
             continue
-        h += coef * np.bincount(top * (width + 1) + np.minimum(s, width),
-                                big <= _PREFIX_MAX, minlength=h.size)
+        base = min(j - 1, width) * (_PREFIX_MAX + 1)
+        counts = np.bincount(np.minimum(s, width) * (_PREFIX_MAX + 1) + top - base,
+                             np.where(over, 0.0, coef))
+        h[base:base + counts.size] += counts
         f += coef * np.bincount(np.minimum(s + big, width), tie,
                                 minlength=width + 1)
         for r in rare[s[rare] + big[rare] < n_max]:
             f[s[r] + big[r] + 1:width] += coef * p[big[r] + 1:width - s[r]]
     if sum_kernel is None:
         return terms, None
-    h = h.reshape(_PREFIX_MAX + 1, width + 1)[:, :width].cumsum(axis=0)
+    h = h.reshape(width + 1, _PREFIX_MAX + 1).T[:, :width].cumsum(axis=0)
     f = f[:width]
     top = min(_PREFIX_MAX, n_max)
     for g in range(1, top + 1):

@@ -115,7 +115,10 @@ class _Tables:
     build a lookup table (LUT) of the fields per code, made by the same
     formulas from the law's per-code values, so lut[codes] is the fields
     bit for bit.  Other laws (``uniform:`` ones, those with more than 256
-    codes) keep the fields per site, and a LUT of None.
+    codes) keep the fields per site, and a LUT of None.  So does a table of
+    height 1: its sites are decoded as they are drawn, each field's per-code
+    values taken at the codes, so a lane-step reads a field with one gather
+    instead of two.
     """
 
     model: object
@@ -152,7 +155,8 @@ class _Tables:
         holds, one contiguous slice per field; only the others are drawn."""
         m = self.height
         values, blocks = self._source
-        lut = None if values is None else self._biased(values)
+        per_code = None if values is None else self._biased(values)
+        lut = per_code if m > 1 else None
         width = hi - lo + 1
         table = ([np.empty((width, m), dtype=np.uint8)] if lut is not None
                  else [np.empty((width, m)) for _ in range(2 if self.rates else 1)])
@@ -168,7 +172,11 @@ class _Tables:
             if plo > phi:
                 continue
             for blk, sites in blocks(plo, phi):
-                for f, v in zip(table, sites if lut is not None else self._biased(sites)):
+                if per_code is None:
+                    sites = self._biased(sites)
+                elif lut is None:
+                    sites = [v.take(sites[0]) for v in per_code]
+                for f, v in zip(table, sites):
                     f[plo - lo:phi - lo + 1, blk] = v.T
         return [f.ravel() for f in table], lut
 

@@ -552,6 +552,11 @@ GOLDEN_MOMENTS = "86fd5877007d67bfdd3fd7a8c2340112"
 # with the causal block tables v's s.e. and the slope's s.e. moved by at most
 # 9.2e-16 relative, v and the slope not at all
 GOLDEN_PROBE = "6ce667e340453d508161f204dfcba719"
+# the probe at i_max in {0, 1, 16, 60, 61, 62, 63, 64} (2000 replicas,
+# seed 5), one digest of the reprs in that order: widths i_max + 1 around
+# the least sum S' = j - 1 of the sweep's states, where its histogram of
+# (M, S') starts counting; recorded before that histogram became s-major
+GOLDEN_PROBE_SMALL = "95fc2c7c7224419f7bed75b5f6e93831"
 
 
 @pytest.mark.filterwarnings("error")
@@ -572,6 +577,17 @@ def test_velocity_jump_probe_golden():
                                replicas=20_000, seed=5, i_max=128)
     digest = hashlib.blake2b(repr(rows).encode(), digest_size=16).hexdigest()
     assert digest == GOLDEN_PROBE
+
+
+@pytest.mark.filterwarnings("error")
+def test_velocity_jump_probe_small_i_max_golden():
+    lam_plus = 0.5 * math.log(2.0)
+    h = hashlib.blake2b(digest_size=16)
+    for i_max in (0, 1, 16, 60, 61, 62, 63, 64):
+        rows = velocity_jump_probe(2.0, 3.0, [lam_plus - 0.1, lam_plus, lam_plus + 0.1],
+                                   replicas=2000, seed=5, i_max=i_max)
+        h.update(repr(rows).encode())
+    assert h.hexdigest() == GOLDEN_PROBE_SMALL
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 513, 10001])
@@ -618,6 +634,23 @@ def _gaps_with_rare_rows():
     gaps[7, 0] = 400
     gaps[9, [2, 4, 8]] = 70
     return gaps
+
+
+def test_running_gaps_match_per_row_counts():
+    # each yielded state, read before the next (S' and M are updated in
+    # place), against a recount of every row's first j - 1 gaps: their
+    # sum, their maximum (0 before any gap) and 1 + the ties at it
+    gaps = _gaps_with_rare_rows()
+    rows = gaps.tolist()
+    js = []
+    for j, s, big, ties1 in estimators._running_gaps(np.asfortranarray(gaps)):
+        js.append(j)
+        head = [row[:j - 1] for row in rows]
+        top = [max(g, default=0) for g in head]
+        assert s.tolist() == [sum(g) for g in head]
+        assert big.tolist() == top
+        assert ties1.tolist() == [g.count(t) + 1 for g, t in zip(head, top)]
+    assert js == list(range(1, estimators._MOMENT_TERMS))
 
 
 @pytest.mark.filterwarnings("error")

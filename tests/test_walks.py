@@ -309,12 +309,13 @@ def test_ensemble_matches_per_replica_environments(monkeypatch):
             for flat, fresh in zip(decoded(grown, grown_lut), fields):
                 assert np.array_equal(flat, fresh)
         # a shared environment's tables have height 1: one row from its
-        # model's source, coded as the annealed rows are, which every lane
-        # reads; also when grown from an old window
+        # model's source, stored decoded (float64, no LUT) for any law, which
+        # every lane reads; also when grown from an old window
         env = materialize(model, seed + 1, (-4, 4), replica=5)
         shared = _Tables(None, seed, env, lam, rates, range(3))
         table, lut = shared.build(lo, hi)
-        assert (lut is not None) == coded and shared.height == 1
+        assert lut is None and shared.height == 1
+        assert [f.dtype for f in table] == [np.float64] * (2 if rates else 1)
         grown, grown_lut = shared.build(lo, hi, (shared.build(-6, 5)[0], -6, 5))
         for built, built_lut in ((table, lut), (grown, grown_lut)):
             for flat, values in zip(decoded(built, built_lut), row(env)):
